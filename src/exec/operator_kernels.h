@@ -2,10 +2,10 @@
 #define TDP_EXEC_OPERATOR_KERNELS_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/exec/key_table.h"
 #include "src/exec/operators.h"
 #include "src/plan/logical_plan.h"
 
@@ -13,22 +13,6 @@ namespace tdp {
 namespace exec {
 
 struct SpilledJoinBuild;  // spill_kernels.h
-
-// ---- Key normalization (shared with the spill kernels) ---------------------
-
-/// Per-row integer codes whose equality and order agree with value
-/// equality and order WITHIN this column: dictionary columns yield their
-/// codes, PE columns hard-decode first, plain float columns rank through
-/// Unique. Float ranks are relative to the whole column — for codes that
-/// stay comparable across separately-encoded pages see
-/// `OrderPreservingCodes` (spill_kernels.h).
-StatusOr<std::vector<int64_t>> ColumnToCodes(const Column& column);
-
-/// Normalized per-row join keys for one side (strings FNV-1a hashed,
-/// numerics as -0-normalized double bit patterns). Row-local, so keys are
-/// code-compatible across sides, morsels, and spill partitions.
-StatusOr<std::vector<std::vector<int64_t>>> JoinRowKeys(
-    const Chunk& chunk, const std::vector<int64_t>& cols);
 
 // Per-operator execution kernels, shared by the two executors in
 // `ExecutePlan`:
@@ -72,32 +56,19 @@ StatusOr<Chunk> ExecuteModelEval(const plan::ModelEvalNode& node,
 
 // ---- Hash join: build consumer + streaming probe ---------------------------
 
-/// FNV-1a over a row's normalized key codes.
-struct RowKeyHash {
-  size_t operator()(const std::vector<int64_t>& key) const {
-    size_t h = 0xcbf29ce484222325ull;
-    for (int64_t v : key) {
-      h ^= static_cast<size_t>(v);
-      h *= 0x100000001b3ull;
-    }
-    return h;
-  }
-};
-
 /// The build side of a hash join, materialized by the build pipeline.
 /// Probe emission order is deterministic by construction: matches for a
-/// probe row are emitted in ascending build-row order (an explicit
-/// `std::vector` per key, not an `unordered_multimap`, whose equal-range
-/// order is implementation-defined).
+/// probe row come out in ascending build-row order (`JoinIndex` keeps each
+/// key's build rows sorted).
 struct JoinHashTable {
   /// The join's materialized build side: the right child by default, the
   /// left when the optimizer flipped `JoinNode::build_left` (smaller
   /// estimated input).
   Chunk build;
-  /// Normalized key -> build row indices, ascending.
-  std::unordered_map<std::vector<int64_t>, std::vector<int64_t>, RowKeyHash>
-      rows;
-  /// Set instead of `build`/`rows` when the build went grace (the build
+  /// Build-side join codes (`ComputeJoinKeyCodes`) -> build rows,
+  /// ascending. Rows whose key holds a NaN are left out: they never match.
+  JoinIndex index;
+  /// Set instead of `build`/`index` when the build went grace (the build
   /// footprint exceeded the run's `MemoryBudget`): the payload lives in
   /// per-partition spill files and `ProbeJoin` dispatches to
   /// `ProbeSpilledJoin`. Shared so morsel probes can run concurrently.
@@ -106,7 +77,7 @@ struct JoinHashTable {
 
 /// Builds the hash table over the join's build child output (see
 /// `JoinNode::build_left`). Pure-residual joins (no equi keys) leave
-/// `rows` empty and probe as a per-morsel cartesian product.
+/// `index` empty and probe as a per-morsel cartesian product.
 StatusOr<JoinHashTable> BuildJoinHashTable(const plan::JoinNode& node,
                                            Chunk build_input,
                                            const ExecContext& ctx);
@@ -141,10 +112,22 @@ StatusOr<AggInputs> EvaluateAggInputs(const plan::AggregateNode& node,
 AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts);
 
 /// Groups, accumulates (fixed 4096-row blocks, block-order combine) and
-/// materializes the aggregate output columns.
+/// materializes the aggregate output columns. Groups come out in key
+/// order: a `KeyTable` over the keys' order-preserving codes numbers them
+/// by first occurrence (each group's first row is its representative),
+/// then ranking the distinct keys renumbers them into code order.
 StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx);
+
+/// One aggregate's output column from its per-group accumulators: the
+/// count for COUNT, the sum for SUM, sum / count for AVG, the running
+/// extreme for MIN/MAX, each cast to `dtype` (the schema's output type).
+/// Shared by `FinalizeAggregate` and `SpilledFinalizeAggregate`.
+Column AggregateOutputColumn(plan::AggKind kind, DType dtype,
+                             const std::vector<double>& acc,
+                             const std::vector<int64_t>& counts,
+                             Device device);
 
 // ---- Breakers (whole-relation kernels) -------------------------------------
 
@@ -153,6 +136,8 @@ StatusOr<Chunk> ExecuteTvfScan(const plan::TvfScanNode& node, Chunk input,
 StatusOr<Chunk> ExecuteSort(const plan::SortNode& node, const Chunk& input,
                             const ExecContext& ctx);
 StatusOr<Chunk> ExecuteLimit(const plan::LimitNode& node, const Chunk& input);
+/// Keeps the first row of each distinct whole-row key (a `KeyTable` over
+/// the columns' order-preserving codes), in input order.
 StatusOr<Chunk> ExecuteDistinct(const Chunk& input);
 
 /// Index-accelerated top-k similarity (see `plan::IndexTopKNode`): probes

@@ -3,19 +3,18 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
 #include "src/exec/bound_expr.h"
 #include "src/exec/fused_filter_project.h"
+#include "src/exec/key_table.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
 #include "src/exec/soft_ops.h"
 #include "src/exec/spill_kernels.h"
+#include "src/tensor/dispatch.h"
 #include "src/tensor/ops.h"
 
 namespace tdp {
@@ -47,91 +46,6 @@ EvalOptions EvalOpts(const ExecContext& ctx) {
 }
 
 }  // namespace
-
-// ---- Key normalization ------------------------------------------------------
-//
-// Grouping / joining / distinct all need a per-row integer code whose
-// equality (and order) agrees with value equality (and order). Dictionary
-// columns already are codes; numeric columns are ranked through Unique.
-// Exported (operator_kernels.h) for the spill kernels, which must derive
-// the same key equivalences page by page.
-
-StatusOr<std::vector<int64_t>> ColumnToCodes(const Column& column) {
-  switch (column.encoding()) {
-    case Encoding::kDictionary:
-      return column.data().ToVector<int64_t>();
-    case Encoding::kProbability: {
-      // Hard-decode, then rank.
-      const Column hard = Column::Plain(column.DecodeValues());
-      return ColumnToCodes(hard);
-    }
-    case Encoding::kPlain: {
-      const Tensor& data = column.data();
-      if (data.dim() != 1) {
-        return Status::TypeError(
-            "tensor-valued columns cannot be grouping/join keys");
-      }
-      if (data.dtype() == DType::kInt64) return data.ToVector<int64_t>();
-      if (data.dtype() == DType::kBool) {
-        return data.To(DType::kInt64).ToVector<int64_t>();
-      }
-      // Rank values through Unique so float equality becomes code equality.
-      const UniqueResult uniq = Unique(data.Detach());
-      return uniq.inverse.ToVector<int64_t>();
-    }
-  }
-  return Status::Internal("unknown encoding");
-}
-
-// Normalized per-row join keys for one side: strings hash decoded values
-// (FNV-1a 64 over short strings — collisions astronomically unlikely,
-// accepted here), numerics use value bit patterns via doubles (with -0
-// normalized) so keys are code-compatible across sides. Purely row-local,
-// so morsel-wise evaluation matches whole-relation evaluation exactly.
-StatusOr<std::vector<std::vector<int64_t>>> JoinRowKeys(
-    const Chunk& chunk, const std::vector<int64_t>& cols) {
-  std::vector<std::vector<int64_t>> keys(
-      static_cast<size_t>(chunk.num_rows()),
-      std::vector<int64_t>(cols.size()));
-  for (size_t k = 0; k < cols.size(); ++k) {
-    const Column& c = chunk.columns[static_cast<size_t>(cols[k])];
-    if (c.encoding() == Encoding::kDictionary) {
-      const std::vector<std::string> strs = c.DecodeStrings();
-      ParallelFor(0, static_cast<int64_t>(strs.size()), GrainForCost(16),
-                  [&keys, &strs, k](int64_t row_begin, int64_t row_end) {
-                    for (int64_t r = row_begin; r < row_end; ++r) {
-                      uint64_t h = 0xcbf29ce484222325ull;
-                      for (char ch : strs[static_cast<size_t>(r)]) {
-                        h ^= static_cast<unsigned char>(ch);
-                        h *= 0x100000001b3ull;
-                      }
-                      keys[static_cast<size_t>(r)][k] =
-                          static_cast<int64_t>(h);
-                    }
-                  });
-    } else {
-      const Tensor vals = c.DecodeValues();
-      if (vals.dim() != 1) {
-        return Status::TypeError("join key must be a scalar column");
-      }
-      const std::vector<double> d = vals.To(DType::kFloat64).ToVector<double>();
-      ParallelFor(0, static_cast<int64_t>(d.size()), GrainForCost(2),
-                  [&keys, &d, k](int64_t row_begin, int64_t row_end) {
-                    for (int64_t r = row_begin; r < row_end; ++r) {
-                      int64_t bits;
-                      const double dv =
-                          d[static_cast<size_t>(r)] == 0.0
-                              ? 0.0
-                              : d[static_cast<size_t>(r)];  // normalize -0
-                      static_assert(sizeof(bits) == sizeof(dv));
-                      std::memcpy(&bits, &dv, sizeof(bits));
-                      keys[static_cast<size_t>(r)][k] = bits;
-                    }
-                  });
-    }
-  }
-  return keys;
-}
 
 // ---- Scan -------------------------------------------------------------------
 
@@ -377,54 +291,43 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
           static_cast<int64_t>(inputs.key_columns.size() +
                                node.aggregates.size() + 2));
 
-  std::vector<std::vector<int64_t>> key_codes;
-  key_codes.reserve(inputs.key_columns.size());
-  for (const Column& key : inputs.key_columns) {
-    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> codes, ColumnToCodes(key));
-    key_codes.push_back(std::move(codes));
-  }
-
-  // Assign group ids; order groups lexicographically by key codes (codes
-  // are order-preserving, so this sorts by value).
-  std::map<std::vector<int64_t>, int64_t> group_ids;
-  std::vector<int64_t> row_group(static_cast<size_t>(rows));
-  std::vector<int64_t> key(key_codes.size());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (size_t k = 0; k < key_codes.size(); ++k) {
-      key[k] = key_codes[k][static_cast<size_t>(r)];
+  // Group ids. The key table numbers distinct keys in first-occurrence
+  // order, so each group's first row (its representative) falls out of
+  // the insert pass; ranking the distinct keys then renumbers the groups
+  // in code order, which is value order. Without GROUP BY every row
+  // belongs to the single group 0.
+  std::vector<int64_t> row_group(static_cast<size_t>(rows), 0);
+  std::vector<int64_t> representative;
+  int64_t num_groups = 1;
+  if (!node.group_exprs.empty()) {
+    std::vector<std::vector<int64_t>> key_codes;
+    key_codes.reserve(inputs.key_columns.size());
+    for (const Column& key : inputs.key_columns) {
+      TDP_ASSIGN_OR_RETURN(std::vector<int64_t> codes,
+                           OrderPreservingCodes(key));
+      key_codes.push_back(std::move(codes));
     }
-    auto [it, inserted] = group_ids.emplace(key, 0);
-    (void)inserted;
-    row_group[static_cast<size_t>(r)] = 0;  // filled after renumbering
-  }
-  // Renumber in sorted order and record a representative row per group.
-  int64_t next_id = 0;
-  for (auto& [unused_key, id] : group_ids) id = next_id++;
-  const int64_t num_groups =
-      node.group_exprs.empty() ? 1 : next_id;
-  std::vector<int64_t> representative(
-      static_cast<size_t>(std::max<int64_t>(num_groups, 1)), -1);
-  // Group-id lookups are read-only on the finished map, so the per-row
-  // assignment shards across the pool; the representative (first row of
-  // each group) is recovered serially afterwards.
-  const auto& frozen_group_ids = group_ids;
-  ParallelFor(0, rows, GrainForCost(8), [&](int64_t row_begin,
-                                            int64_t row_end) {
-    std::vector<int64_t> local_key(key_codes.size());
-    for (int64_t r = row_begin; r < row_end; ++r) {
-      int64_t gid = 0;
-      if (!node.group_exprs.empty()) {
-        for (size_t k = 0; k < key_codes.size(); ++k) {
-          local_key[k] = key_codes[k][static_cast<size_t>(r)];
-        }
-        gid = frozen_group_ids.at(local_key);
+    const KeyColumns cols = ColumnsOf(key_codes);
+    KeyTable groups(static_cast<int64_t>(cols.size()));
+    std::vector<int64_t> first_rows;
+    for (int64_t r = 0; r < rows; ++r) {
+      bool inserted = false;
+      row_group[static_cast<size_t>(r)] = groups.Insert(cols, r, &inserted);
+      if (inserted) first_rows.push_back(r);
+    }
+    const std::vector<int64_t> rank = groups.SortedRanks();
+    num_groups = groups.size();
+    representative.resize(static_cast<size_t>(num_groups));
+    for (int64_t id = 0; id < num_groups; ++id) {
+      representative[static_cast<size_t>(rank[static_cast<size_t>(id)])] =
+          first_rows[static_cast<size_t>(id)];
+    }
+    ParallelFor(0, rows, GrainForCost(2), [&](int64_t begin, int64_t end) {
+      for (int64_t r = begin; r < end; ++r) {
+        int64_t& g = row_group[static_cast<size_t>(r)];
+        g = rank[static_cast<size_t>(g)];
       }
-      row_group[static_cast<size_t>(r)] = gid;
-    }
-  });
-  for (int64_t r = 0; r < rows; ++r) {
-    const size_t gid = static_cast<size_t>(row_group[static_cast<size_t>(r)]);
-    if (representative[gid] < 0) representative[gid] = r;
+    });
   }
 
   Chunk out;
@@ -432,11 +335,7 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
   // Group key output columns: representative rows of the key columns
   // (PE keys are hard-decoded — the exact operator swap of §4).
   if (!node.group_exprs.empty()) {
-    Tensor rep = Tensor::Empty({num_groups}, DType::kInt64, ctx.device);
-    int64_t* rp = rep.data<int64_t>();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      rp[g] = representative[static_cast<size_t>(g)];
-    }
+    const Tensor rep = Tensor::FromVector(representative, {}, ctx.device);
     for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
       Column key_col = inputs.key_columns[k];
       if (key_col.encoding() == Encoding::kProbability) {
@@ -469,14 +368,13 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
       }
       arg_values = values.To(DType::kFloat64).ToVector<double>();
       if (def.distinct) {
-        TDP_ASSIGN_OR_RETURN(arg_codes, ColumnToCodes(arg_col));
+        TDP_ASSIGN_OR_RETURN(arg_codes, OrderPreservingCodes(arg_col));
       }
     }
 
-    std::vector<std::set<int64_t>> distinct_seen;
-    if (def.distinct) {
-      distinct_seen.resize(static_cast<size_t>(num_groups));
-    }
+    // COUNT(DISTINCT): a row counts when its (group, value) pair is new.
+    KeyTable distinct_seen(2);
+    const KeyColumns distinct_cols = {row_group.data(), arg_codes.data()};
 
     // Chunk-at-a-time accumulation. Rows are folded into fixed-size blocks
     // (block partials are combined in block order), so the floating-point
@@ -484,7 +382,7 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
     // for every TDP_NUM_THREADS and every morsel size (the streaming
     // executor merges per-morsel inputs in morsel order before this
     // accumulation, re-blocking at the same fixed boundaries). DISTINCT
-    // keeps per-group ordered sets and stays serial; high-cardinality
+    // inserts into one key table and stays serial; high-cardinality
     // group-bys fall back to the serial loop rather than materializing
     // huge partial tables.
     constexpr int64_t kAggBlock = 4096;
@@ -500,10 +398,9 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
         const size_t g =
             static_cast<size_t>(row_group[static_cast<size_t>(r)]);
         if (def.distinct && def.arg) {
-          if (!distinct_seen[g].insert(arg_codes[static_cast<size_t>(r)])
-                   .second) {
-            continue;
-          }
+          bool inserted = false;
+          distinct_seen.Insert(distinct_cols, r, &inserted);
+          if (!inserted) continue;
         }
         const double v =
             def.arg ? arg_values[static_cast<size_t>(r)] : 0.0;
@@ -577,35 +474,43 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
       accumulate_rows(0, rows, acc.data(), counts.data(), has_flags.data());
     }
 
-    // Materialize the aggregate output column with the schema's dtype.
-    const DType out_dtype =
-        node.schema[node.group_exprs.size() + def_index].dtype;
-    Tensor result = Tensor::Zeros({num_groups}, out_dtype, ctx.device);
+    out.names.push_back(def.name);
+    out.columns.push_back(AggregateOutputColumn(
+        def.kind, node.schema[node.group_exprs.size() + def_index].dtype, acc,
+        counts, ctx.device));
+  }
+  return out;
+}
+
+Column AggregateOutputColumn(AggKind kind, DType dtype,
+                             const std::vector<double>& acc,
+                             const std::vector<int64_t>& counts,
+                             Device device) {
+  const int64_t num_groups = static_cast<int64_t>(acc.size());
+  Tensor result = Tensor::Empty({num_groups}, dtype, device);
+  TDP_DISPATCH_ALL(dtype, {
+    scalar_t* out = result.data<scalar_t>();
     for (int64_t g = 0; g < num_groups; ++g) {
       const size_t ug = static_cast<size_t>(g);
       double v = 0;
-      switch (def.kind) {
+      switch (kind) {
         case AggKind::kCountStar:
         case AggKind::kCount:
           v = static_cast<double>(counts[ug]);
           break;
         case AggKind::kSum:
+        case AggKind::kMin:
+        case AggKind::kMax:
           v = acc[ug];
           break;
         case AggKind::kAvg:
           v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
           break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          v = acc[ug];
-          break;
       }
-      result.SetAt({g}, v);
+      out[g] = static_cast<scalar_t>(v);
     }
-    out.names.push_back(def.name);
-    out.columns.push_back(Column::Plain(std::move(result)));
-  }
-  return out;
+  });
+  return Column::Plain(std::move(result));
 }
 
 namespace {
@@ -679,12 +584,14 @@ StatusOr<JoinHashTable> BuildJoinHashTable(const JoinNode& node,
   JoinHashTable ht;
   ht.build = std::move(build_input);
   if (!build_key_cols.empty()) {
-    TDP_ASSIGN_OR_RETURN(auto build_keys,
-                         JoinRowKeys(ht.build, build_key_cols));
-    ht.rows.reserve(build_keys.size());
-    for (size_t r = 0; r < build_keys.size(); ++r) {
-      ht.rows[build_keys[r]].push_back(static_cast<int64_t>(r));
+    TDP_ASSIGN_OR_RETURN(JoinKeyCodes codes,
+                         ComputeJoinKeyCodes(ht.build, build_key_cols));
+    const KeyColumns cols = ColumnsOf(codes.columns);
+    ht.index = JoinIndex(static_cast<int64_t>(cols.size()));
+    for (int64_t r = 0; r < ht.build.num_rows(); ++r) {
+      if (!codes.never_match[static_cast<size_t>(r)]) ht.index.Add(cols, r, r);
     }
+    ht.index.Finish();
   }
   return ht;
 }
@@ -700,17 +607,19 @@ StatusOr<Chunk> ProbeJoin(const JoinNode& node, const JoinHashTable& ht,
       node.build_left ? node.right_keys : node.left_keys;
 
   // Matched row pairs, in probe-row-major order; matches of one probe row
-  // come out in ascending build-row order (deterministic, unlike the
-  // equal_range order of an unordered_multimap).
+  // come out in ascending build-row order (the index keeps them sorted).
   std::vector<int64_t> probe_idx;
   std::vector<int64_t> build_idx;
   if (!probe_key_cols.empty()) {
-    TDP_ASSIGN_OR_RETURN(auto probe_keys, JoinRowKeys(probe, probe_key_cols));
-    for (size_t r = 0; r < probe_keys.size(); ++r) {
-      const auto it = ht.rows.find(probe_keys[r]);
-      if (it == ht.rows.end()) continue;
-      for (int64_t b : it->second) {
-        probe_idx.push_back(static_cast<int64_t>(r));
+    TDP_ASSIGN_OR_RETURN(JoinKeyCodes codes,
+                         ComputeJoinKeyCodes(probe, probe_key_cols));
+    const KeyColumns cols = ColumnsOf(codes.columns);
+    probe_idx.reserve(static_cast<size_t>(probe_rows));
+    build_idx.reserve(static_cast<size_t>(probe_rows));
+    for (int64_t r = 0; r < probe_rows; ++r) {
+      if (codes.never_match[static_cast<size_t>(r)]) continue;
+      for (int64_t b : ht.index.Matches(cols, r)) {
+        probe_idx.push_back(r);
         build_idx.push_back(b);
       }
     }
@@ -812,17 +721,17 @@ StatusOr<Chunk> ExecuteDistinct(const Chunk& input) {
   const int64_t rows = input.num_rows();
   std::vector<std::vector<int64_t>> codes;
   for (const Column& c : input.columns) {
-    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> col_codes, ColumnToCodes(c));
+    TDP_ASSIGN_OR_RETURN(std::vector<int64_t> col_codes,
+                         OrderPreservingCodes(c));
     codes.push_back(std::move(col_codes));
   }
-  std::set<std::vector<int64_t>> seen;
+  const KeyColumns cols = ColumnsOf(codes);
+  KeyTable seen(static_cast<int64_t>(cols.size()));
   std::vector<int64_t> keep;
-  std::vector<int64_t> key(codes.size());
   for (int64_t r = 0; r < rows; ++r) {
-    for (size_t k = 0; k < codes.size(); ++k) {
-      key[k] = codes[k][static_cast<size_t>(r)];
-    }
-    if (seen.insert(key).second) keep.push_back(r);
+    bool inserted = false;
+    seen.Insert(cols, r, &inserted);
+    if (inserted) keep.push_back(r);
   }
   const Device device =
       input.columns.empty() ? Device::kCpu : input.columns[0].data().device();

@@ -1,9 +1,7 @@
 #include "src/exec/spill_kernels.h"
 
 #include <algorithm>
-#include <map>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -32,32 +30,12 @@ EvalOptions EvalOpts(const ExecContext& ctx) {
   return opts;
 }
 
-StatusOr<std::vector<int64_t>> TensorOrderCodes(const Tensor& values,
-                                                bool* is_float) {
-  if (values.dim() != 1) {
-    return Status::TypeError(
-        "tensor-valued columns cannot be grouping/join keys");
-  }
-  switch (values.dtype()) {
-    case DType::kInt64:
-      *is_float = false;
-      return values.ToVector<int64_t>();
-    case DType::kInt32:
-    case DType::kUInt8:
-    case DType::kBool:
-      *is_float = false;
-      return values.To(DType::kInt64).ToVector<int64_t>();
-    case DType::kFloat32:
-    case DType::kFloat64: {
-      *is_float = true;
-      const std::vector<double> d =
-          values.To(DType::kFloat64).ToVector<double>();
-      std::vector<int64_t> codes(d.size());
-      for (size_t i = 0; i < d.size(); ++i) codes[i] = DoubleOrderCode(d[i]);
-      return codes;
-    }
-  }
-  return Status::Internal("unknown dtype");
+// Grace partition of row `row`'s join key. Uses the key table hash's high
+// bits: the partition's own table indexes slots by the low bits, which
+// would otherwise be constant within a partition.
+size_t JoinPartition(const KeyColumns& cols, int64_t row, int64_t parts) {
+  return static_cast<size_t>((KeyTable::Hash(cols, row) >> 32) %
+                             static_cast<uint64_t>(parts));
 }
 
 // Rows-per-run / partition-count sizing against the budget. The spill
@@ -112,19 +90,6 @@ Column WrapLike(const Column& prototype, Tensor payload) {
 
 }  // namespace
 
-StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
-                                                    bool* is_float) {
-  switch (column.encoding()) {
-    case Encoding::kDictionary:
-      *is_float = false;
-      return column.data().ToVector<int64_t>();
-    case Encoding::kProbability:
-    case Encoding::kPlain:
-      return TensorOrderCodes(column.DecodeValues(), is_float);
-  }
-  return Status::Internal("unknown encoding");
-}
-
 // ---- External merge sort ----------------------------------------------------
 
 StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
@@ -146,12 +111,11 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
     const auto& item = node.items[k];
     TDP_ASSIGN_OR_RETURN(Column key_col, EvaluateExprToColumn(
                                              *item.expr, input, EvalOpts(ctx)));
-    Tensor keys = key_col.DecodeValues();
-    if (keys.dim() != 1) {
+    if (key_col.IsTensorColumn()) {
       return Status::TypeError("ORDER BY key must be a scalar column");
     }
     bool is_float = false;
-    TDP_ASSIGN_OR_RETURN(codes[k], TensorOrderCodes(keys, &is_float));
+    TDP_ASSIGN_OR_RETURN(codes[k], OrderPreservingCodes(key_col, &is_float));
     descending[k] = item.descending ? 1 : 0;
     float_key[k] = is_float ? 1 : 0;
   }
@@ -363,7 +327,9 @@ StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
   TDP_CHECK(!build_key_cols.empty());
   const int64_t rows = build_input.num_rows();
 
-  TDP_ASSIGN_OR_RETURN(auto keys, JoinRowKeys(build_input, build_key_cols));
+  TDP_ASSIGN_OR_RETURN(JoinKeyCodes codes,
+                       ComputeJoinKeyCodes(build_input, build_key_cols));
+  const KeyColumns cols = ColumnsOf(codes.columns);
 
   const int64_t footprint = ChunkFootprintBytes(build_input) + rows * 48;
   const int64_t part_budget = std::max<int64_t>(mem->budget_bytes() / 4, 1);
@@ -376,21 +342,21 @@ StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
   build->prototype = build_input.SliceRows(0, 0);
   build->files.resize(static_cast<size_t>(parts));
   build->partition_rows.assign(static_cast<size_t>(parts), 0);
-  build->rows.resize(static_cast<size_t>(parts));
+  build->index.assign(static_cast<size_t>(parts),
+                      JoinIndex(static_cast<int64_t>(cols.size())));
 
   // Assign rows to partitions in build-row order: partition-local index
   // order == global build-row order, the property probe emission relies
-  // on. A key hashes to exactly one partition.
+  // on. A key hashes to exactly one partition; NaN-keyed rows go nowhere.
   std::vector<std::vector<int64_t>> partition_sel(
       static_cast<size_t>(parts));
-  const RowKeyHash hasher;
   for (int64_t r = 0; r < rows; ++r) {
-    const size_t key_row = static_cast<size_t>(r);
-    const size_t p = hasher(keys[key_row]) % static_cast<size_t>(parts);
-    const int64_t local = build->partition_rows[p]++;
-    build->rows[p][keys[key_row]].push_back(local);
+    if (codes.never_match[static_cast<size_t>(r)]) continue;
+    const size_t p = JoinPartition(cols, r, parts);
+    build->index[p].Add(cols, r, build->partition_rows[p]++);
     partition_sel[p].push_back(r);
   }
+  for (JoinIndex& index : build->index) index.Finish();
 
   // Spill each partition's payload. Partition file layout:
   //   [rows][num_pages] then per page: [page_rows][num_cols][column]...
@@ -430,7 +396,9 @@ StatusOr<Chunk> ProbeSpilledJoin(const JoinNode& node,
                                  const Chunk& probe, const ExecContext& ctx) {
   const auto& probe_key_cols =
       node.build_left ? node.right_keys : node.left_keys;
-  TDP_ASSIGN_OR_RETURN(auto probe_keys, JoinRowKeys(probe, probe_key_cols));
+  TDP_ASSIGN_OR_RETURN(JoinKeyCodes codes,
+                       ComputeJoinKeyCodes(probe, probe_key_cols));
+  const KeyColumns cols = ColumnsOf(codes.columns);
 
   // Emission order (identical to the in-memory probe): probe-row-major,
   // matches of one probe row in ascending build-row order — which is
@@ -439,14 +407,11 @@ StatusOr<Chunk> ProbeSpilledJoin(const JoinNode& node,
   std::vector<int64_t> probe_idx;
   std::vector<int32_t> match_part;
   std::vector<int64_t> match_local;
-  const RowKeyHash hasher;
-  for (size_t r = 0; r < probe_keys.size(); ++r) {
-    const size_t p =
-        hasher(probe_keys[r]) % static_cast<size_t>(build.num_partitions);
-    const auto it = build.rows[p].find(probe_keys[r]);
-    if (it == build.rows[p].end()) continue;
-    for (int64_t local : it->second) {
-      probe_idx.push_back(static_cast<int64_t>(r));
+  for (int64_t r = 0; r < probe.num_rows(); ++r) {
+    if (codes.never_match[static_cast<size_t>(r)]) continue;
+    const size_t p = JoinPartition(cols, r, build.num_partitions);
+    for (int64_t local : build.index[p].Matches(cols, r)) {
+      probe_idx.push_back(r);
       match_part.push_back(static_cast<int32_t>(p));
       match_local.push_back(local);
     }
@@ -591,15 +556,14 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   }
 
   // Pass A: spill pages (key order codes + per-def argument doubles +
-  // distinct codes) while discovering groups. Order codes are row-local
-  // and globally consistent, so the page-wise map sees exactly the key
-  // equivalences (and the sorted iteration exactly the key order) the
-  // in-memory kernel derives from whole-column Unique ranks.
+  // distinct codes) while discovering groups. Order codes are row-local,
+  // so inserting page by page into the key table assigns the same
+  // first-occurrence ids and first rows — and the rank renumbering below
+  // the same group order — as the in-memory kernel's single pass.
   TDP_ASSIGN_OR_RETURN(std::string path, mem->NewSpillFile("aggpages"));
   SpillWriter w(path);
-  std::map<std::vector<int64_t>, int64_t> group_ids;
-  std::vector<std::pair<const std::vector<int64_t>*, int64_t>> first_rows;
-  std::vector<int64_t> key(num_key_cols);
+  KeyTable groups(static_cast<int64_t>(num_key_cols));
+  std::vector<int64_t> first_rows;
   {
     std::vector<std::vector<int64_t>> page_key_codes(num_key_cols);
     std::vector<std::vector<double>> page_args(
@@ -611,11 +575,9 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
       const int64_t lo = b * kAggBlock;
       const int64_t pn = std::min(kAggBlock, rows - lo);
       for (size_t k = 0; k < num_key_cols; ++k) {
-        bool is_float = false;
         TDP_ASSIGN_OR_RETURN(
             page_key_codes[k],
-            OrderPreservingCodes(inputs.key_columns[k].SliceRows(lo, pn),
-                                 &is_float));
+            OrderPreservingCodes(inputs.key_columns[k].SliceRows(lo, pn)));
       }
       for (size_t d = 0; d < node.aggregates.size(); ++d) {
         if (arg_blob[d] >= 0) {
@@ -627,21 +589,20 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
                   .ToVector<double>();
         }
         if (distinct_blob[d] >= 0) {
-          bool is_float = false;
           TDP_ASSIGN_OR_RETURN(
               page_distinct[static_cast<size_t>(distinct_blob[d])],
-              OrderPreservingCodes(inputs.arg_columns[d].SliceRows(lo, pn),
-                                   &is_float));
+              OrderPreservingCodes(inputs.arg_columns[d].SliceRows(lo, pn)));
         }
       }
       // Group discovery over this page, recording each group's first
       // global row (the representative).
-      for (int64_t i = 0; i < pn; ++i) {
-        for (size_t k = 0; k < num_key_cols; ++k) {
-          key[k] = page_key_codes[k][static_cast<size_t>(i)];
+      if (!node.group_exprs.empty()) {
+        const KeyColumns cols = ColumnsOf(page_key_codes);
+        for (int64_t i = 0; i < pn; ++i) {
+          bool inserted = false;
+          groups.Insert(cols, i, &inserted);
+          if (inserted) first_rows.push_back(lo + i);
         }
-        auto [it, inserted] = group_ids.emplace(key, 0);
-        if (inserted) first_rows.emplace_back(&it->first, lo + i);
       }
       // Page out everything pass B needs.
       TDP_RETURN_NOT_OK(w.WriteInt64(pn));
@@ -664,18 +625,12 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
 
   // Renumber groups in sorted key order and recover representatives —
   // the same renumbering the in-memory kernel applies.
-  int64_t next_id = 0;
-  for (auto& [unused_key, id] : group_ids) id = next_id++;
-  const int64_t num_groups = node.group_exprs.empty() ? 1 : next_id;
-  std::vector<int64_t> representative(
-      static_cast<size_t>(std::max<int64_t>(num_groups, 1)), -1);
-  for (const auto& [key_ptr, row] : first_rows) {
-    const size_t gid = node.group_exprs.empty()
-                           ? 0
-                           : static_cast<size_t>(group_ids.at(*key_ptr));
-    if (representative[gid] < 0 || row < representative[gid]) {
-      representative[gid] = row;
-    }
+  const std::vector<int64_t> rank = groups.SortedRanks();
+  const int64_t num_groups = node.group_exprs.empty() ? 1 : groups.size();
+  std::vector<int64_t> representative(static_cast<size_t>(groups.size()));
+  for (int64_t id = 0; id < groups.size(); ++id) {
+    representative[static_cast<size_t>(rank[static_cast<size_t>(id)])] =
+        first_rows[static_cast<size_t>(id)];
   }
 
   Chunk out;
@@ -683,11 +638,7 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   // Group key output columns: representative rows of the (resident) key
   // columns — verbatim the in-memory code, shared dictionaries included.
   if (!node.group_exprs.empty()) {
-    Tensor rep = Tensor::Empty({num_groups}, DType::kInt64, ctx.device);
-    int64_t* rp = rep.data<int64_t>();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      rp[g] = representative[static_cast<size_t>(g)];
-    }
+    const Tensor rep = Tensor::FromVector(representative, {}, ctx.device);
     for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
       Column key_col = inputs.key_columns[k];
       if (key_col.encoding() == Encoding::kProbability) {
@@ -699,7 +650,7 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   }
 
   // Pass B, once per aggregate: re-stream the pages, resolving each row's
-  // group through the frozen map and accumulating with the in-memory
+  // group through the finished key table and accumulating with the in-memory
   // kernel's exact arithmetic. When that kernel would have parallelized
   // (num_blocks > 1, merge cheaper than the rows), per-block partials are
   // folded in block order — pages ARE blocks (both 4096-row, both
@@ -712,8 +663,7 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
     std::vector<double> acc(static_cast<size_t>(num_groups), 0.0);
     std::vector<int64_t> counts(static_cast<size_t>(num_groups), 0);
     std::vector<unsigned char> has_flags(static_cast<size_t>(num_groups), 0);
-    std::vector<std::set<int64_t>> distinct_seen;
-    if (def.distinct) distinct_seen.resize(static_cast<size_t>(num_groups));
+    KeyTable distinct_seen(2);  // (group, value) pairs, as in memory
     const bool parallel_ok =
         !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
 
@@ -734,12 +684,14 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
         page_codes.resize(static_cast<size_t>(pn) * num_key_cols);
         TDP_RETURN_NOT_OK(reader.ReadInt64Span(page_codes.data(),
                                                page_codes.size()));
+        KeyColumns cols(num_key_cols);
+        for (size_t k = 0; k < num_key_cols; ++k) {
+          cols[k] = page_codes.data() + k * static_cast<size_t>(pn);
+        }
         for (int64_t i = 0; i < pn; ++i) {
-          for (size_t k = 0; k < num_key_cols; ++k) {
-            key[k] = page_codes[k * static_cast<size_t>(pn) +
-                                static_cast<size_t>(i)];
-          }
-          row_gid[static_cast<size_t>(i)] = group_ids.at(key);
+          const int64_t id = groups.Find(cols, i);
+          if (id < 0) return Status::Internal("aggregate page key not found");
+          row_gid[static_cast<size_t>(i)] = rank[static_cast<size_t>(id)];
         }
       } else if (num_key_cols > 0) {
         TDP_RETURN_NOT_OK(
@@ -767,6 +719,7 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
         TDP_RETURN_NOT_OK(reader.Skip(num_distinct_blobs * pn * 8));
       }
 
+      const KeyColumns distinct_cols = {row_gid.data(), page_distinct.data()};
       const auto accumulate_rows = [&](double* block_acc,
                                        int64_t* block_counts,
                                        unsigned char* block_has) {
@@ -774,11 +727,9 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
           const size_t g =
               static_cast<size_t>(row_gid[static_cast<size_t>(i)]);
           if (def.distinct && def.arg) {
-            if (!distinct_seen[g]
-                     .insert(page_distinct[static_cast<size_t>(i)])
-                     .second) {
-              continue;
-            }
+            bool inserted = false;
+            distinct_seen.Insert(distinct_cols, i, &inserted);
+            if (!inserted) continue;
           }
           const double v =
               def.arg ? page_args[static_cast<size_t>(i)] : 0.0;
@@ -837,32 +788,10 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
       }
     }
 
-    const DType out_dtype =
-        node.schema[node.group_exprs.size() + def_index].dtype;
-    Tensor result = Tensor::Zeros({num_groups}, out_dtype, ctx.device);
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const size_t ug = static_cast<size_t>(g);
-      double v = 0;
-      switch (def.kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          v = static_cast<double>(counts[ug]);
-          break;
-        case AggKind::kSum:
-          v = acc[ug];
-          break;
-        case AggKind::kAvg:
-          v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
-          break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          v = acc[ug];
-          break;
-      }
-      result.SetAt({g}, v);
-    }
     out.names.push_back(def.name);
-    out.columns.push_back(Column::Plain(std::move(result)));
+    out.columns.push_back(AggregateOutputColumn(
+        def.kind, node.schema[node.group_exprs.size() + def_index].dtype, acc,
+        counts, ctx.device));
   }
   return out;
 }

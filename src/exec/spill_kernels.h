@@ -1,15 +1,13 @@
 #ifndef TDP_EXEC_SPILL_KERNELS_H_
 #define TDP_EXEC_SPILL_KERNELS_H_
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/exec/key_table.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/operators.h"
 #include "src/plan/logical_plan.h"
@@ -24,38 +22,12 @@ namespace exec {
 // `ExecuteSort` / `BuildJoinHashTable` / `FinalizeAggregate` dispatch here
 // when `ExecContext::memory` reports the in-memory footprint over budget.
 
-// ---- Order-preserving key codes ---------------------------------------------
+// ---- Sort-key comparison ----------------------------------------------------
 //
-// The comparator currency of every spill path: each key value maps to an
-// int64 whose signed order (and equality) matches the engine's value
-// semantics exactly —
-//   * integer-kind values (int64/int32/uint8/bool, dictionary codes) map
-//     to themselves: order and equality are trivially preserved;
-//   * float-kind values map through their double magnitude with the sign
-//     folded in (-0 normalized to +0, every NaN to one canonical code that
-//     sorts above +inf) — matching ArgSort's NaN-last comparator and
-//     Unique's SameValue equivalence (-0 == +0, all NaNs equal).
-// Crucially the mapping is ROW-LOCAL, so codes computed per spill page are
-// globally consistent — unlike `ColumnToCodes`' Unique ranks, which are
-// only meaningful relative to the whole column.
-
-/// Canonical NaN code: above every finite/inf code (NaN sorts last
-/// ascending); `CompareKeyCodes` pins NaN last under descending too.
-constexpr int64_t kNanOrderCode = 0x7ff8000000000000LL;
-
-inline int64_t DoubleOrderCode(double d) {
-  if (std::isnan(d)) return kNanOrderCode;
-  if (d == 0.0) return 0;  // -0 and +0 share a code
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  const int64_t magnitude = static_cast<int64_t>(bits & 0x7fffffffffffffffULL);
-  return (bits >> 63) != 0 ? -magnitude : magnitude;
-}
-
-/// Per-row order codes for one column (see above). `is_float` reports
-/// whether the NaN-last rule applies to this key.
-StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
-                                                    bool* is_float);
+// Spill paths compare keys through the row-local order-preserving codes of
+// key_table.h (`OrderPreservingCodes`): codes computed per run or per page
+// are globally consistent, so a page-wise sort, merge or group discovery
+// sees exactly the key order and equivalences of the in-memory kernel.
 
 /// Three-way comparison of two codes of one sort key: <0, 0, >0. NaN
 /// orders last under BOTH directions (ArgSort's comparator contract).
@@ -87,12 +59,13 @@ StatusOr<Chunk> ExternalSortChunk(const plan::SortNode& node,
 // ---- Grace hash join (spilled build payload) --------------------------------
 
 /// Out-of-budget join build: the build payload is hash-partitioned by key
-/// into per-partition spill files; the key -> local-row map of each
-/// partition stays resident (keys and indices are the cheap part — the
-/// wide payload columns are what spills). A key lands in exactly one
-/// partition and partitions preserve build-row order, so probe emission
-/// (probe-row-major, ascending build row per probe row) is reproduced
-/// exactly by per-partition gathers.
+/// into per-partition spill files; each partition's `JoinIndex` (key ->
+/// partition-local build rows) stays resident — keys and row numbers are
+/// the cheap part, the wide payload columns are what spills. A key lands
+/// in exactly one partition and partitions preserve build-row order, so
+/// probe emission (probe-row-major, ascending build row per probe row) is
+/// reproduced exactly by per-partition gathers. Rows whose key holds a
+/// NaN never match and are not written at all.
 struct SpilledJoinBuild {
   int64_t num_partitions = 0;
   int64_t build_rows = 0;
@@ -101,12 +74,9 @@ struct SpilledJoinBuild {
   Chunk prototype;
   std::vector<std::string> files;      // one payload file per partition
   std::vector<int64_t> partition_rows;
-  /// Per partition: normalized key -> partition-local build rows,
-  /// ascending (local order == global build-row order by construction).
-  std::vector<
-      std::unordered_map<std::vector<int64_t>, std::vector<int64_t>,
-                         RowKeyHash>>
-      rows;
+  /// Per partition: join codes -> partition-local build rows, ascending
+  /// (local order == global build-row order by construction).
+  std::vector<JoinIndex> index;
 };
 
 StatusOr<std::shared_ptr<SpilledJoinBuild>> BuildSpilledJoin(
@@ -123,9 +93,10 @@ StatusOr<Chunk> ProbeSpilledJoin(const plan::JoinNode& node,
 
 /// Out-of-budget GROUP BY: spills the evaluated key/argument columns in
 /// 4096-row pages (aligned with the in-memory kernel's accumulation
-/// blocks), discovers groups in a first streaming pass (order codes give
-/// globally consistent group identity and order), then re-streams the
-/// pages accumulating each aggregate — folding block partials in block
+/// blocks), discovers groups in a first streaming pass (a `KeyTable` over
+/// the row-local order codes: the same first-occurrence ids, first rows
+/// and code-order renumbering as the in-memory kernel), then re-streams
+/// the pages accumulating each aggregate — folding block partials in block
 /// order exactly when the in-memory kernel would have parallelized, and
 /// sequentially otherwise — so the floating-point reduction tree is
 /// reproduced operation for operation. Never materializes the whole-

@@ -136,8 +136,12 @@ Tensor NonZero(const Tensor& mask) {
     int64_t tmp[kNonZeroBlock];
     const int64_t count = CompactRange(mp, 0, n, tmp);
     Tensor out = Tensor::Empty({count}, DType::kInt64, mask.device());
-    std::memcpy(out.data<int64_t>(), tmp,
-                static_cast<size_t>(count) * sizeof(int64_t));
+    // An empty result has no buffer, and memcpy's pointers must be
+    // non-null even for zero bytes.
+    if (count > 0) {
+      std::memcpy(out.data<int64_t>(), tmp,
+                  static_cast<size_t>(count) * sizeof(int64_t));
+    }
     return out;
   }
 
@@ -179,6 +183,7 @@ Tensor NonZero(const Tensor& mask) {
                   const int64_t lo = blk * kBlock;
                   const int64_t hi = std::min(n, lo + kBlock);
                   const int64_t c = CompactRange(mp, lo, hi, tmp);
+                  if (c == 0) continue;  // `op` is null when count is 0
                   std::memcpy(op + offsets[blk], tmp,
                               static_cast<size_t>(c) * sizeof(int64_t));
                 }

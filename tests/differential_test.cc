@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -327,6 +328,37 @@ TEST(DifferentialJoinTest, JoinAgrees) {
   ExpectAgree(engines,
               "SELECT t.tag, COUNT(*) FROM t JOIN u ON t.k = u.k2 GROUP BY "
               "t.tag ORDER BY t.tag");
+}
+
+// Float join keys with NaN and signed zeros: NaN matches nothing (NaN
+// included) and -0 matches +0, in the engine as in BaselineDB.
+TEST(DifferentialJoinTest, FloatKeysWithNanAndSignedZerosAgree) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Engines engines;
+  const std::vector<double> left_keys = {nan, 1.0, -0.0, 2.5, nan, 0.0, 1.0};
+  const std::vector<double> right_keys = {0.0, nan, 1.0, -0.0, 3.0, nan};
+  for (const auto& [name, keys] :
+       {std::make_pair(std::string("fl"), left_keys),
+        std::make_pair(std::string("fr"), right_keys)}) {
+    std::vector<int64_t> ids;
+    baseline::BaselineTable bt;
+    bt.column_names = {"fk", "id"};
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ids.push_back(static_cast<int64_t>(i));
+      bt.rows.push_back({keys[i], ids.back()});
+    }
+    auto table =
+        TableBuilder(name).AddFloat64("fk", keys).AddInt64("id", ids).Build();
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(engines.tdp.RegisterTable(name, table.value()).ok());
+    ASSERT_TRUE(engines.base.RegisterTable(name, std::move(bt)).ok());
+  }
+  ExpectAgree(engines,
+              "SELECT fl.id AS lid, fr.id AS rid, fl.fk AS lk, fr.fk AS rk "
+              "FROM fl JOIN fr ON fl.fk = fr.fk");
+  ExpectAgree(engines,
+              "SELECT fr.id, COUNT(*) FROM fl JOIN fr ON fl.fk = fr.fk "
+              "GROUP BY fr.id");
 }
 
 }  // namespace

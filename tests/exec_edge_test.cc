@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "src/exec/run_options.h"
 #include "src/runtime/session.h"
 #include "src/tensor/ops.h"
 
@@ -209,6 +211,38 @@ TEST_F(ExecEdgeTest, JoinDuplicateBuildKeysEmitInBuildRowOrder) {
   EXPECT_EQ((*r)->column(1).data().At({0}), 10.0);
   EXPECT_EQ((*r)->column(1).data().At({1}), 20.0);
   EXPECT_EQ((*r)->column(1).data().At({2}), 30.0);
+}
+
+TEST_F(ExecEdgeTest, NanJoinKeysNeverMatch) {
+  // Regression: NaN join keys used to match each other (their codes are
+  // equal bit patterns), so this join returned 3 rows. NaN equals
+  // nothing, as `WHERE k = k` already evaluates it; -0 still equals +0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto a = TableBuilder("na").AddFloat64("k", {nan, 1.0, -0.0}).Build();
+  auto b = TableBuilder("nb")
+               .AddFloat64("k", {nan, 1.0, 0.0})
+               .AddInt64("tagv", {10, 20, 30})
+               .Build();
+  ASSERT_TRUE(session_.RegisterTable("na", a.value()).ok());
+  ASSERT_TRUE(session_.RegisterTable("nb", b.value()).ok());
+  for (bool streaming : {true, false}) {
+    for (int64_t budget : {int64_t{0}, int64_t{1}}) {
+      SCOPED_TRACE(std::string(streaming ? "streaming" : "legacy") +
+                   " budget=" + std::to_string(budget));
+      exec::RunOptions run;
+      run.exec.streaming = streaming;
+      run.memory_budget_bytes = budget;
+      auto r = session_.Sql(
+          "SELECT na.k, nb.tagv FROM na JOIN nb ON na.k = nb.k", {}, run);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ((*r)->num_rows(), 2);
+      EXPECT_EQ((*r)->column(0).data().At({0}), 1.0);
+      EXPECT_EQ((*r)->column(1).data().At({0}), 20.0);
+      EXPECT_EQ((*r)->column(0).data().At({1}), 0.0);
+      EXPECT_TRUE(std::signbit((*r)->column(0).data().At({1})));
+      EXPECT_EQ((*r)->column(1).data().At({1}), 30.0);
+    }
+  }
 }
 
 TEST_F(ExecEdgeTest, ProbabilityColumnsGroupExactlyWhenNotTrainable) {

@@ -72,6 +72,7 @@ void ExpectTablesByteIdentical(const Table& a, const Table& b,
     ASSERT_EQ(ta.dtype(), tb.dtype()) << what << " column " << c;
     ASSERT_EQ(ta.shape(), tb.shape()) << what << " column " << c;
     const int64_t bytes = ta.numel() * DTypeSize(ta.dtype());
+    if (bytes == 0) continue;  // empty columns may have no buffer at all
     EXPECT_EQ(std::memcmp(exec::TensorRawBytes(ta), exec::TensorRawBytes(tb),
                           static_cast<size_t>(bytes)),
               0)
@@ -213,6 +214,86 @@ TEST_P(SpillDifferentialTest, BudgetedRunsAreByteIdentical) {
     EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before)
         << "leaked spill files after " << sql;
   }
+}
+
+// ---- Multi-block paged aggregation ------------------------------------------
+//
+// The battery's tables have fewer rows than one 4096-row accumulation
+// block, so they never reach the paged aggregate's multi-block branches.
+// This table spans four blocks (the last one 17 rows) and carries two
+// grouping keys, one per branch:
+//   * `lo` (5 float values incl. NaN and -0): 4 blocks x 5 groups <= rows,
+//     so the kernels fold per-block partials in block order;
+//   * `hi` (~5K distinct ints): 4 blocks x groups > rows, so the kernels
+//     accumulate serially across the pages.
+// `x` carries NaN and -0 (MIN/MAX keep or drop a NaN depending on where
+// it falls in the reduction tree); `z` has -0 but no NaN, so its sums keep
+// the rounding of every partial and expose any change of summation order.
+
+constexpr int64_t kMultiBlockRows = 3 * 4096 + 17;
+
+void RegisterMultiBlockTable(Session& session, uint64_t seed) {
+  Rng rng(seed * 7919 + 5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> lo_values = {nan, -0.0, 0.0, 1.5, -2.0};
+  std::vector<double> lo(kMultiBlockRows), x(kMultiBlockRows),
+      z(kMultiBlockRows);
+  std::vector<float> y(kMultiBlockRows);
+  std::vector<int64_t> hi(kMultiBlockRows);
+  for (int64_t i = 0; i < kMultiBlockRows; ++i) {
+    lo[i] = lo_values[static_cast<size_t>(rng.UniformInt(0, 4))];
+    hi[i] = rng.UniformInt(0, 6000);
+    const int64_t shape = rng.UniformInt(0, 19);
+    x[i] = shape == 0 ? nan : shape == 1 ? -0.0 : rng.Uniform(-1e3, 1e3);
+    z[i] = shape == 2 ? -0.0 : rng.Uniform(-1e3, 1e3);
+    y[i] = shape == 3 ? -0.0f : static_cast<float>(rng.Uniform(-10, 10));
+  }
+  auto wide = TableBuilder("wide")
+                  .AddFloat64("lo", lo)
+                  .AddInt64("hi", hi)
+                  .AddFloat64("x", x)
+                  .AddFloat64("z", z)
+                  .AddFloat32("y", y)
+                  .Build();
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  ASSERT_TRUE(session.RegisterTable("wide", wide.value()).ok());
+}
+
+TEST_P(SpillDifferentialTest, MultiBlockAggregationIsByteIdentical) {
+  Session session;
+  RegisterMultiBlockTable(session, GetParam());
+  const int64_t live_before = QueryMemory::LiveSpillFiles();
+
+  const std::vector<std::string> queries = {
+      // Block-combine branch.
+      "SELECT lo, COUNT(*) AS n, SUM(x) AS sx, MIN(x) AS mn, MAX(x) AS mx, "
+      "SUM(z) AS sz, AVG(z) AS az, MIN(y) AS my FROM wide GROUP BY lo",
+      // Serial branch, plus COUNT(DISTINCT) over a float argument.
+      "SELECT hi, COUNT(*) AS n, SUM(x) AS sx, MIN(x) AS mn, MAX(x) AS mx, "
+      "SUM(z) AS sz, AVG(z) AS az, MAX(y) AS my, COUNT(DISTINCT x) AS dx "
+      "FROM wide GROUP BY hi",
+  };
+  for (const std::string& sql : queries) {
+    auto reference = session.Sql(sql);
+    ASSERT_TRUE(reference.ok()) << sql << "\n"
+                                << reference.status().ToString();
+    for (const ExecConfig& config : Configs()) {
+      for (int64_t budget : kBudgets) {
+        RunOptions run;
+        run.exec.streaming = config.streaming;
+        run.exec.morsel_rows = config.morsel_rows;
+        run.memory_budget_bytes = budget;
+        const std::string what =
+            sql + " [" + config.label + " budget=" + std::to_string(budget) +
+            "]";
+        auto result = session.Sql(sql, {}, run);
+        ASSERT_TRUE(result.ok()) << what << "\n"
+                                 << result.status().ToString();
+        ExpectTablesByteIdentical(*reference.value(), *result.value(), what);
+      }
+    }
+  }
+  EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before);
 }
 
 TEST_P(SpillDifferentialTest, PathologicalBudgetOnPathologicalShapes) {
