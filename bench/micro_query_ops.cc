@@ -128,46 +128,42 @@ void BM_GroupByQueryThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByQueryThreads)->Arg(1)->Arg(2)->Arg(4);
 
-// Streaming (morsel-driven pipelines) vs legacy (whole-relation
-// materializing) executor on a filter-heavy query: the streaming path
-// skips the full intermediate materialization between scan/filter/project.
+// The streaming executor on a filter-heavy query: scan, fused
+// filter+project and assembly, with no intermediate relation
+// materialized between them.
 void BM_ExecutorFilterProject(benchmark::State& state) {
   QueryBench bench(1 << 17);
   QueryOptions options;
   options.device = Device::kAccel;
-  exec::RunOptions run;
-  run.exec.streaming = state.range(0) == 1;
   auto query = bench.session.Query(
       "SELECT k + 1, v * 2 FROM t WHERE v > 0 AND k < 32", options);
   TDP_CHECK(query.ok());
   for (auto _ : state) {
-    auto result = (*query)->RunChunk(run);
+    auto result = (*query)->RunChunk();
     TDP_CHECK(result.ok());
     benchmark::DoNotOptimize(result->num_rows());
   }
   state.SetItemsProcessed(state.iterations() * (1 << 17));
 }
-BENCHMARK(BM_ExecutorFilterProject)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecutorFilterProject);
 
-// Streaming vs legacy on a group-by: per-morsel aggregate-input evaluation
-// merged at the breaker vs whole-relation evaluation.
+// The streaming executor on a group-by: per-morsel aggregate-input
+// evaluation merged at the breaker.
 void BM_ExecutorGroupBy(benchmark::State& state) {
   QueryBench bench(1 << 17);
   QueryOptions options;
   options.device = Device::kAccel;
-  exec::RunOptions run;
-  run.exec.streaming = state.range(0) == 1;
   auto query = bench.session.Query(
       "SELECT k, COUNT(*), SUM(v) FROM t WHERE v > -50 GROUP BY k", options);
   TDP_CHECK(query.ok());
   for (auto _ : state) {
-    auto result = (*query)->RunChunk(run);
+    auto result = (*query)->RunChunk();
     TDP_CHECK(result.ok());
     benchmark::DoNotOptimize(result->num_rows());
   }
   state.SetItemsProcessed(state.iterations() * (1 << 17));
 }
-BENCHMARK(BM_ExecutorGroupBy)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecutorGroupBy);
 
 // Morsel-size sweep at a fixed thread count: the scheduling-granularity
 // knob (results are identical at every size; only throughput moves).
@@ -176,7 +172,7 @@ void BM_MorselRows(benchmark::State& state) {
   QueryOptions options;
   options.device = Device::kAccel;
   exec::RunOptions run;
-  run.exec.morsel_rows = state.range(0);
+  run.morsel_rows = state.range(0);
   auto query = bench.session.Query(
       "SELECT k, v FROM t WHERE v > 0", options);
   TDP_CHECK(query.ok());

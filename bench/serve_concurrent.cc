@@ -220,7 +220,7 @@ void EnsureEventsTable() {
 /// chunks the producer pushed by the time the cursor is closed.
 int64_t ConsumeChunks(Session& session, int64_t count) {
   exec::RunOptions run;
-  run.exec.morsel_rows = EventMorselRows();
+  run.morsel_rows = EventMorselRows();
   auto cursor = session.Execute(kScanFilterQuery, {}, std::move(run));
   TDP_CHECK(cursor.ok()) << cursor.status().ToString();
   int64_t seen = 0;

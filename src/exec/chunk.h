@@ -12,10 +12,10 @@ namespace tdp {
 namespace exec {
 
 /// Intermediate result flowing between physical operators: a set of named
-/// encoded-tensor columns of equal length. Under the default morsel-driven
+/// encoded-tensor columns of equal length. Under the morsel-driven
 /// streaming executor a chunk is one bounded morsel (a zero-copy row-range
-/// view of the source, target ~64K rows); under the legacy materializing
-/// path (`ExecContext::streaming = false`) the batch is the full relation.
+/// view of the source, target ~64K rows); in a soft (trainable) run, and
+/// at breakers, it is the full relation.
 struct Chunk {
   std::vector<std::string> names;
   std::vector<Column> columns;

@@ -167,6 +167,11 @@ static Status ValidateRunOptions(const RunOptions& options) {
         "non-negative, got " +
         std::to_string(options.vector_search.max_widening_rounds));
   }
+  if (options.morsel_rows < 0) {
+    return Status::InvalidArgument(
+        "RunOptions::morsel_rows must be non-negative (0 = default), got " +
+        std::to_string(options.morsel_rows));
+  }
   if (options.model_batch_rows < 0) {
     return Status::InvalidArgument(
         "RunOptions::model_batch_rows must be non-negative, got " +
@@ -195,7 +200,7 @@ ExecContext CompiledQuery::MakeContext(const RunOptions& options,
   // inference. Non-trainable queries ignore the override.
   ctx.soft_mode = trainable_ && options.training_mode.value_or(true);
   ctx.params = options.params.empty() ? nullptr : &options.params;
-  ctx.exec = options.exec;
+  ctx.morsel_rows = options.morsel_rows;
   ctx.vector_search = options.vector_search;
   ctx.cancel = cancel;
   ctx.morsel_fault =
@@ -229,9 +234,9 @@ StatusOr<Chunk> CompiledQuery::RunChunkInternal(
     // whether the run completes, fails, or is cancelled mid-spill.
     QueryMemory memory(options.memory_budget_bytes);
     ctx.memory = &memory;
-    return ExecutePlan(*plan_, pipelines_, ctx);
+    return ExecutePlan(pipelines_, ctx);
   }
-  return ExecutePlan(*plan_, pipelines_, ctx);
+  return ExecutePlan(pipelines_, ctx);
 }
 
 StatusOr<Chunk> CompiledQuery::RunChunk(const RunOptions& options) const {

@@ -23,7 +23,7 @@ namespace exec {
 /// paper). Like a model, it can be:
 ///   - executed (`Run()` materializes, `Open()` streams), on whichever
 ///     device it was compiled for, with all per-run state — `?` parameter
-///     bindings, executor/morsel selection, training-mode override,
+///     bindings, morsel size, training-mode override,
 ///     cancellation — carried by a `RunOptions` value per call;
 ///   - embedded in a training loop: `Parameters()` exposes every trainable
 ///     tensor reachable through the UDFs/TVFs in the plan, and when

@@ -14,19 +14,15 @@ namespace exec {
 
 struct SpilledJoinBuild;  // spill_kernels.h
 
-// Per-operator execution kernels, shared by the two executors in
-// `ExecutePlan`:
-//
-//   - the legacy materializing path (`ExecuteNode`) applies each kernel to
-//     the whole relation, one node at a time;
-//   - the morsel-driven streaming path (`ExecuteStreaming`) applies the
-//     order-preserving kernels (scan/filter/project/join-probe) to bounded
-//     row-range morsels and runs the breaker kernels (aggregate finalize,
-//     sort, distinct, TVF) on deterministically assembled streams.
-//
-// Because both paths execute the *same* kernels over the same row
-// sequences, their results are bit-identical at any thread count and
-// morsel size — the invariant the streaming parity suite asserts.
+// Per-operator execution kernels of the streaming executor
+// (`ExecutePlan`, streaming.cc): the order-preserving kernels (scan,
+// filter, project, join probe, ModelEval) run on bounded row-range
+// morsels, and the breaker kernels (aggregate finalize, sort, distinct,
+// TVF) on deterministically assembled streams. Every kernel is either
+// row-local or sees the whole assembled relation, so results are
+// bit-identical at any thread count and morsel size — the invariant the
+// streaming parity suite asserts against the one-morsel run, which
+// applies each kernel once to the whole relation.
 
 // ---- Streaming operators (order-preserving, morsel-safe) -------------------
 
@@ -49,8 +45,9 @@ StatusOr<Chunk> ExecuteProject(const plan::ProjectNode& node,
 /// result is bit-identical to evaluating the whole morsel at once — and,
 /// transitively, to the whole-relation breaker path this stage replaced.
 /// Zero- and single-batch inputs take a direct single call (preserving the
-/// breaker path's empty-input semantics exactly). Polls `ctx.cancel`
-/// between batches.
+/// breaker path's empty-input semantics exactly), and so do soft runs,
+/// whose autograd graph would otherwise change with the batch size. Polls
+/// `ctx.cancel` between batches.
 StatusOr<Chunk> ExecuteModelEval(const plan::ModelEvalNode& node,
                                  const Chunk& morsel, const ExecContext& ctx);
 
@@ -120,6 +117,15 @@ StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx);
 
+/// The aggregate over one whole input relation: the soft
+/// (differentiable) COUNT(*) group-by when a soft run groups by
+/// probability-encoded keys, else `EvaluateAggInputs` +
+/// `FinalizeAggregate`. The soft operator's autograd graph spans the
+/// relation, so it is only reached with the whole relation (a soft run is
+/// one morsel).
+StatusOr<Chunk> ExecuteAggregate(const plan::AggregateNode& node,
+                                 const Chunk& input, const ExecContext& ctx);
+
 /// One aggregate's output column from its per-group accumulators: the
 /// count for COUNT, the sum for SUM, sum / count for AVG, the running
 /// extreme for MIN/MAX, each cast to `dtype` (the schema's output type).
@@ -150,7 +156,7 @@ StatusOr<Chunk> ExecuteDistinct(const Chunk& input);
 StatusOr<Chunk> ExecuteIndexTopK(const plan::IndexTopKNode& node,
                                  const Chunk& input, const ExecContext& ctx);
 
-// ---- DDL / DML kernels (root breakers, both executors) ---------------------
+// ---- DDL / DML kernels (root breakers) -------------------------------------
 //
 // Each computes its write delta against the run's immutable snapshot
 // (`ctx.catalog`), installs it through `ctx.writer->ApplyDmlWrite` (or

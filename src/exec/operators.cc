@@ -8,7 +8,6 @@
 #include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
 #include "src/exec/bound_expr.h"
-#include "src/exec/fused_filter_project.h"
 #include "src/exec/key_table.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
@@ -24,11 +23,9 @@ namespace {
 using plan::AggDef;
 using plan::AggKind;
 using plan::AggregateNode;
-using plan::DistinctNode;
 using plan::FilterNode;
 using plan::JoinNode;
 using plan::LimitNode;
-using plan::LogicalNode;
 using plan::ProjectNode;
 using plan::ScanNode;
 using plan::SortNode;
@@ -195,8 +192,10 @@ StatusOr<Chunk> ExecuteModelEval(const plan::ModelEvalNode& node,
   const int64_t rows = morsel.num_rows();
   // Zero or one batch: a single direct call, exactly what the breaker path
   // would have done with this input (empty inputs included — TVF bodies
-  // already handle 0-row chunks on the materialized path).
-  if (rows <= batch_rows) return run_wrapped(morsel);
+  // already handle 0-row chunks on the materialized path). Soft runs always
+  // take it: one forward keeps the autograd graph, and with it every
+  // gradient bit, independent of the batch size.
+  if (ctx.soft_mode || rows <= batch_rows) return run_wrapped(morsel);
   std::vector<Chunk> outputs;
   outputs.reserve(static_cast<size_t>((rows + batch_rows - 1) / batch_rows));
   for (int64_t start = 0; start < rows; start += batch_rows) {
@@ -513,8 +512,6 @@ Column AggregateOutputColumn(AggKind kind, DType dtype,
   return Column::Plain(std::move(result));
 }
 
-namespace {
-
 StatusOr<Chunk> ExecuteAggregate(const AggregateNode& node,
                                  const Chunk& input, const ExecContext& ctx) {
   // Soft path: trainable mode + PE keys + COUNT(*) aggregates only.
@@ -556,8 +553,6 @@ StatusOr<Chunk> ExecuteAggregate(const AggregateNode& node,
   TDP_ASSIGN_OR_RETURN(AggInputs inputs, EvaluateAggInputs(node, input, ctx));
   return FinalizeAggregate(node, inputs, ctx);
 }
-
-}  // namespace
 
 // ---- Join -------------------------------------------------------------------
 
@@ -1442,155 +1437,6 @@ StatusOr<Chunk> ExecuteDelete(const plan::DeleteNode& node,
   TDP_RETURN_NOT_OK(ctx.writer->ApplyDmlWrite(
       node.table_name, target, std::move(written), std::move(entries)));
   return RowsAffectedChunk(static_cast<int64_t>(sel.positions.size()));
-}
-
-// ---- Legacy whole-relation executor ----------------------------------------
-
-StatusOr<Chunk> ExecuteNode(const LogicalNode& node, const ExecContext& ctx) {
-  // The legacy path has no morsel boundaries; poll the cancellation token
-  // between operators instead.
-  TDP_RETURN_NOT_OK(CheckCancel(ctx));
-  switch (node.kind) {
-    case plan::NodeKind::kScan:
-      return ExecuteScan(static_cast<const ScanNode&>(node), ctx);
-    case plan::NodeKind::kTvfScan: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteTvfScan(static_cast<const TvfScanNode&>(node),
-                            std::move(input), ctx);
-    }
-    case plan::NodeKind::kFilter: {
-      const auto& filter = static_cast<const FilterNode&>(node);
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      // Fused fast path (filter-only program; when this node's parent is a
-      // Project, the kProject case below owns the fused pair and the
-      // cached program has has_project() set, so it is skipped here).
-      if (ctx.primitive_cache != nullptr && FusedEvalEnabled()) {
-        FusedProgramPtr program = ctx.primitive_cache->GetFused(
-            &node,
-            [&filter] { return FusedFilterProject::Compile(filter, nullptr); });
-        if (program != nullptr && !program->has_project()) {
-          std::optional<Chunk> fused = program->Execute(input, ctx);
-          if (fused.has_value()) return std::move(*fused);
-        }
-      }
-      return ExecuteFilter(filter, input, ctx);
-    }
-    case plan::NodeKind::kProject: {
-      const auto& project = static_cast<const ProjectNode&>(node);
-      // Fused filter+project: when the child is a Filter, compile the pair
-      // once and run both operators in a single pass over the input. A
-      // runtime applicability miss falls back to the unfused pair over the
-      // same child output — bit-identical by construction.
-      if (ctx.primitive_cache != nullptr && FusedEvalEnabled() &&
-          !node.children.empty() &&
-          node.children[0]->kind == plan::NodeKind::kFilter &&
-          !node.children[0]->children.empty()) {
-        const auto& filter = static_cast<const FilterNode&>(*node.children[0]);
-        FusedProgramPtr program = ctx.primitive_cache->GetFused(
-            &filter, [&filter, &project] {
-              return FusedFilterProject::Compile(filter, &project);
-            });
-        if (program != nullptr && program->has_project()) {
-          TDP_ASSIGN_OR_RETURN(
-              Chunk input, ExecuteNode(*node.children[0]->children[0], ctx));
-          std::optional<Chunk> fused = program->Execute(input, ctx);
-          if (fused.has_value()) return std::move(*fused);
-          TDP_ASSIGN_OR_RETURN(Chunk filtered,
-                               ExecuteFilter(filter, input, ctx));
-          return ExecuteProject(project, filtered, ctx);
-        }
-      }
-      Chunk input;
-      if (!node.children.empty()) {
-        TDP_ASSIGN_OR_RETURN(input, ExecuteNode(*node.children[0], ctx));
-      }
-      return ExecuteProject(project, input, ctx);
-    }
-    case plan::NodeKind::kAggregate: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteAggregate(static_cast<const AggregateNode&>(node), input,
-                              ctx);
-    }
-    case plan::NodeKind::kJoin: {
-      const auto& join = static_cast<const JoinNode&>(node);
-      const LogicalNode& build_child =
-          *node.children[join.build_left ? 0 : 1];
-      const LogicalNode& probe_child =
-          *node.children[join.build_left ? 1 : 0];
-      // Reusable build side: when the build subtree is a deterministic
-      // Filter/Project chain over one scan, key the hash table by (join
-      // node, table identity, device) in the plan's PrimitiveCache. A hit
-      // skips executing the build subtree and re-hashing it; DML swaps the
-      // Table object, so the next run misses and rebuilds.
-      std::shared_ptr<Table> build_table;
-      std::shared_ptr<const JoinHashTable> ht;
-      if (ctx.primitive_cache != nullptr && !ctx.soft_mode &&
-          ctx.memory == nullptr) {
-        const ScanNode* scan = CacheableBuildSubtree(build_child);
-        if (scan != nullptr) {
-          StatusOr<std::shared_ptr<Table>> resolved =
-              ctx.catalog->GetTable(scan->table_name);
-          if (resolved.ok()) {
-            build_table = std::move(resolved).value();
-            ht = ctx.primitive_cache->LookupJoin(&node, build_table,
-                                                 ctx.device);
-          }
-        }
-      }
-      if (ht == nullptr) {
-        TDP_ASSIGN_OR_RETURN(Chunk build, ExecuteNode(build_child, ctx));
-        TDP_ASSIGN_OR_RETURN(JoinHashTable built,
-                             BuildJoinHashTable(join, std::move(build), ctx));
-        auto shared = std::make_shared<const JoinHashTable>(std::move(built));
-        if (build_table != nullptr && shared->spilled == nullptr) {
-          ctx.primitive_cache->StoreJoin(&node, std::move(build_table),
-                                         ctx.device, shared);
-        }
-        ht = std::move(shared);
-      }
-      TDP_ASSIGN_OR_RETURN(Chunk probe, ExecuteNode(probe_child, ctx));
-      return ProbeJoin(join, *ht, probe, ctx);
-    }
-    case plan::NodeKind::kSort: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteSort(static_cast<const SortNode&>(node), input, ctx);
-    }
-    case plan::NodeKind::kLimit: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteLimit(static_cast<const LimitNode&>(node), input);
-    }
-    case plan::NodeKind::kDistinct: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteDistinct(input);
-    }
-    case plan::NodeKind::kIndexTopK: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteIndexTopK(static_cast<const plan::IndexTopKNode&>(node),
-                              input, ctx);
-    }
-    case plan::NodeKind::kCreateTable:
-      return ExecuteCreateTable(
-          static_cast<const plan::CreateTableNode&>(node), ctx);
-    case plan::NodeKind::kInsert: {
-      Chunk source;
-      if (!node.children.empty()) {
-        TDP_ASSIGN_OR_RETURN(source, ExecuteNode(*node.children[0], ctx));
-      }
-      return ExecuteInsert(static_cast<const plan::InsertNode&>(node),
-                           source, ctx);
-    }
-    case plan::NodeKind::kUpdate: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteUpdate(static_cast<const plan::UpdateNode&>(node), input,
-                           ctx);
-    }
-    case plan::NodeKind::kDelete: {
-      TDP_ASSIGN_OR_RETURN(Chunk input, ExecuteNode(*node.children[0], ctx));
-      return ExecuteDelete(static_cast<const plan::DeleteNode&>(node), input,
-                           ctx);
-    }
-  }
-  return Status::Internal("unknown plan node kind");
 }
 
 int64_t DefaultMorselRows() {

@@ -41,24 +41,27 @@ struct ExecContext {
   /// True when a TRAINABLE-compiled query runs in training mode: group-by/
   /// count over PE keys execute as soft (differentiable) operators, so
   /// gradients flow from the result back into UDF parameters (§4). At
-  /// inference the exact operators are swapped back in.
+  /// inference the exact operators are swapped back in. A soft run's
+  /// autograd graph must span the whole relation, so every pipeline takes
+  /// one whole-relation morsel and every ModelEval stage one batch: the
+  /// result and its gradients never depend on `morsel_rows`,
+  /// `model_batch_rows`, or the thread count.
   bool soft_mode = false;
   /// Values for the statement's `?` placeholders, owned by the caller for
   /// the duration of the run. Null when the query has none. Keeping the
   /// bindings here (rather than on the plan) is what lets one CompiledQuery
   /// execute on many threads with different parameters simultaneously.
   const std::vector<ScalarValue>* params = nullptr;
-  /// Executor selection for this run (see ExecOptions). Soft-mode
-  /// (trainable) runs always take the legacy path: the autograd graph must
-  /// span the whole relation, not per-morsel slices.
-  ExecOptions exec;
+  /// Morsel size in rows for this run (`RunOptions::morsel_rows`); 0
+  /// resolves to `DefaultMorselRows()`. Ignored by soft runs.
+  int64_t morsel_rows = 0;
   /// Vector-search knobs for IndexTopK / FilteredIndexTopK operators
   /// (`RunOptions::vector_search`): probe budget (0 probes every cell —
   /// exact), strategy override, post-filter widening pace.
   VectorSearchOptions vector_search;
-  /// Cooperative cancellation: when set, workers poll it at morsel
-  /// boundaries (and the legacy executor at node boundaries) and abandon
-  /// the run with `kCancelled`. Null when the run is not cancellable.
+  /// Cooperative cancellation: when set, workers poll it at pipeline and
+  /// morsel boundaries and abandon the run with `kCancelled`. Null when
+  /// the run is not cancellable.
   const CancellationToken* cancel = nullptr;
   /// Test-only morsel fault hook (see `RunOptions::inject_morsel_fault`);
   /// points at storage owned by the caller for the duration of the run.
@@ -93,9 +96,9 @@ struct ExecContext {
 };
 
 /// OK while `ctx`'s run is live; `kCancelled` once its token has been
-/// cancelled (client disconnect, cursor close, timeout). Polled at morsel
-/// boundaries by the streaming executor and at node boundaries by the
-/// legacy one.
+/// cancelled (client disconnect, cursor close, timeout). Polled by the
+/// executor at pipeline and morsel boundaries, and by ModelEval between
+/// batches.
 inline Status CheckCancel(const ExecContext& ctx) {
   if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
     return Status::Cancelled("query run cancelled");
@@ -103,32 +106,20 @@ inline Status CheckCancel(const ExecContext& ctx) {
   return Status::OK();
 }
 
-/// Executes a bound plan subtree, materializing its result chunk. Each
-/// node lowers to a tensor program on `ctx.device` (TQP-style compiled
-/// operators): filters become boolean-mask kernels, aggregates become
-/// grouped reductions, joins hash tensor-encoded keys, and so on.
-///
-/// Execution is chunk-at-a-time (one materialized `Chunk` per node, no
-/// row-at-a-time iteration) and morsel-parallel: the per-row loops inside
-/// an operator shard across the process-wide `ThreadPool`, gated by the
-/// `TDP_NUM_THREADS` environment variable. Results are deterministic for
-/// every thread count — floating-point aggregate accumulation folds
-/// fixed-size row blocks whose boundaries depend only on the row count.
+/// Executes a full optimized plan: runs the morsel-driven streaming
+/// pipelines of `pipelines` (see `plan::BuildPipelines`) and concatenates
+/// the result pipeline's chunks. Each operator lowers to a tensor program
+/// on `ctx.device` (TQP-style compiled operators): filters become
+/// boolean-mask kernels, aggregates grouped reductions, joins hash
+/// tensor-encoded keys, and so on. Morsels run in parallel on the
+/// process-wide `ThreadPool` (`TDP_NUM_THREADS`), and results are
+/// bit-identical at every thread count and morsel size: operators are
+/// order-preserving, and floating-point aggregates fold fixed-size row
+/// blocks whose boundaries depend only on the row count.
 ///
 /// Errors (missing tables, schema drift since compilation, type
 /// mismatches) surface as failed Status, never as crashes.
-StatusOr<Chunk> ExecuteNode(const plan::LogicalNode& node,
-                            const ExecContext& ctx);
-
-/// Executes a full optimized plan with the executor selected by
-/// `ctx.exec`: the morsel-driven streaming pipelines of `pipelines`
-/// (default), or the legacy whole-relation recursion (`ExecuteNode`) when
-/// `ctx.exec.streaming` is false or the run is in soft (trainable) mode.
-/// `pipelines` must have been built from `root` (see
-/// `plan::BuildPipelines`); results are bit-identical between the two
-/// executors at any thread count and morsel size.
-StatusOr<Chunk> ExecutePlan(const plan::LogicalNode& root,
-                            const plan::PipelinePlan& pipelines,
+StatusOr<Chunk> ExecutePlan(const plan::PipelinePlan& pipelines,
                             const ExecContext& ctx);
 
 }  // namespace exec

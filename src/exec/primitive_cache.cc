@@ -118,33 +118,5 @@ bool CacheableExpr(const BoundExpr& expr) {
   return false;
 }
 
-const plan::ScanNode* CacheableBuildSubtree(const plan::LogicalNode& node) {
-  const plan::LogicalNode* n = &node;
-  while (true) {
-    switch (n->kind) {
-      case plan::NodeKind::kScan:
-        return static_cast<const plan::ScanNode*>(n);
-      case plan::NodeKind::kFilter: {
-        const auto& f = static_cast<const plan::FilterNode&>(*n);
-        if (f.predicate == nullptr || !CacheableExpr(*f.predicate)) {
-          return nullptr;
-        }
-        break;
-      }
-      case plan::NodeKind::kProject: {
-        const auto& p = static_cast<const plan::ProjectNode&>(*n);
-        for (const BoundExprPtr& e : p.exprs) {
-          if (!CacheableExpr(*e)) return nullptr;
-        }
-        break;
-      }
-      default:
-        return nullptr;
-    }
-    if (n->children.size() != 1) return nullptr;
-    n = n->children[0].get();
-  }
-}
-
 }  // namespace exec
 }  // namespace tdp

@@ -16,18 +16,18 @@ namespace tdp {
 namespace exec {
 
 /// Per-plan cache of reusable execution primitives, owned by the
-/// CompiledQuery and shared by all of its runs. Two kinds of entries:
+/// CompiledQuery and shared by all of its runs. Three kinds of entries:
 ///
-///   - Join build sides: the hash table over a deterministic build subtree
+///   - Join build sides: the hash table over a deterministic build pipeline
 ///     (a Filter/Project chain over one table scan, free of parameters and
-///     UDFs). Keyed by the plan node plus the *identity* of the scanned
-///     Table object and the run device. Tables are immutable and DML
-///     installs a fresh Table into the catalog, so pointer identity is
-///     exactly data identity: a repeated prepared-statement run over
-///     unchanged data reuses the hash table, and any write to the table
-///     invalidates the entry on the next run (the stored shared_ptr keeps
-///     the old table alive, so a recycled allocation can never alias a new
-///     table into a stale hit).
+///     UDFs; see `CacheableJoinBuildPipeline` in streaming.cc). Keyed by
+///     the plan node plus the *identity* of the scanned Table object and
+///     the run device. Tables are immutable and DML installs a fresh Table
+///     into the catalog, so pointer identity is exactly data identity: a
+///     repeated prepared-statement run over unchanged data reuses the hash
+///     table, and any write to the table invalidates the entry on the next
+///     run (the stored shared_ptr keeps the old table alive, so a recycled
+///     allocation can never alias a new table into a stale hit).
 ///
 ///   - Scan device transfers: the columns of a scanned table already moved
 ///     to the run device. Same keying discipline as the join slots (scan
@@ -116,13 +116,6 @@ class PrimitiveCache {
 /// parameter). Such expressions make an operator's output a pure function
 /// of the plan node and its input — the precondition for caching.
 bool CacheableExpr(const BoundExpr& expr);
-
-/// If the logical subtree rooted at `node` is a chain of Filter/Project
-/// operators (with cacheable expressions) over a single table Scan,
-/// returns that ScanNode; otherwise null. A join build side of this shape
-/// produces an identical hash table on every run over the same Table
-/// object, making it safe to key by table identity in a PrimitiveCache.
-const plan::ScanNode* CacheableBuildSubtree(const plan::LogicalNode& node);
 
 }  // namespace exec
 }  // namespace tdp

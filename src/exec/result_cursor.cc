@@ -45,17 +45,9 @@ void ResultCursor::Produce() {
     memory.emplace(options_.memory_budget_bytes);
     ctx.memory = &*memory;
   }
-  Status status;
-  if (!ctx.exec.streaming || ctx.soft_mode) {
-    // Legacy / soft runs have no streaming pipelines: materialize the
-    // whole result, then hand it over as a single chunk.
-    StatusOr<Chunk> out = ExecuteNode(query_->plan(), ctx);
-    status = out.ok() ? Push(std::move(out).value()) : out.status();
-  } else {
-    status = ExecuteStreamingToSink(
-        query_->pipelines(), ctx,
-        [this](Chunk chunk) { return Push(std::move(chunk)); });
-  }
+  Status status = ExecuteStreamingToSink(
+      query_->pipelines(), ctx,
+      [this](Chunk chunk) { return Push(std::move(chunk)); });
   if (memory.has_value()) memory->ReleaseSpillFiles();
   std::lock_guard<std::mutex> lock(mu_);
   if (!status.ok()) status_ = std::move(status);

@@ -15,24 +15,6 @@
 namespace tdp {
 namespace exec {
 
-/// Executor selection + morsel sizing. Purely per-run state (part of
-/// `RunOptions`): two clients may run the same shared `CompiledQuery` with
-/// different executors or morsel sizes simultaneously, and the session
-/// plan cache hands them one plan object regardless of these knobs.
-struct ExecOptions {
-  /// True (default): morsel-driven streaming pipelines — Scan emits
-  /// bounded row-range morsels that flow through Filter/Project/join-probe
-  /// without materializing intermediate relations, with per-morsel partial
-  /// states merged deterministically at breakers (Sort, aggregate,
-  /// hash-join build, DISTINCT, TVF). False: the legacy whole-relation
-  /// operator-at-a-time path, kept callable for differential testing.
-  /// Both paths are bit-identical by construction.
-  bool streaming = true;
-  /// Morsel size in rows; 0 resolves to `DefaultMorselRows()`
-  /// (`TDP_MORSEL_ROWS` env var, default 65536).
-  int64_t morsel_rows = 0;
-};
-
 /// Cooperative cancellation flag shared between a client and a running
 /// query. The client calls `Cancel()` (any thread, any time); executor
 /// workers poll `cancelled()` at morsel boundaries and abandon the run
@@ -71,8 +53,15 @@ struct RunOptions {
   /// match `CompiledQuery::num_params()` exactly.
   std::vector<ScalarValue> params;
 
-  /// Executor selection + morsel sizing for this run.
-  ExecOptions exec;
+  /// Morsel size in rows for the streaming executor: each pipeline's
+  /// source is cut into row-range morsels of this many rows that flow
+  /// through its streaming operators in parallel. 0 (the default)
+  /// resolves to `DefaultMorselRows()` (`TDP_MORSEL_ROWS`, default 65536);
+  /// a negative size fails the run with `InvalidArgument`.
+  /// Purely a scheduling knob: results are bit-identical at any morsel
+  /// size, and soft (trainable) runs always take one whole-relation
+  /// morsel. Per-run state, NOT part of the plan-cache key.
+  int64_t morsel_rows = 0;
 
   /// For TRAINABLE-compiled queries only: `true` (the default when unset)
   /// runs the soft differentiable operators, `false` swaps in the exact
@@ -101,8 +90,10 @@ struct RunOptions {
   /// preferred batch, default `udf::kDefaultModelBatchRows`). 0 (the
   /// default) keeps each stage's compiled size. Purely a scheduling knob:
   /// batchable model bodies are row-local, so results are bit-identical
-  /// at any batch size — only latency/throughput change. Like the morsel
-  /// knob this is per-run state, NOT part of the plan-cache key.
+  /// at any batch size — only latency/throughput change. Soft (trainable)
+  /// runs evaluate each stage in one batch, so their autograd graph does
+  /// not depend on this knob. Like the morsel knob this is per-run state,
+  /// NOT part of the plan-cache key.
   int64_t model_batch_rows = 0;
 
   /// Per-query memory budget (bytes) for breaker materializations — the

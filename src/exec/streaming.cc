@@ -1,12 +1,13 @@
-// Morsel-driven streaming executor: runs the pipelines built by
-// `plan::BuildPipelines` in dependency order. Within one pipeline the
-// source relation is cut into bounded row-range morsels (zero-copy views,
-// `ExecOptions::morsel_rows`, default ~64K rows) that flow through the
-// order-preserving operators — Filter, Project, hash-join probe, and the
-// micro-batch ModelEval stage wrapping batchable model calls — without
-// ever materializing an intermediate relation; morsels run in parallel on
-// the process-wide ThreadPool and their outputs are assembled in morsel
-// order, so results are identical for every thread count.
+// Morsel-driven streaming executor, the engine's one executor: runs the
+// pipelines built by `plan::BuildPipelines` in dependency order. Within
+// one pipeline the source relation is cut into bounded row-range morsels
+// (zero-copy views, `RunOptions::morsel_rows`, default ~64K rows) that
+// flow through the order-preserving operators — Filter, Project,
+// hash-join probe, and the micro-batch ModelEval stage wrapping batchable
+// model calls — without ever materializing an intermediate relation;
+// morsels run in parallel on the process-wide ThreadPool and their
+// outputs are assembled in morsel order, so results are identical for
+// every thread count.
 //
 // The executor is push-based at the top: breaker pipelines materialize,
 // then the final (result) pipeline's chunks are handed to a ChunkSink in
@@ -17,13 +18,18 @@
 // morsel boundaries so closed cursors / cancelled runs stop producing.
 //
 // Determinism contract (asserted by tests/streaming_parity_test.cc): the
-// assembled stream equals the legacy whole-relation chunk row for row,
-// because every streaming operator is order-preserving and per-row local
-// (batchable model calls are row-local by contract, so ModelEval's
-// micro-batches reassemble bit-identically), and every breaker (aggregate,
-// sort, distinct, join build, non-batchable TVF/UDF) consumes the
-// assembled stream with the same kernel the legacy path uses. Morsel size
+// assembled stream equals the one-morsel run — every kernel applied once
+// to the whole relation — row for row, because every streaming operator
+// is order-preserving and per-row local (batchable model calls are
+// row-local by contract, so ModelEval's micro-batches reassemble
+// bit-identically), and every breaker (aggregate, sort, distinct, join
+// build, non-batchable TVF/UDF) consumes the assembled stream. Morsel size
 // therefore never changes results — only scheduling.
+//
+// Soft (trainable) runs take the same pipelines as one whole-relation
+// morsel (`PartitionMorsels`), with one batch per ModelEval stage: the
+// soft aggregate's autograd graph must span the full relation, and the
+// gradients must not depend on how rows were scheduled.
 
 #include "src/exec/streaming.h"
 
@@ -69,7 +75,7 @@ struct PipelineOutputs {
 /// a Project of a constant over an empty morsel would fabricate a row that
 /// the whole-relation path (which sees one nonempty relation) never sees.
 /// The empty-stream fallback runs with `stop_when_empty=false`, applying
-/// every operator to the empty relation exactly like the legacy path.
+/// every operator to the empty relation exactly like the one-morsel run.
 StatusOr<Chunk> ApplyOps(const Pipeline& p, Chunk morsel,
                          const PipelineOutputs& outs, const ExecContext& ctx,
                          bool stop_when_empty) {
@@ -146,9 +152,9 @@ StatusOr<Chunk> SourceChunk(const Pipeline& p, const PipelineOutputs& outs,
                         Chunk{}, ctx);
 }
 
-/// The legacy-identical result of streaming an empty relation: every
-/// operator runs over zero rows (a constant Project still emits its single
-/// row, exactly as the whole-relation path does on an empty input).
+/// The result of streaming an empty relation: every operator runs over
+/// zero rows (a constant Project still emits its single row, exactly as
+/// the one-morsel run does on an empty input).
 StatusOr<Chunk> EmptyStreamResult(const Pipeline& p, const Chunk& src,
                                   const PipelineOutputs& outs,
                                   const ExecContext& ctx) {
@@ -166,12 +172,17 @@ struct MorselPartition {
   int64_t num_morsels = 0;  // 0 for an empty source
 };
 
+/// A soft run gets one whole-relation morsel, so its autograd graph spans
+/// the relation whatever the run's morsel size.
 MorselPartition PartitionMorsels(const Chunk& src, const ExecContext& ctx) {
   MorselPartition part;
   part.rows = src.num_rows();
-  part.morsel_rows = std::max<int64_t>(
-      1, ctx.exec.morsel_rows > 0 ? ctx.exec.morsel_rows
-                                  : DefaultMorselRows());
+  if (ctx.soft_mode) {
+    part.morsel_rows = std::max<int64_t>(1, part.rows);
+  } else {
+    part.morsel_rows = std::max<int64_t>(
+        1, ctx.morsel_rows > 0 ? ctx.morsel_rows : DefaultMorselRows());
+  }
   part.num_morsels =
       part.rows == 0
           ? 0
@@ -190,7 +201,7 @@ int64_t LimitEnd(const plan::LimitNode& node) {
 
 /// Assembles the kLimit sink: walks survivors in morsel order and
 /// concatenates only the row range [offset, offset+limit) — the prefix
-/// property of Limit makes this exactly the legacy Select.
+/// property of Limit makes this exactly the whole-relation Limit.
 Chunk AssembleLimit(const plan::LimitNode& node, std::vector<Chunk> survivors) {
   const int64_t end = LimitEnd(node);
   std::vector<Chunk> taken;
@@ -252,16 +263,13 @@ StatusOr<Chunk> RunPipeline(const Pipeline& p, const PipelineOutputs& outs,
   // relation, so the operator chain runs on it directly — no slicing, no
   // per-morsel bookkeeping, no empty-morsel drop rule (that rule exists
   // only to keep partial morsels from fabricating constant-projection
-  // rows; with one batch the legacy semantics apply verbatim). This keeps
-  // point-query serving overhead at the level of the materializing path.
+  // rows; with one batch the whole-relation semantics apply verbatim).
+  // This keeps point-query serving overhead low, and it is the path every
+  // soft run takes, so the soft aggregate sees the whole relation.
   if (num_morsels <= 1) {
     TDP_ASSIGN_OR_RETURN(Chunk out, ApplyOps(p, std::move(src), outs, ctx,
                                              /*stop_when_empty=*/false));
-    if (aggregate_sink) {
-      TDP_ASSIGN_OR_RETURN(AggInputs inputs,
-                           EvaluateAggInputs(*agg_node, out, ctx));
-      return FinalizeAggregate(*agg_node, inputs, ctx);
-    }
+    if (aggregate_sink) return ExecuteAggregate(*agg_node, out, ctx);
     if (p.sink_kind == SinkKind::kLimit) {
       return ExecuteLimit(static_cast<const plan::LimitNode&>(*p.sink), out);
     }
@@ -371,15 +379,12 @@ StatusOr<Chunk> ApplyBreaker(const LogicalNode& sink, Chunk input,
     case NodeKind::kProject:
       return ExecuteProject(static_cast<const plan::ProjectNode&>(sink),
                             input, ctx);
-    case NodeKind::kAggregate: {
-      const auto& agg = static_cast<const plan::AggregateNode&>(sink);
-      TDP_ASSIGN_OR_RETURN(AggInputs inputs,
-                           EvaluateAggInputs(agg, input, ctx));
-      return FinalizeAggregate(agg, inputs, ctx);
-    }
+    case NodeKind::kAggregate:
+      return ExecuteAggregate(static_cast<const plan::AggregateNode&>(sink),
+                              input, ctx);
     case NodeKind::kJoin:
       // UDF-bearing residual: probe the whole assembled left relation at
-      // once, exactly like the legacy path.
+      // once.
       return ProbeJoin(static_cast<const plan::JoinNode&>(sink),
                        *outs.joins.at(&sink), input, ctx);
     case NodeKind::kIndexTopK:
@@ -393,7 +398,7 @@ StatusOr<Chunk> ApplyBreaker(const LogicalNode& sink, Chunk input,
     // full-table scan for UPDATE/DELETE, the SELECT child for INSERT ...
     // SELECT, empty for the childless forms), so the write delta — like
     // every breaker product — is independent of morsel size and thread
-    // count; the kernels themselves match the legacy path exactly.
+    // count.
     case NodeKind::kCreateTable:
       return ExecuteCreateTable(
           static_cast<const plan::CreateTableNode&>(sink), ctx);
@@ -495,7 +500,7 @@ Status StreamResultPipeline(const Pipeline& p, const PipelineOutputs& outs,
   }
 
   if (!sunk_any) {
-    // Every morsel filtered away: reproduce the legacy empty-relation
+    // Every morsel filtered away: reproduce the one-morsel empty-relation
     // result (a constant Project still emits its single row).
     TDP_ASSIGN_OR_RETURN(Chunk empty, EmptyStreamResult(p, src, outs, ctx));
     return sink(std::move(empty));
@@ -605,14 +610,8 @@ Status ExecuteStreamingToSink(const PipelinePlan& pplan,
   return ExecuteStreamingImpl(pplan, ctx, sink);
 }
 
-StatusOr<Chunk> ExecutePlan(const plan::LogicalNode& root,
-                            const PipelinePlan& pipelines,
+StatusOr<Chunk> ExecutePlan(const PipelinePlan& pipelines,
                             const ExecContext& ctx) {
-  // Soft (trainable) runs take the legacy whole-relation path: the
-  // autograd graph of a soft aggregate must span the full relation, and
-  // training-loop throughput is bounded by the backward pass, not by
-  // operator materialization.
-  if (!ctx.exec.streaming || ctx.soft_mode) return ExecuteNode(root, ctx);
   // Run() is a thin drain of the same sink-based streaming executor the
   // cursor uses: collect the result pipeline's chunks and concatenate
   // them, which is bit-identical to the pre-cursor assembly.

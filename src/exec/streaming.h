@@ -21,10 +21,8 @@ using ChunkSink = std::function<Status(Chunk)>;
 /// morsel order instead of being concatenated. The concatenation of the
 /// sunk chunks is bit-identical to `ExecutePlan`'s result; at least one
 /// chunk (possibly zero-row) is always sunk on success. Workers poll
-/// `ctx.cancel` at morsel boundaries.
-///
-/// Precondition: `ctx.exec.streaming` and not `ctx.soft_mode` (callers
-/// route those runs to the legacy `ExecuteNode`).
+/// `ctx.cancel` at morsel boundaries. A soft run is one whole-relation
+/// morsel, so it sinks exactly one chunk.
 Status ExecuteStreamingToSink(const plan::PipelinePlan& pplan,
                               const ExecContext& ctx, const ChunkSink& sink);
 

@@ -50,7 +50,7 @@ inline std::string_view VectorSearchStrategyName(
 
 /// Per-run knobs for IndexTopK / FilteredIndexTopK operators, grouped so
 /// the whole vector-search surface travels as one value
-/// (`exec::RunOptions::vector_search`). Like the executor/morsel knobs
+/// (`exec::RunOptions::vector_search`). Like the morsel-size knob
 /// this is per-run state, NOT part of the plan-cache key: clients
 /// sweeping probe counts or forcing strategies share one cached plan.
 struct VectorSearchOptions {

@@ -221,10 +221,10 @@ struct ModelEvalNode : LogicalNode {
 
 // ---- DDL / DML nodes --------------------------------------------------------
 //
-// All four execute as root pipeline breakers in BOTH executors: the write
-// delta (appended rows, matching positions, new values) is computed
-// against the run's immutable catalog snapshot — concurrent readers are
-// never blocked and never see a half-applied write — then installed via
+// All four execute as root pipeline breakers: the write delta (appended
+// rows, matching positions, new values) is computed against the run's
+// immutable catalog snapshot — concurrent readers are never blocked and
+// never see a half-applied write — then installed via
 // SharedCatalog::ApplyDmlWrite, whose identity re-check turns a lost
 // write-write race into a retryable ExecutionError. Each emits a single
 // `rows_affected` int64 row as its result relation.

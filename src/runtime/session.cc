@@ -112,7 +112,7 @@ std::string CacheKey(const std::string& sql, const QueryOptions& options) {
   key += '\x1f';
   key += std::to_string(static_cast<int>(options.device));
   key += options.trainable ? "/t" : "/e";
-  // Executor selection / morsel sizing are per-run state (exec::RunOptions),
+  // Morsel sizing and the other run knobs are per-run state (RunOptions),
   // not plan state, so they are deliberately NOT part of the key: clients
   // running with different morsel sizes share one cached plan.
   return key;

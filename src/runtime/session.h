@@ -19,7 +19,7 @@ namespace tdp {
 
 /// Compilation options — the paper's `extra_config` (Listing 6) plus the
 /// target device (Listing 2). Everything here is plan state (part of the
-/// plan-cache key); per-run knobs — parameters, executor/morsel selection,
+/// plan-cache key); per-run knobs — parameters, morsel size,
 /// training-mode override, cancellation — live in `exec::RunOptions`
 /// instead, so clients with conflicting run options share one cached plan.
 struct QueryOptions {
@@ -130,8 +130,8 @@ class Session {
       const std::string& sql, const QueryOptions& options = {});
 
   /// THE one-shot entry point: compile (through the plan cache) + run.
-  /// All per-run state — `?` parameter bindings, executor/morsel
-  /// selection, vector-search knobs, cancellation, training-mode
+  /// All per-run state — `?` parameter bindings, morsel size,
+  /// vector-search knobs, cancellation, training-mode
   /// override — travels in `run` (`exec::RunOptions`); there is no
   /// separate params overload. `Prepare` + `Run` is the same thing split
   /// for hot serving paths.

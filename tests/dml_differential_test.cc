@@ -5,12 +5,12 @@
 // UPDATEs over int and string columns, predicated and full DELETEs) with
 // verification SELECTs against a naive row-vector reference model. After
 // every mutation the full table is read back under a sweep of execution
-// configurations — morsel sizes {1, 7, 4096, whole} x {streaming, legacy}
-// — and every result must be bit-identical to the others and value-equal
-// to the reference, row for row. The engine preserves insertion order
-// through all three mutations (INSERT appends, UPDATE rewrites in place,
-// DELETE drops rows without reordering), so the comparison is positional:
-// no sorting, no tolerance.
+// configurations — morsel sizes {1, 7, 4096, whole} — and every result
+// must be bit-identical to the others and value-equal to the reference,
+// row for row. The engine preserves insertion order through all three
+// mutations (INSERT appends, UPDATE rewrites in place, DELETE drops rows
+// without reordering), so the comparison is positional: no sorting, no
+// tolerance.
 //
 // The same driver proves snapshot isolation as a property: at random steps
 // a streaming cursor is opened BEFORE a write and drained AFTER it — the
@@ -129,31 +129,22 @@ class RefTable {
 // ---- Execution-config sweep -------------------------------------------------
 
 struct ExecConfig {
-  bool streaming;
   int64_t morsel_rows;  // 0 = executor default (whole-input morsels here)
   std::string label;
 };
 
 std::vector<ExecConfig> Sweep() {
   std::vector<ExecConfig> configs;
-  for (const bool streaming : {true, false}) {
-    for (const int64_t morsel : {int64_t{1}, int64_t{7}, int64_t{4096},
-                                 int64_t{0}}) {
-      ExecConfig c;
-      c.streaming = streaming;
-      c.morsel_rows = morsel;
-      c.label = std::string(streaming ? "streaming" : "legacy") + "/morsel=" +
-                std::to_string(morsel);
-      configs.push_back(std::move(c));
-    }
+  for (const int64_t morsel :
+       {int64_t{1}, int64_t{7}, int64_t{4096}, int64_t{0}}) {
+    configs.push_back({morsel, "morsel=" + std::to_string(morsel)});
   }
   return configs;
 }
 
 RunOptions MakeRun(const ExecConfig& c) {
   RunOptions run;
-  run.exec.streaming = c.streaming;
-  run.exec.morsel_rows = c.morsel_rows;
+  run.morsel_rows = c.morsel_rows;
   return run;
 }
 

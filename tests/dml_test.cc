@@ -1,5 +1,5 @@
 // End-to-end DML coverage: CREATE TABLE / INSERT / UPDATE / DELETE through
-// the full stack (lexer -> parser -> binder -> plan -> both executors),
+// the full stack (lexer -> parser -> binder -> plan -> executor),
 // plus the write-adjacent serving contracts — per-table plan-cache
 // freshness under DML, and exact top-k results while a vector index is
 // stale or dropped by a write.
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/exec/run_options.h"
 #include "src/exec/value.h"
 #include "src/runtime/session.h"
 #include "src/storage/table.h"
@@ -20,16 +19,12 @@
 namespace tdp {
 namespace {
 
-using exec::RunOptions;
 using exec::ScalarValue;
 
 // Runs `sql` and returns the single rows_affected value; fails the test on
-// any error. `streaming` selects the executor.
-int64_t RowsAffected(Session& session, const std::string& sql,
-                     bool streaming = true) {
-  RunOptions run;
-  run.exec.streaming = streaming;
-  auto r = session.Sql(sql, {}, run);
+// any error.
+int64_t RowsAffected(Session& session, const std::string& sql) {
+  auto r = session.Sql(sql);
   EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
   if (!r.ok()) return -1;
   EXPECT_EQ((*r)->num_rows(), 1);
@@ -66,26 +61,17 @@ TEST(DmlTest, CreateInsertSelectRoundTrip) {
             (std::vector<std::string>{"bock", "cask"}));
 }
 
-TEST(DmlTest, BothExecutorsRunEveryStatementKind) {
-  for (const bool streaming : {true, false}) {
-    SCOPED_TRACE(streaming ? "streaming" : "legacy");
-    Session session;
-    EXPECT_EQ(RowsAffected(session, "CREATE TABLE t (a INT, b INT)",
-                           streaming),
-              0);
-    EXPECT_EQ(RowsAffected(session, "INSERT INTO t VALUES (1, 10), (2, 20)",
-                           streaming),
-              2);
-    EXPECT_EQ(RowsAffected(session, "UPDATE t SET b = b + 1 WHERE a = 2",
-                           streaming),
-              1);
-    EXPECT_EQ(RowsAffected(session, "DELETE FROM t WHERE a = 1", streaming),
-              1);
-    auto r = session.Sql("SELECT a, b FROM t");
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(IntColumn(**r, 0), (std::vector<int64_t>{2}));
-    EXPECT_EQ(IntColumn(**r, 1), (std::vector<int64_t>{21}));
-  }
+TEST(DmlTest, EveryStatementKindReportsRowsAffected) {
+  Session session;
+  EXPECT_EQ(RowsAffected(session, "CREATE TABLE t (a INT, b INT)"), 0);
+  EXPECT_EQ(RowsAffected(session, "INSERT INTO t VALUES (1, 10), (2, 20)"),
+            2);
+  EXPECT_EQ(RowsAffected(session, "UPDATE t SET b = b + 1 WHERE a = 2"), 1);
+  EXPECT_EQ(RowsAffected(session, "DELETE FROM t WHERE a = 1"), 1);
+  auto r = session.Sql("SELECT a, b FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(IntColumn(**r, 0), (std::vector<int64_t>{2}));
+  EXPECT_EQ(IntColumn(**r, 1), (std::vector<int64_t>{21}));
 }
 
 TEST(DmlTest, InsertHonorsColumnListReordering) {

@@ -225,23 +225,19 @@ TEST_F(ExecEdgeTest, NanJoinKeysNeverMatch) {
                .Build();
   ASSERT_TRUE(session_.RegisterTable("na", a.value()).ok());
   ASSERT_TRUE(session_.RegisterTable("nb", b.value()).ok());
-  for (bool streaming : {true, false}) {
-    for (int64_t budget : {int64_t{0}, int64_t{1}}) {
-      SCOPED_TRACE(std::string(streaming ? "streaming" : "legacy") +
-                   " budget=" + std::to_string(budget));
-      exec::RunOptions run;
-      run.exec.streaming = streaming;
-      run.memory_budget_bytes = budget;
-      auto r = session_.Sql(
-          "SELECT na.k, nb.tagv FROM na JOIN nb ON na.k = nb.k", {}, run);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      ASSERT_EQ((*r)->num_rows(), 2);
-      EXPECT_EQ((*r)->column(0).data().At({0}), 1.0);
-      EXPECT_EQ((*r)->column(1).data().At({0}), 20.0);
-      EXPECT_EQ((*r)->column(0).data().At({1}), 0.0);
-      EXPECT_TRUE(std::signbit((*r)->column(0).data().At({1})));
-      EXPECT_EQ((*r)->column(1).data().At({1}), 30.0);
-    }
+  for (int64_t budget : {int64_t{0}, int64_t{1}}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    exec::RunOptions run;
+    run.memory_budget_bytes = budget;
+    auto r = session_.Sql(
+        "SELECT na.k, nb.tagv FROM na JOIN nb ON na.k = nb.k", {}, run);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ((*r)->num_rows(), 2);
+    EXPECT_EQ((*r)->column(0).data().At({0}), 1.0);
+    EXPECT_EQ((*r)->column(1).data().At({0}), 20.0);
+    EXPECT_EQ((*r)->column(0).data().At({1}), 0.0);
+    EXPECT_TRUE(std::signbit((*r)->column(0).data().At({1})));
+    EXPECT_EQ((*r)->column(1).data().At({1}), 30.0);
   }
 }
 

@@ -11,8 +11,7 @@
 //   - FULL probe budgets (default 0 and an over-clamped 1000): the indexed
 //     plan is bit-identical to the exact plan — under every forced
 //     strategy (pre_filter / post_filter / brute) and the plan's own
-//     cost-rule choice, across both executors and morsel sizes
-//     {1, 7, 4096, whole-input}.
+//     cost-rule choice, across morsel sizes {1, 7, 4096, whole-input}.
 //   - PARTIAL budgets (num_probes=1, max_widening_rounds in {0, 8}): the
 //     row count never drops below min(k, survivors) — the widening loop
 //     tops the candidate pool up — every returned row satisfies the
@@ -106,24 +105,8 @@ std::shared_ptr<Table> MakeVecTable(int64_t n, int64_t dim, int64_t clusters,
   return table.value();
 }
 
-struct ExecConfig {
-  bool streaming;
-  int64_t morsel_rows;  // 0 = executor default (whole-input morsels)
-  std::string label;
-};
-
-std::vector<ExecConfig> Sweep() {
-  std::vector<ExecConfig> configs;
-  for (const bool streaming : {true, false}) {
-    for (const int64_t morsel :
-         {int64_t{1}, int64_t{7}, int64_t{4096}, int64_t{0}}) {
-      configs.push_back({streaming, morsel,
-                         std::string(streaming ? "streaming" : "legacy") +
-                             "/morsel=" + std::to_string(morsel)});
-    }
-  }
-  return configs;
-}
+// Morsel sizes: 0 = the executor default (whole-input morsels).
+const int64_t kMorselSizes[] = {1, 7, 4096, 0};
 
 class FilteredTopKDifferentialTest
     : public ::testing::TestWithParam<uint64_t> {};
@@ -144,7 +127,6 @@ TEST_P(FilteredTopKDifferentialTest, FilteredSearchAgreesWithExactPlan) {
   Session reference;  // no index: the exact Filter + Sort + Limit plan
   ASSERT_TRUE(reference.RegisterTable("vecs", data).ok());
 
-  const std::vector<ExecConfig> configs = Sweep();
   const std::vector<Predicate> preds = MakePredicates(rng, n);
 
   for (const Predicate& pred : preds) {
@@ -174,21 +156,19 @@ TEST_P(FilteredTopKDifferentialTest, FilteredSearchAgreesWithExactPlan) {
       ASSERT_NE(plan->find("FilteredIndexTopK"), std::string::npos)
           << what << "\n" << *plan;
 
-      // Full budgets: bit-identity across executors/morsels (cost-rule
+      // Full budgets: bit-identity across morsel sizes (cost-rule
       // strategy) and across every forced strategy (whole-input morsels).
-      for (const ExecConfig& config : configs) {
+      for (const int64_t morsel : kMorselSizes) {
         for (const int64_t probes : {int64_t{0}, int64_t{1000}}) {
           RunOptions run = testutil::WithParams(params);
-          run.exec.streaming = config.streaming;
-          run.exec.morsel_rows = config.morsel_rows;
+          run.morsel_rows = morsel;
           run.vector_search.num_probes = probes;
+          const std::string config = what + " [morsel=" +
+                                     std::to_string(morsel) +
+                                     "] probes=" + std::to_string(probes);
           auto got = indexed.Sql(sql, {}, run);
-          ASSERT_TRUE(got.ok()) << what << " [" << config.label
-                                << "]: " << got.status().ToString();
-          testutil::ExpectTablesBitIdentical(
-              **expected, **got,
-              what + " [" + config.label + "] probes=" +
-                  std::to_string(probes));
+          ASSERT_TRUE(got.ok()) << config << ": " << got.status().ToString();
+          testutil::ExpectTablesBitIdentical(**expected, **got, config);
         }
       }
       for (const auto strategy :

@@ -11,10 +11,10 @@
 //     the same kernels over eager contiguous copies, per backend, across
 //     thread counts.
 //   - Fused filter+project: with the fusion knob on vs off, every
-//     (executor, thread count, morsel size) combination must be
-//     bit-identical — including the runtime-fallback cases (parameters,
-//     unfusable projections, bool columns, dictionary predicates with
-//     absent literals, literal-on-the-left comparisons).
+//     (thread count, morsel size) combination must be bit-identical to
+//     the unfused one-morsel run — including the runtime-fallback cases
+//     (parameters, unfusable projections, bool columns, dictionary
+//     predicates with absent literals, literal-on-the-left comparisons).
 //   - Per-plan primitive cache: repeated runs of one CompiledQuery reuse
 //     the join build side (hit/miss stats), invalidate on table change
 //     (re-register and DML UPDATE), and never cache a parameter-bearing
@@ -369,12 +369,11 @@ class FusedParityTest : public ::testing::Test {
   }
 
   StatusOr<std::shared_ptr<Table>> RunWith(
-      const std::string& sql, bool streaming, int64_t morsel_rows,
+      const std::string& sql, int64_t morsel_rows,
       const std::vector<exec::ScalarValue>& params = {}) {
     exec::RunOptions run;
     run.params = params;
-    run.exec.streaming = streaming;
-    run.exec.morsel_rows = morsel_rows;
+    run.morsel_rows = morsel_rows;
     TDP_ASSIGN_OR_RETURN(auto query, Compile(sql));
     return query->Run(run);
   }
@@ -400,15 +399,15 @@ class FusedParityTest : public ::testing::Test {
   }
 
   /// The core oracle: results with fusion ON must be bit-identical to
-  /// results with fusion OFF, for both executors, across thread counts
-  /// and morsel sizes. The OFF legacy whole-relation run is the reference.
+  /// results with fusion OFF, across thread counts and morsel sizes. The
+  /// OFF one-morsel run is the reference.
   void ExpectFusedParity(const std::string& sql,
                          const std::vector<exec::ScalarValue>& params = {}) {
     SCOPED_TRACE(sql);
     StatusOr<std::shared_ptr<Table>> reference(nullptr);
     {
       ScopedFusedEval off(false);
-      reference = RunWith(sql, /*streaming=*/false, 0, params);
+      reference = RunWith(sql, kWholeRelation, params);
     }
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const bool fused : {false, true}) {
@@ -419,11 +418,9 @@ class FusedParityTest : public ::testing::Test {
           SCOPED_TRACE(std::string("fused=") + (fused ? "on" : "off") +
                        " threads=" + std::to_string(threads) +
                        " morsel=" + std::to_string(morsel));
-          for (const bool streaming : {true, false}) {
-            auto got = RunWith(sql, streaming, morsel, params);
-            ASSERT_TRUE(got.ok()) << got.status().ToString();
-            ExpectBitIdentical(**reference, **got);
-          }
+          auto got = RunWith(sql, morsel, params);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectBitIdentical(**reference, **got);
         }
       }
     }
@@ -493,17 +490,17 @@ TEST_F(FusedParityTest, FusedProgramCompiledOncePerPlan) {
   ASSERT_TRUE((*query)->Run(run).ok());
   const int64_t compiles = (*query)->primitive_cache().fused_compiles();
   EXPECT_GE(compiles, 1);
-  // Re-runs (any executor) reuse the cached program — structural analysis
-  // happens exactly once per plan node.
+  // Re-runs (any morsel size) reuse the cached program — structural
+  // analysis happens exactly once per plan node.
   ASSERT_TRUE((*query)->Run(run).ok());
-  run.exec.streaming = false;
+  run.morsel_rows = 7;
   ASSERT_TRUE((*query)->Run(run).ok());
   EXPECT_EQ((*query)->primitive_cache().fused_compiles(), compiles);
 }
 
 // ---- Join build-side reuse ------------------------------------------------
 
-TEST_F(FusedParityTest, JoinBuildReusedAcrossRunsAndExecutors) {
+TEST_F(FusedParityTest, JoinBuildReusedAcrossRuns) {
   // `r` is far smaller than `big`, so the planner builds on it; the build
   // subtree is a bare cacheable scan.
   auto query = Compile("SELECT big.k, r.w FROM big JOIN r ON big.k = r.kr "
@@ -523,14 +520,6 @@ TEST_F(FusedParityTest, JoinBuildReusedAcrossRunsAndExecutors) {
   EXPECT_EQ(pc.join_hits(), 1);
   EXPECT_EQ(pc.join_misses(), misses);
   ExpectBitIdentical(**first, **second);
-
-  // The legacy executor keys by the same plan node: cross-executor hit.
-  run.exec.streaming = false;
-  auto legacy = (*query)->Run(run);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(pc.join_hits(), 2);
-  EXPECT_EQ(pc.join_misses(), misses);
-  ExpectBitIdentical(**first, **legacy);
 }
 
 TEST_F(FusedParityTest, JoinCacheInvalidatedByReRegisteredTable) {
@@ -556,7 +545,7 @@ TEST_F(FusedParityTest, JoinCacheInvalidatedByReRegisteredTable) {
 
   // The rebuilt result equals a from-scratch compile over the new catalog.
   auto fresh = RunWith("SELECT big.k, r.w FROM big JOIN r ON big.k = r.kr",
-                       /*streaming=*/true, kWholeRelation);
+                       kWholeRelation);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   ExpectBitIdentical(**fresh, **rebuilt);
 }
@@ -582,7 +571,7 @@ TEST_F(FusedParityTest, JoinCacheInvalidatedByDml) {
   EXPECT_EQ(pc.join_hits(), 1);
 
   auto fresh = RunWith("SELECT big.k, jt.w FROM big JOIN jt ON big.k = jt.kr",
-                       /*streaming=*/true, kWholeRelation);
+                       kWholeRelation);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   ExpectBitIdentical(**fresh, **updated);
 }
@@ -607,13 +596,13 @@ TEST_F(FusedParityTest, ParamBearingBuildSideNeverCached) {
   auto fresh_low = RunWith(
       "SELECT big.k, s.w FROM big JOIN "
       "(SELECT kr, w FROM r WHERE w > ?) s ON big.k = s.kr",
-      /*streaming=*/true, kWholeRelation, {exec::ScalarValue::Float(5.0)});
+      kWholeRelation, {exec::ScalarValue::Float(5.0)});
   ASSERT_TRUE(fresh_low.ok()) << fresh_low.status().ToString();
   ExpectBitIdentical(**fresh_low, **low);
   EXPECT_NE((*low)->num_rows(), (*high)->num_rows());
 }
 
-TEST_F(FusedParityTest, ScanTransferCachedAcrossRunsAndExecutors) {
+TEST_F(FusedParityTest, ScanTransferCachedAcrossRuns) {
   // Tables register on the CPU device and the session compiles for the
   // accel device, so every scan needs a device transfer; repeated runs
   // must reuse the moved columns instead of re-copying the table.
@@ -633,14 +622,6 @@ TEST_F(FusedParityTest, ScanTransferCachedAcrossRunsAndExecutors) {
   EXPECT_EQ(pc.scan_hits(), 1);
   EXPECT_EQ(pc.scan_misses(), misses);
   ExpectBitIdentical(**first, **second);
-
-  // The legacy executor keys by the same scan node: cross-executor hit.
-  run.exec.streaming = false;
-  auto legacy = (*query)->Run(run);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(pc.scan_hits(), 2);
-  EXPECT_EQ(pc.scan_misses(), misses);
-  ExpectBitIdentical(**first, **legacy);
 }
 
 TEST_F(FusedParityTest, ScanCacheInvalidatedByReRegisteredTable) {
@@ -664,8 +645,7 @@ TEST_F(FusedParityTest, ScanCacheInvalidatedByReRegisteredTable) {
   EXPECT_GT(pc.scan_misses(), misses);
   EXPECT_EQ((*refreshed)->num_rows(), 2);
 
-  auto fresh = RunWith("SELECT kr, w FROM r WHERE w > 10",
-                       /*streaming=*/true, kWholeRelation);
+  auto fresh = RunWith("SELECT kr, w FROM r WHERE w > 10", kWholeRelation);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   ExpectBitIdentical(**fresh, **refreshed);
 }

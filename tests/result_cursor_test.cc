@@ -57,7 +57,7 @@ class ResultCursorTest : public ::testing::Test {
 TEST_F(ResultCursorTest, DrainedStreamMatchesRun) {
   auto query = Prepare("SELECT k, v FROM big WHERE v > 0");
   RunOptions run;
-  run.exec.morsel_rows = 97;  // prime-sized morsels, many chunks
+  run.morsel_rows = 97;  // prime-sized morsels, many chunks
   auto reference = query->Run(run);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
@@ -89,7 +89,7 @@ TEST_F(ResultCursorTest, DrainedStreamMatchesRun) {
 TEST_F(ResultCursorTest, BoundedQueueKeepsProductionIncremental) {
   auto query = Prepare("SELECT k, v FROM big WHERE v > -200");
   RunOptions run;
-  run.exec.morsel_rows = 8;  // ~1250 chunks
+  run.morsel_rows = 8;  // ~1250 chunks
   run.cursor_queue_chunks = 2;
   auto cursor = query->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
@@ -106,7 +106,7 @@ TEST_F(ResultCursorTest, BoundedQueueKeepsProductionIncremental) {
 TEST_F(ResultCursorTest, EarlyCloseStopsProduction) {
   auto query = Prepare("SELECT k, v FROM big WHERE v > -200");
   RunOptions run;
-  run.exec.morsel_rows = 8;  // ~1250 chunks if fully drained
+  run.morsel_rows = 8;  // ~1250 chunks if fully drained
   auto cursor = query->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   auto first = (*cursor)->Next();
@@ -137,7 +137,7 @@ TEST_F(ResultCursorTest, CallerTokenCancelsRunAndCursor) {
   // Token cancelled mid-stream: Next() eventually reports Cancelled (after
   // draining what was already queued), and production stops early.
   RunOptions streamed;
-  streamed.exec.morsel_rows = 8;
+  streamed.morsel_rows = 8;
   streamed.cursor_queue_chunks = 1;
   streamed.cancel = std::make_shared<exec::CancellationToken>();
   auto token = streamed.cancel;
@@ -161,12 +161,12 @@ TEST_F(ResultCursorTest, CallerTokenCancelsRunAndCursor) {
   EXPECT_LT((*cursor)->chunks_produced(), 100);
 }
 
-// The legacy (whole-relation) executor behind a cursor: one chunk,
-// identical rows.
-TEST_F(ResultCursorTest, LegacyExecutorYieldsOneChunk) {
+// A one-morsel run behind a cursor (the whole relation is one morsel):
+// exactly one chunk, identical rows.
+TEST_F(ResultCursorTest, OneMorselCursorYieldsOneChunk) {
   auto query = Prepare("SELECT k FROM big WHERE v > 0");
   RunOptions run;
-  run.exec.streaming = false;
+  run.morsel_rows = int64_t{1} << 30;
   auto reference = query->Run(run);
   ASSERT_TRUE(reference.ok());
   auto cursor = query->Open(std::move(run));
@@ -210,13 +210,13 @@ TEST_F(ResultCursorTest, MidStreamFaultMatchesRunStatus) {
   };
 
   RunOptions run;
-  run.exec.morsel_rows = 64;
+  run.morsel_rows = 64;
   run.inject_morsel_fault = fault;
   auto materialized = query->Run(run);
   ASSERT_FALSE(materialized.ok());
 
   RunOptions streamed;
-  streamed.exec.morsel_rows = 64;
+  streamed.morsel_rows = 64;
   streamed.inject_morsel_fault = fault;
   auto cursor = query->Open(std::move(streamed));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
@@ -251,7 +251,7 @@ TEST_F(ResultCursorTest, MidStreamFaultMatchesRunStatus) {
 // (shared StatusOr path through Prepare).
 TEST_F(ResultCursorTest, SessionSqlPropagatesInjectedFault) {
   RunOptions run;
-  run.exec.morsel_rows = 64;
+  run.morsel_rows = 64;
   run.inject_morsel_fault = [](int64_t i) {
     return i == 3 ? Status::ExecutionError("boom") : Status::OK();
   };

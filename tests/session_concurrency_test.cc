@@ -443,9 +443,9 @@ TEST(SessionConcurrencyTest, DmlWriterRacesAggregatingReaders) {
   for (int t = 0; t < kThreads; ++t) {
     readers.emplace_back([&, t] {
       for (int i = 0; i < 40; ++i) {
-        // Alternate executors so both serve under concurrent writes.
+        // Alternate morsel sizes (default and 7) under concurrent writes.
         exec::RunOptions run;
-        run.exec.streaming = (t + i) % 2 == 0;
+        run.morsel_rows = (t + i) % 2 == 0 ? 0 : 7;
         auto r = session.Sql("SELECT COUNT(*), SUM(val) FROM feed", {}, run);
         if (!r.ok()) {
           ++failures;
@@ -670,7 +670,7 @@ TEST(SessionConcurrencyTest, SharedModelServingRacesAcrossSessions) {
   // other sessions' coalesced batches.
   std::thread closer([&] {
     exec::RunOptions run;
-    run.exec.morsel_rows = 4;  // several chunks, so Close() really lands early
+    run.morsel_rows = 4;  // several chunks, so Close() really lands early
     while (!stop.load()) {
       auto cursor = sessions[0]->Execute(sql, {}, run);
       if (!cursor.ok()) {

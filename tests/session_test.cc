@@ -237,9 +237,9 @@ TEST(SessionTest, PlanCacheHitsOnRepeatAndNormalizedText) {
   EXPECT_EQ(stats.size, 2u);
 }
 
-// Per-run executor/morsel options are not plan state, so they are not in
-// the cache key: clients with different morsel sizes (or executors) share
-// ONE cached plan and run it concurrently with their own RunOptions.
+// Per-run morsel options are not plan state, so they are not in the cache
+// key: clients with different morsel sizes share ONE cached plan and run
+// it concurrently with their own RunOptions.
 TEST(SessionTest, OneCachedPlanServesAllRunOptions) {
   Session session;
   ASSERT_TRUE(session
@@ -256,11 +256,11 @@ TEST(SessionTest, OneCachedPlanServesAllRunOptions) {
   EXPECT_EQ(session.plan_cache_stats().size, 1u);
 
   exec::RunOptions tiny;
-  tiny.exec.morsel_rows = 1;
-  exec::RunOptions legacy;
-  legacy.exec.streaming = false;
+  tiny.morsel_rows = 1;
+  exec::RunOptions odd;
+  odd.morsel_rows = 7;
   auto a = (*first)->Run(tiny);
-  auto b = (*second)->Run(legacy);
+  auto b = (*second)->Run(odd);
   auto c = (*second)->Run();  // defaults
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());

@@ -8,7 +8,7 @@
 // join+aggregate+sort compositions) under a budget sweep:
 //
 //     {unlimited, tight, pathological-1-byte}
-//   x {streaming (morsels 7 / 4096 / default), legacy whole-relation}
+//   x {morsels 7 / 4096 / default}
 //
 // Every budgeted result must be BYTE-identical (NaN payloads and -0 signs
 // included — stricter than value equality) to the unlimited in-memory
@@ -163,21 +163,8 @@ const std::vector<std::string>& Queries() {
   return queries;
 }
 
-struct ExecConfig {
-  bool streaming;
-  int64_t morsel_rows;
-  std::string label;
-};
-
-const std::vector<ExecConfig>& Configs() {
-  static const std::vector<ExecConfig> configs = {
-      {true, 0, "streaming/default"},
-      {true, 7, "streaming/morsel=7"},
-      {true, 4096, "streaming/morsel=4096"},
-      {false, 0, "legacy"},
-  };
-  return configs;
-}
+// Morsel sizes: 0 = the default (one morsel for these tables).
+const std::vector<int64_t> kMorselSizes = {0, 7, 4096};
 
 // Budgets: 0 = unlimited reference; 32 KB spills the large breakers while
 // small ones stay resident; 1 byte forces every breaker external.
@@ -191,20 +178,18 @@ TEST_P(SpillDifferentialTest, BudgetedRunsAreByteIdentical) {
   const int64_t live_before = QueryMemory::LiveSpillFiles();
 
   for (const std::string& sql : Queries()) {
-    // Reference: unlimited, streaming, default morsel.
+    // Reference: unlimited, default morsel.
     auto reference = session.Sql(sql);
     ASSERT_TRUE(reference.ok()) << sql << "\n"
                                 << reference.status().ToString();
 
-    for (const ExecConfig& config : Configs()) {
+    for (int64_t morsel : kMorselSizes) {
       for (int64_t budget : kBudgets) {
         RunOptions run;
-        run.exec.streaming = config.streaming;
-        run.exec.morsel_rows = config.morsel_rows;
+        run.morsel_rows = morsel;
         run.memory_budget_bytes = budget;
-        const std::string what =
-            sql + " [" + config.label + " budget=" + std::to_string(budget) +
-            "]";
+        const std::string what = sql + " [morsel=" + std::to_string(morsel) +
+                                 " budget=" + std::to_string(budget) + "]";
         auto result = session.Sql(sql, {}, run);
         ASSERT_TRUE(result.ok()) << what << "\n"
                                  << result.status().ToString();
@@ -277,15 +262,13 @@ TEST_P(SpillDifferentialTest, MultiBlockAggregationIsByteIdentical) {
     auto reference = session.Sql(sql);
     ASSERT_TRUE(reference.ok()) << sql << "\n"
                                 << reference.status().ToString();
-    for (const ExecConfig& config : Configs()) {
+    for (int64_t morsel : kMorselSizes) {
       for (int64_t budget : kBudgets) {
         RunOptions run;
-        run.exec.streaming = config.streaming;
-        run.exec.morsel_rows = config.morsel_rows;
+        run.morsel_rows = morsel;
         run.memory_budget_bytes = budget;
-        const std::string what =
-            sql + " [" + config.label + " budget=" + std::to_string(budget) +
-            "]";
+        const std::string what = sql + " [morsel=" + std::to_string(morsel) +
+                                 " budget=" + std::to_string(budget) + "]";
         auto result = session.Sql(sql, {}, run);
         ASSERT_TRUE(result.ok()) << what << "\n"
                                  << result.status().ToString();
@@ -313,16 +296,15 @@ TEST_P(SpillDifferentialTest, PathologicalBudgetOnPathologicalShapes) {
     auto reference = session.Sql(sql);
     ASSERT_TRUE(reference.ok()) << sql << "\n"
                                 << reference.status().ToString();
-    for (const ExecConfig& config : Configs()) {
+    for (int64_t morsel : kMorselSizes) {
       RunOptions run;
-      run.exec.streaming = config.streaming;
-      run.exec.morsel_rows = config.morsel_rows;
+      run.morsel_rows = morsel;
       run.memory_budget_bytes = 1;
+      const std::string what =
+          sql + " [morsel=" + std::to_string(morsel) + " budget=1]";
       auto result = session.Sql(sql, {}, run);
-      ASSERT_TRUE(result.ok()) << sql << " [" << config.label << "]\n"
-                               << result.status().ToString();
-      ExpectTablesByteIdentical(*reference.value(), *result.value(),
-                                sql + " [" + config.label + " budget=1]");
+      ASSERT_TRUE(result.ok()) << what << "\n" << result.status().ToString();
+      ExpectTablesByteIdentical(*reference.value(), *result.value(), what);
     }
   }
 }
@@ -379,7 +361,7 @@ TEST_P(SpillDifferentialTest, EarlyCursorCloseReleasesSpillFiles) {
   {
     RunOptions run;
     run.memory_budget_bytes = 1;
-    run.exec.morsel_rows = 7;  // many result chunks: the drain stays early
+    run.morsel_rows = 7;  // many result chunks: the drain stays early
     auto cursor = session.Execute(
         "SELECT id, score FROM rows ORDER BY score, id", {}, run);
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();

@@ -1,11 +1,11 @@
-// Differential test for the two executors behind `ExecutePlan`: the
-// morsel-driven streaming pipelines (default) and the legacy
-// whole-relation materializing path must produce *bit-identical* results
-// for every morsel size and thread count — including degenerate morsels
-// (1 row), morsels that straddle the aggregate's 4096-row accumulation
-// blocks, empty/single-row tables, and empty build/probe join sides.
-// The pull-based ResultCursor is swept alongside: the concatenation of a
-// drained cursor's chunks must equal the legacy Run() bit for bit at
+// Morsel-parity test for the streaming executor behind `ExecutePlan`:
+// every morsel size and thread count must produce results *bit-identical*
+// to the one-morsel run (`morsel_rows = 1<<30`, which applies each kernel
+// once to the whole relation) — including degenerate morsels (1 row),
+// morsels that straddle the aggregate's 4096-row accumulation blocks,
+// empty/single-row tables, and empty build/probe join sides. The
+// pull-based ResultCursor is swept alongside: the concatenation of a
+// drained cursor's chunks must equal the one-morsel Run() bit for bit at
 // every (morsel, thread) combination, and abandoning/sharing cursors
 // across threads must be race-free (this suite runs under TSan in CI).
 
@@ -42,7 +42,7 @@ class StreamingParityTest : public ::testing::Test {
                                             "delta", "omega"};
     // Main table: big enough that a 4096-row morsel splits it, with
     // full-precision doubles so any reduction-order difference between
-    // the executors shows up as a bit difference.
+    // morsel sizes shows up as a bit difference.
     const int64_t rows = 10000;
     std::vector<int64_t> keys;
     std::vector<double> values;
@@ -92,8 +92,8 @@ class StreamingParityTest : public ::testing::Test {
 
     // A deliberately batch-DEPENDENT scalar UDF (subtracts the batch
     // mean): its per-row output changes with the evaluation batch, so any
-    // operator that evaluated it per morsel would diverge from the legacy
-    // whole-relation path. The pipeline builder must therefore treat every
+    // operator that evaluated it per morsel would diverge from the
+    // one-morsel run. The pipeline builder must therefore treat every
     // NON-batchable UDF-bearing operator as a breaker — bnorm is the
     // negative control for the ModelEval streaming of batchable calls.
     udf::ScalarFunction fn;
@@ -160,14 +160,13 @@ class StreamingParityTest : public ::testing::Test {
   }
 
   StatusOr<std::shared_ptr<Table>> RunWith(
-      const std::string& sql, bool streaming, int64_t morsel_rows,
+      const std::string& sql, int64_t morsel_rows,
       const std::vector<exec::ScalarValue>& params = {}) {
     QueryOptions options;
     options.use_plan_cache = false;
     exec::RunOptions run;
     run.params = params;
-    run.exec.streaming = streaming;
-    run.exec.morsel_rows = morsel_rows;
+    run.morsel_rows = morsel_rows;
     TDP_ASSIGN_OR_RETURN(auto query, session_.Query(sql, options));
     return query->Run(run);
   }
@@ -201,7 +200,7 @@ class StreamingParityTest : public ::testing::Test {
     options.use_plan_cache = false;
     exec::RunOptions run;
     run.params = params;
-    run.exec.morsel_rows = morsel_rows;
+    run.morsel_rows = morsel_rows;
     TDP_ASSIGN_OR_RETURN(auto query, session_.Query(sql, options));
     return DrainCursor(query, std::move(run));
   }
@@ -224,22 +223,20 @@ class StreamingParityTest : public ::testing::Test {
     }
   }
 
-  /// Runs `sql` on the legacy path once, then on the streaming path —
-  /// both the materializing Run() and a drained ResultCursor — for every
-  /// (morsel size, thread count) combination, asserting bit identity.
-  /// Thread counts apply to both paths — the legacy path's intra-operator
-  /// loops are also thread-deterministic.
+  /// Runs `sql` once as one whole-relation morsel, then — both the
+  /// materializing Run() and a drained ResultCursor — for every (morsel
+  /// size, thread count) combination, asserting bit identity.
   void ExpectParity(const std::string& sql,
                     const std::vector<exec::ScalarValue>& params = {}) {
     SCOPED_TRACE(sql);
-    auto reference = RunWith(sql, /*streaming=*/false, 0, params);
+    auto reference = RunWith(sql, kWholeRelation, params);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (int threads : kThreadCounts) {
       ScopedNumThreads guard(threads);
       for (int64_t morsel : kMorselSizes) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " morsel=" + std::to_string(morsel));
-        auto streamed = RunWith(sql, /*streaming=*/true, morsel, params);
+        auto streamed = RunWith(sql, morsel, params);
         ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
         ExpectBitIdentical(**reference, **streamed);
         auto drained = CursorWith(sql, morsel, params);
@@ -312,9 +309,8 @@ TEST_F(StreamingParityTest, IndexTopK) {
   const std::vector<exec::ScalarValue> params = {
       exec::ScalarValue::FromTensor(query_vec_)};
   // The compiled plan for each of these is an IndexTopK breaker (the
-  // catalog holds an index on vecs.emb); the sweep drives it through the
-  // legacy executor, the streaming executor, and a drained cursor at
-  // every morsel/thread combination.
+  // catalog holds an index on vecs.emb); the sweep drives it through
+  // Run() and a drained cursor at every morsel/thread combination.
   ExpectParity(
       "SELECT id, dot(emb, ?) AS sim FROM vecs ORDER BY sim DESC LIMIT 12",
       params);
@@ -358,7 +354,7 @@ TEST_F(StreamingParityTest, IndexTopKCursorEarlyClose) {
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   exec::RunOptions run;
   run.params = {exec::ScalarValue::FromTensor(query_vec_)};
-  run.exec.morsel_rows = 4;
+  run.morsel_rows = 4;
   auto cursor = (*query)->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   auto first = (*cursor)->Next();
@@ -394,7 +390,8 @@ TEST_F(StreamingParityTest, EmptyJoinSides) {
 TEST_F(StreamingParityTest, DegenerateProjections) {
   ExpectParity("SELECT 1 + 2 AS three, 10 / 4 AS frac");
   // Literal-only projection over a filter that drops every row: the
-  // streaming fallback must reproduce the legacy empty-relation behavior.
+  // streaming fallback must reproduce the one-morsel empty-relation
+  // behavior.
   ExpectParity("SELECT 1 FROM big WHERE k > 999");
   ExpectParity("SELECT 1 FROM big WHERE k >= 0 LIMIT 3");
 }
@@ -419,7 +416,7 @@ TEST_F(StreamingParityTest, BatchDependentUdfsBreakPipelines) {
 
 // Batchable (row-local) model calls STREAM: the plan gets a ModelEval
 // micro-batch stage instead of a breaker, and the full sweep (morsels
-// {1,7,4096,whole} x threads {1,4} x both executors x cursor drains) must
+// {1,7,4096,whole} x threads {1,4} x Run() and cursor drains) must
 // stay bit-identical — batch boundaries (preferred_batch_rows=3) land
 // inside, across, and exactly on every swept morsel boundary.
 TEST_F(StreamingParityTest, BatchableUdfsStreamThroughModelEval) {
@@ -469,25 +466,37 @@ TEST_F(StreamingParityTest, ModelEvalExplainAndBatchOverride) {
   EXPECT_EQ(pipelines.find("materialize"), std::string::npos) << pipelines;
 
   exec::RunOptions reference_run;
-  reference_run.exec.streaming = false;
+  reference_run.morsel_rows = kWholeRelation;
   auto reference = (*query)->Run(reference_run);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (int64_t batch : {1, 2, 7, 4096}) {
     SCOPED_TRACE("model_batch_rows=" + std::to_string(batch));
     exec::RunOptions run;
     run.model_batch_rows = batch;
-    run.exec.morsel_rows = 64;
+    run.morsel_rows = 64;
     auto result = (*query)->Run(run);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectBitIdentical(**reference, **result);
   }
-  // A negative override fails fast with a named error.
+  // A negative override fails fast with a named error, and so does a
+  // negative morsel size.
   exec::RunOptions bad;
   bad.model_batch_rows = -1;
   auto fail = (*query)->Run(bad);
   ASSERT_FALSE(fail.ok());
+  EXPECT_EQ(fail.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(fail.status().ToString().find("model_batch_rows"),
             std::string::npos);
+  exec::RunOptions bad_morsel;
+  bad_morsel.morsel_rows = -1;
+  auto morsel_fail = (*query)->Run(bad_morsel);
+  ASSERT_FALSE(morsel_fail.ok());
+  EXPECT_EQ(morsel_fail.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(morsel_fail.status().ToString().find("morsel_rows"),
+            std::string::npos);
+  auto morsel_cursor = (*query)->Open(bad_morsel);
+  ASSERT_FALSE(morsel_cursor.ok());
+  EXPECT_EQ(morsel_cursor.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The non-batchable control keeps its breaker: bnorm-bearing plans must
@@ -503,18 +512,17 @@ TEST_F(StreamingParityTest, NonBatchableUdfKeepsBreaker) {
   EXPECT_NE(pipelines.find("materialize"), std::string::npos) << pipelines;
 }
 
-// The whole-table streaming default must also match when driven through
-// the normal Session::Sql path (plan cache on, default run options) —
-// the legacy executor is now selected per run, through the same cached
-// plan.
-TEST_F(StreamingParityTest, DefaultPathMatchesLegacy) {
+// The default path must also match when driven through the normal
+// Session::Sql path (plan cache on, default run options): the one-morsel
+// reference is selected per run, through the same cached plan.
+TEST_F(StreamingParityTest, DefaultPathMatchesOneMorselRun) {
   const std::string sql =
       "SELECT tag, COUNT(*), SUM(v) FROM big GROUP BY tag ORDER BY tag";
   auto streamed = session_.Sql(sql);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  exec::RunOptions legacy;
-  legacy.exec.streaming = false;
-  auto reference = session_.Sql(sql, QueryOptions{}, legacy);
+  exec::RunOptions one_morsel;
+  one_morsel.morsel_rows = kWholeRelation;
+  auto reference = session_.Sql(sql, QueryOptions{}, one_morsel);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   ExpectBitIdentical(**reference, **streamed);
 }
@@ -526,7 +534,7 @@ TEST_F(StreamingParityTest, SessionExecuteMatchesSql) {
   auto reference = session_.Sql(sql);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   exec::RunOptions run;
-  run.exec.morsel_rows = 512;
+  run.morsel_rows = 512;
   auto cursor = session_.Execute(sql, QueryOptions{}, std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   std::vector<exec::Chunk> chunks;
@@ -558,7 +566,7 @@ TEST_F(StreamingParityTest, ConcurrentCursorAbandonment) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       exec::RunOptions run;
-      run.exec.morsel_rows = 16;  // ~625 potential chunks
+      run.morsel_rows = 16;  // ~625 potential chunks
       auto cursor = (*query)->Open(std::move(run));
       if (!cursor.ok()) return;
       auto first = (*cursor)->Next();
@@ -578,7 +586,7 @@ TEST_F(StreamingParityTest, ConcurrentCursorAbandonment) {
 TEST_F(StreamingParityTest, ConcurrentCursorsShareOnePreparedPlan) {
   const std::string sql =
       "SELECT k, v FROM big WHERE k < 48 AND v > -150";
-  auto reference = RunWith(sql, /*streaming=*/false, 0);
+  auto reference = RunWith(sql, kWholeRelation);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   auto query = session_.Prepare(sql);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
@@ -589,7 +597,7 @@ TEST_F(StreamingParityTest, ConcurrentCursorsShareOnePreparedPlan) {
   for (int c = 0; c < 4; ++c) {
     clients.emplace_back([&, c] {
       exec::RunOptions run;
-      run.exec.morsel_rows = kMorsels[c];
+      run.morsel_rows = kMorsels[c];
       results[static_cast<size_t>(c)] = DrainCursor(*query, std::move(run));
     });
   }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "src/autograd/node.h"
+#include "src/common/thread_pool.h"
 #include "src/data/adult.h"
 #include "src/data/mnist_grid.h"
 #include "src/models/tvfs.h"
@@ -12,6 +17,24 @@
 
 namespace tdp {
 namespace {
+
+// Byte-for-byte equality of two float32 tensors: stricter than
+// TensorEqual, which lets -0 match +0 and never matches NaN.
+::testing::AssertionResult BitIdentical(const Tensor& a, const Tensor& b) {
+  if (a.dtype() != DType::kFloat32 || b.dtype() != DType::kFloat32) {
+    return ::testing::AssertionFailure() << "not float32";
+  }
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure() << "shapes differ";
+  }
+  const Tensor ac = a.Detach().Contiguous();
+  const Tensor bc = b.Detach().Contiguous();
+  const size_t bytes = static_cast<size_t>(ac.numel()) * sizeof(float);
+  if (bytes > 0 && std::memcmp(ac.data<float>(), bc.data<float>(), bytes)) {
+    return ::testing::AssertionFailure() << "bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
 
 // The paper's MNISTGrid query (Listing 6): TRAINABLE compilation produces
 // a differentiable plan whose COUNT(*) column carries gradients back into
@@ -94,6 +117,92 @@ TEST_F(TrainableQueryTest, GradientsReachTvfParameters) {
   EXPECT_EQ(with_grad, static_cast<int>((*query)->Parameters().size()))
       << "every CNN parameter should receive a gradient through the "
          "soft group-by";
+}
+
+// A soft run is one whole-relation morsel with one batch per ModelEval
+// stage, so the scheduling knobs must not move a single bit of the soft
+// counts or of any parameter gradient. Three grids make three source rows:
+// split into morsels, the soft aggregate would see partial relations (and
+// fall back to exact int64 counts); split into model batches, the
+// autograd graph — and with it the gradient bits — would change.
+TEST_F(TrainableQueryTest, SoftRunsIgnoreSchedulingKnobs) {
+  Session session;
+  auto tvf = models::RegisterParseMnistGridTvf(session.functions(), *rng_);
+  ASSERT_TRUE(tvf.ok());
+  data::MnistGridDataset ds = data::MakeMnistGridDataset(3, *rng_);
+  ASSERT_TRUE(session
+                  .RegisterTable("MNIST_Grid",
+                                 TableBuilder("MNIST_Grid")
+                                     .AddTensor("image", ds.grids)
+                                     .Build()
+                                     .value(),
+                                 Device::kAccel)
+                  .ok());
+  QueryOptions options;
+  options.trainable = true;
+  auto query = session.Query(
+      "SELECT Digit, Size, COUNT(*) FROM parse_mnist_grid(MNIST_Grid) GROUP "
+      "BY Digit, Size",
+      options);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const std::vector<Tensor> params = (*query)->Parameters();
+  ASSERT_FALSE(params.empty());
+  const Tensor target = Sum(ds.counts, 0, false).To(Device::kAccel);
+
+  // The first configuration's soft counts, then every parameter gradient.
+  std::vector<Tensor> reference;
+  for (const int threads : {1, 4}) {
+    ScopedNumThreads guard(threads);
+    for (const int64_t morsel_rows : {int64_t{0}, int64_t{1}}) {
+      for (const int64_t batch_rows : {int64_t{0}, int64_t{1}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " morsel_rows=" + std::to_string(morsel_rows) +
+                     " model_batch_rows=" + std::to_string(batch_rows));
+        exec::RunOptions run;
+        run.morsel_rows = morsel_rows;
+        run.model_batch_rows = batch_rows;
+        for (const Tensor& p : params) p.ZeroGrad();
+        auto chunk = (*query)->RunChunk(run);
+        ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+        const Tensor counts = chunk->columns[2].data();
+        ASSERT_NE(counts.grad_fn(), nullptr);
+        nn::MSELoss(counts, target).Backward();
+        std::vector<Tensor> observed = {counts.Detach()};
+        for (const Tensor& p : params) {
+          ASSERT_TRUE(p.grad().defined());
+          observed.push_back(p.grad());
+        }
+        if (reference.empty()) {
+          reference = std::move(observed);
+          continue;
+        }
+        ASSERT_EQ(observed.size(), reference.size());
+        EXPECT_TRUE(BitIdentical(reference[0], observed[0]))
+            << "soft counts";
+        for (size_t i = 1; i < observed.size(); ++i) {
+          EXPECT_TRUE(BitIdentical(reference[i], observed[i]))
+              << "gradient of parameter " << i - 1;
+        }
+      }
+    }
+  }
+
+  // A cursor over a soft run yields the differentiable result as exactly
+  // one chunk, even at one-row morsels.
+  exec::RunOptions tiny;
+  tiny.morsel_rows = 1;
+  auto cursor = (*query)->Open(tiny);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  auto first = (*cursor)->Next();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->has_value());
+  const Tensor streamed = (**first).columns[2].data();
+  EXPECT_NE(streamed.grad_fn(), nullptr);
+  EXPECT_TRUE(BitIdentical(reference[0], streamed));
+  auto end = (*cursor)->Next();
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  EXPECT_FALSE(end->has_value());
+  EXPECT_EQ((*cursor)->chunks_produced(), 1);
 }
 
 // The paper's Listing 5 training loop, miniaturized: a few gradient steps
