@@ -62,7 +62,7 @@ void BM_Conv2d(benchmark::State& state) {
   Tensor input = RandNormal({4, 8, 16, 16}, 0, 1, rng).To(device);
   Tensor weight = RandNormal({16, 8, 3, 3}, 0, 0.1, rng).To(device);
   Tensor bias = RandNormal({16}, 0, 0.1, rng).To(device);
-  // Warm the per-thread im2col scratch and any cached reorders, then hold
+  // Warm the per-thread im2col scratch, then hold
   // the steady state to an allocation budget: each iteration may allocate
   // only the output buffer (the bias staging copy and per-sample unfold
   // buffers used to be re-malloc'ed every forward).

@@ -405,7 +405,6 @@ StatusOr<EvalResult> EvaluateVectorSim(const BoundVectorSim& expr,
 
 StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
                                   const EvalOptions& opts) {
-  const Device device = opts.device;
   const std::vector<ScalarValue>* params = opts.params;
   switch (expr.kind) {
     case BoundExprKind::kColumnRef: {
@@ -505,24 +504,6 @@ StatusOr<Tensor> EvaluatePredicate(const BoundExpr& expr, const Chunk& input,
     return Status::TypeError("predicate did not evaluate to a boolean column");
   }
   return c.data();
-}
-
-StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
-                                  Device device,
-                                  const std::vector<ScalarValue>* params) {
-  return EvaluateExpr(expr, input, EvalOptions{device, params});
-}
-
-StatusOr<Column> EvaluateExprToColumn(const BoundExpr& expr,
-                                      const Chunk& input, Device device,
-                                      const std::vector<ScalarValue>* params) {
-  return EvaluateExprToColumn(expr, input, EvalOptions{device, params});
-}
-
-StatusOr<Tensor> EvaluatePredicate(const BoundExpr& expr, const Chunk& input,
-                                   Device device,
-                                   const std::vector<ScalarValue>* params) {
-  return EvaluatePredicate(expr, input, EvalOptions{device, params});
 }
 
 }  // namespace exec

@@ -170,20 +170,6 @@ StatusOr<Column> EvaluateExprToColumn(const BoundExpr& expr,
 StatusOr<Tensor> EvaluatePredicate(const BoundExpr& expr, const Chunk& input,
                                    const EvalOptions& opts);
 
-/// Convenience overloads for direct (dispatcher-less) evaluation.
-StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
-                                  Device device,
-                                  const std::vector<ScalarValue>* params =
-                                      nullptr);
-StatusOr<Column> EvaluateExprToColumn(const BoundExpr& expr,
-                                      const Chunk& input, Device device,
-                                      const std::vector<ScalarValue>* params =
-                                          nullptr);
-StatusOr<Tensor> EvaluatePredicate(const BoundExpr& expr, const Chunk& input,
-                                   Device device,
-                                   const std::vector<ScalarValue>* params =
-                                       nullptr);
-
 }  // namespace exec
 }  // namespace tdp
 

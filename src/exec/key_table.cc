@@ -1,5 +1,6 @@
 #include "src/exec/key_table.h"
 
+#include <algorithm>
 #include <array>
 #include <numeric>
 #include <string>
@@ -15,7 +16,7 @@ StatusOr<std::vector<int64_t>> TensorOrderCodes(const Tensor& values,
                                                 bool* is_float) {
   if (values.dim() != 1) {
     return Status::TypeError(
-        "tensor-valued columns cannot be grouping/join keys");
+        "tensor-valued columns cannot be grouping, join or sort keys");
   }
   const bool floating =
       values.dtype() == DType::kFloat32 || values.dtype() == DType::kFloat64;
@@ -60,6 +61,31 @@ StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
     return column.data().ToVector<int64_t>();
   }
   return TensorOrderCodes(column.DecodeValues(), is_float);
+}
+
+StatusOr<SortKey> MakeSortKey(const Column& column, bool descending) {
+  SortKey key;
+  key.descending = descending;
+  TDP_ASSIGN_OR_RETURN(key.codes, OrderPreservingCodes(column, &key.is_float));
+  return key;
+}
+
+std::vector<int64_t> SortRows(const SortKeys& keys, int64_t lo, int64_t n,
+                              int64_t limit) {
+  const int64_t out = limit < 0 ? n : std::min(limit, n);
+  if (out == 0) return {};
+  std::vector<int64_t> rows(static_cast<size_t>(n));
+  std::iota(rows.begin(), rows.end(), lo);
+  const auto before = [&keys](int64_t a, int64_t b) {
+    return SortsBefore(keys, a, b);
+  };
+  if (out < n) {
+    std::partial_sort(rows.begin(), rows.begin() + out, rows.end(), before);
+    rows.resize(static_cast<size_t>(out));
+  } else {
+    std::sort(rows.begin(), rows.end(), before);
+  }
+  return rows;
 }
 
 StatusOr<JoinKeyCodes> ComputeJoinKeyCodes(const Chunk& chunk,

@@ -13,18 +13,20 @@
 namespace tdp {
 namespace exec {
 
-// Keys for GROUP BY, DISTINCT, COUNT(DISTINCT) and hash joins.
+// Keys for GROUP BY, DISTINCT, COUNT(DISTINCT), hash joins, ORDER BY and
+// top-k.
 //
 // A key is a fixed number of int64 codes, one per key column, and every
 // kernel that groups or matches keys does it through one container: the
-// open-addressing `KeyTable` below. Codes are ROW-LOCAL — a row's code
-// depends on that row's value alone, never on the rest of its column — so
-// codes computed per morsel, per spill page or per grace partition agree
-// with codes computed over the whole relation. That is what lets the
-// in-memory and the spill kernels share one notion of key identity and
-// key order, and stay byte-identical to each other.
+// open-addressing `KeyTable` below. Every kernel that orders rows does it
+// through one comparator: `SortRows` below. Codes are ROW-LOCAL — a row's
+// code depends on that row's value alone, never on the rest of its
+// column — so codes computed per morsel, per spill page or per grace
+// partition agree with codes computed over the whole relation. That is
+// what lets the in-memory and the spill kernels share one notion of key
+// identity and key order, and stay byte-identical to each other.
 
-// ---- Grouping codes (order-preserving) --------------------------------------
+// ---- Order codes ------------------------------------------------------------
 //
 // Each value maps to an int64 whose signed order and equality match the
 // engine's value semantics exactly:
@@ -32,8 +34,8 @@ namespace exec {
 //     to themselves;
 //   * float-kind values map through their double magnitude with the sign
 //     folded in (-0 normalized to +0, every NaN to one canonical code that
-//     sorts above +inf) — ArgSort's NaN-last order and SameValue
-//     equivalence (-0 == +0, all NaNs one group).
+//     sorts above +inf): -0 == +0, and all NaNs form one group that sorts
+//     last.
 
 /// Canonical NaN code: above every finite/inf code (NaN sorts last
 /// ascending); `CompareKeyCodes` pins NaN last under descending too.
@@ -52,6 +54,57 @@ inline int64_t DoubleOrderCode(double d) {
 /// given, reports whether the NaN-last rule applies to this key.
 StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
                                                     bool* is_float = nullptr);
+
+// ---- Sort keys --------------------------------------------------------------
+//
+// ORDER BY (in memory and spilled) and both top-k paths rank rows the same
+// way: by the keys in order, then by row index. The row index makes the
+// order total, so every sorting algorithm yields the permutation a stable
+// sort would, and a LIMIT is a partial sort of its first rows.
+
+/// Three-way comparison of two codes of one sort key: <0, 0, >0. NaN
+/// orders last under BOTH directions.
+inline int CompareKeyCodes(int64_t a, int64_t b, bool descending,
+                           bool is_float) {
+  if (a == b) return 0;
+  if (is_float) {
+    const bool a_nan = a == kNanOrderCode;
+    const bool b_nan = b == kNanOrderCode;
+    if (a_nan != b_nan) return a_nan ? 1 : -1;
+  }
+  if (descending) return a < b ? 1 : -1;
+  return a < b ? -1 : 1;
+}
+
+/// One sort key: the order code of each row, the direction, and whether
+/// the NaN-last rule applies (a float key).
+struct SortKey {
+  std::vector<int64_t> codes;
+  bool descending = false;
+  bool is_float = false;
+};
+
+/// The keys of one sort, most significant first.
+using SortKeys = std::vector<SortKey>;
+
+/// The sort key over `column`. A tensor-valued column is a TypeError.
+StatusOr<SortKey> MakeSortKey(const Column& column, bool descending);
+
+/// True when row `a` sorts before row `b`: by the keys, then by row index.
+inline bool SortsBefore(const SortKeys& keys, int64_t a, int64_t b) {
+  for (const SortKey& key : keys) {
+    const int c = CompareKeyCodes(key.codes[static_cast<size_t>(a)],
+                                  key.codes[static_cast<size_t>(b)],
+                                  key.descending, key.is_float);
+    if (c != 0) return c < 0;
+  }
+  return a < b;
+}
+
+/// Rows `lo` .. `lo + n - 1` in sort order, cut to the first `limit` of
+/// them (all of them when `limit` is negative).
+std::vector<int64_t> SortRows(const SortKeys& keys, int64_t lo, int64_t n,
+                              int64_t limit);
 
 // ---- Join codes -------------------------------------------------------------
 

@@ -31,15 +31,25 @@ using plan::ScanNode;
 using plan::SortNode;
 using plan::TvfScanNode;
 
-/// Expression-evaluation options for one run: the device, the `?`
-/// bindings, and the batchable-UDF dispatch seam (scheduler + token).
-EvalOptions EvalOpts(const ExecContext& ctx) {
-  EvalOptions opts;
-  opts.device = ctx.device;
-  opts.params = ctx.params;
-  opts.udf_dispatch = ctx.udf_dispatch;
-  opts.cancel = ctx.cancel;
-  return opts;
+// The argument checks of FinalizeAggregate, made before either kernel
+// reads a row: a string column can only be COUNTed, and every argument
+// must be a scalar column.
+Status CheckAggArguments(const AggregateNode& node, const AggInputs& inputs) {
+  for (size_t d = 0; d < node.aggregates.size(); ++d) {
+    const AggDef& def = node.aggregates[d];
+    if (!def.arg) continue;
+    const Column& arg_col = inputs.arg_columns[d];
+    if (arg_col.encoding() == Encoding::kDictionary &&
+        def.kind != AggKind::kCount) {
+      return Status::TypeError("cannot " +
+                               std::string(plan::AggKindName(def.kind)) +
+                               " a string column");
+    }
+    if (arg_col.DecodeValues().dim() != 1) {
+      return Status::TypeError("aggregate argument must be a scalar column");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -270,25 +280,21 @@ AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts) {
 StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx) {
+  TDP_RETURN_NOT_OK(CheckAggArguments(node, inputs));
   const int64_t rows = inputs.rows;
 
   // Scratch this kernel materializes beyond the (caller-owned) evaluated
   // inputs: key codes, argument doubles, distinct codes, and the per-row
   // group array. Over budget -> the paged two-pass path, bit-identical.
-  if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0) {
-    const int64_t scratch =
-        rows * 8 *
-        static_cast<int64_t>(inputs.key_columns.size() +
-                             node.aggregates.size() + 2);
-    if (ctx.memory->ShouldSpill(scratch)) {
-      return SpilledFinalizeAggregate(node, inputs, ctx);
-    }
-  }
-  const ScopedReservation reservation(
-      ctx.memory,
+  const int64_t scratch =
       rows * 8 *
-          static_cast<int64_t>(inputs.key_columns.size() +
-                               node.aggregates.size() + 2));
+      static_cast<int64_t>(inputs.key_columns.size() +
+                           node.aggregates.size() + 2);
+  if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
+      ctx.memory->ShouldSpill(scratch)) {
+    return SpilledFinalizeAggregate(node, inputs, ctx);
+  }
+  const ScopedReservation reservation(ctx.memory, scratch);
 
   // Group ids. The key table numbers distinct keys in first-occurrence
   // order, so each group's first row (its representative) falls out of
@@ -296,7 +302,7 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
   // in code order, which is value order. Without GROUP BY every row
   // belongs to the single group 0.
   std::vector<int64_t> row_group(static_cast<size_t>(rows), 0);
-  std::vector<int64_t> representative;
+  std::vector<int64_t> rank, first_rows;
   int64_t num_groups = 1;
   if (!node.group_exprs.empty()) {
     std::vector<std::vector<int64_t>> key_codes;
@@ -308,19 +314,13 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
     }
     const KeyColumns cols = ColumnsOf(key_codes);
     KeyTable groups(static_cast<int64_t>(cols.size()));
-    std::vector<int64_t> first_rows;
     for (int64_t r = 0; r < rows; ++r) {
       bool inserted = false;
       row_group[static_cast<size_t>(r)] = groups.Insert(cols, r, &inserted);
       if (inserted) first_rows.push_back(r);
     }
-    const std::vector<int64_t> rank = groups.SortedRanks();
+    rank = groups.SortedRanks();
     num_groups = groups.size();
-    representative.resize(static_cast<size_t>(num_groups));
-    for (int64_t id = 0; id < num_groups; ++id) {
-      representative[static_cast<size_t>(rank[static_cast<size_t>(id)])] =
-          first_rows[static_cast<size_t>(id)];
-    }
     ParallelFor(0, rows, GrainForCost(2), [&](int64_t begin, int64_t end) {
       for (int64_t r = begin; r < end; ++r) {
         int64_t& g = row_group[static_cast<size_t>(r)];
@@ -329,154 +329,78 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
     });
   }
 
-  Chunk out;
+  Chunk out = GroupKeyColumns(node, inputs, rank, first_rows, ctx.device);
 
-  // Group key output columns: representative rows of the key columns
-  // (PE keys are hard-decoded — the exact operator swap of §4).
-  if (!node.group_exprs.empty()) {
-    const Tensor rep = Tensor::FromVector(representative, {}, ctx.device);
-    for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
-      Column key_col = inputs.key_columns[k];
-      if (key_col.encoding() == Encoding::kProbability) {
-        key_col = Column::Plain(key_col.DecodeValues());
-      }
-      out.names.push_back(node.group_names[k]);
-      out.columns.push_back(key_col.Select(rep));
-    }
-  }
-
-  // Aggregates.
+  // Aggregates. Rows fold in fixed blocks whose partials combine in block
+  // order (see `AggFoldsBlocks`), so the floating-point reduction tree
+  // depends only on the row count — results are identical for every
+  // TDP_NUM_THREADS and every morsel size (the streaming executor merges
+  // per-morsel inputs in morsel order before this accumulation).
+  const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
   for (size_t def_index = 0; def_index < node.aggregates.size(); ++def_index) {
     const AggDef& def = node.aggregates[def_index];
-    std::vector<double> acc(static_cast<size_t>(num_groups), 0.0);
-    std::vector<int64_t> counts(static_cast<size_t>(num_groups), 0);
-
     std::vector<double> arg_values;
     std::vector<int64_t> arg_codes;  // for DISTINCT
     if (def.arg) {
       const Column& arg_col = inputs.arg_columns[def_index];
-      if (arg_col.encoding() == Encoding::kDictionary &&
-          def.kind != AggKind::kCount) {
-        return Status::TypeError("cannot " +
-                                 std::string(plan::AggKindName(def.kind)) +
-                                 " a string column");
-      }
-      const Tensor values = arg_col.DecodeValues();
-      if (values.dim() != 1) {
-        return Status::TypeError("aggregate argument must be a scalar column");
-      }
-      arg_values = values.To(DType::kFloat64).ToVector<double>();
+      arg_values =
+          arg_col.DecodeValues().To(DType::kFloat64).ToVector<double>();
       if (def.distinct) {
         TDP_ASSIGN_OR_RETURN(arg_codes, OrderPreservingCodes(arg_col));
       }
     }
-
     // COUNT(DISTINCT): a row counts when its (group, value) pair is new.
     KeyTable distinct_seen(2);
     const KeyColumns distinct_cols = {row_group.data(), arg_codes.data()};
 
-    // Chunk-at-a-time accumulation. Rows are folded into fixed-size blocks
-    // (block partials are combined in block order), so the floating-point
-    // reduction tree depends only on the row count — results are identical
-    // for every TDP_NUM_THREADS and every morsel size (the streaming
-    // executor merges per-morsel inputs in morsel order before this
-    // accumulation, re-blocking at the same fixed boundaries). DISTINCT
-    // inserts into one key table and stays serial; high-cardinality
-    // group-bys fall back to the serial loop rather than materializing
-    // huge partial tables.
-    constexpr int64_t kAggBlock = 4096;
-    const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
-    // Parallelize only when the block merge (num_blocks * num_groups
-    // entries) costs no more than the row accumulation it speeds up.
-    const bool parallel_ok =
-        !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
-    auto accumulate_rows = [&](int64_t row_begin, int64_t row_end,
-                               double* block_acc, int64_t* block_counts,
-                               unsigned char* block_has) {
-      for (int64_t r = row_begin; r < row_end; ++r) {
-        const size_t g =
-            static_cast<size_t>(row_group[static_cast<size_t>(r)]);
-        if (def.distinct && def.arg) {
-          bool inserted = false;
-          distinct_seen.Insert(distinct_cols, r, &inserted);
-          if (!inserted) continue;
-        }
-        const double v =
-            def.arg ? arg_values[static_cast<size_t>(r)] : 0.0;
-        switch (def.kind) {
-          case AggKind::kCountStar:
-          case AggKind::kCount:
-            break;
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            block_acc[g] += v;
-            break;
-          case AggKind::kMin:
-            block_acc[g] = block_has[g] ? std::min(block_acc[g], v) : v;
-            break;
-          case AggKind::kMax:
-            block_acc[g] = block_has[g] ? std::max(block_acc[g], v) : v;
-            break;
-        }
-        block_has[g] = 1;
-        ++block_counts[g];
-      }
-    };
-
-    std::vector<unsigned char> has_flags(static_cast<size_t>(num_groups), 0);
-    if (parallel_ok) {
-      std::vector<double> blk_acc(
-          static_cast<size_t>(num_blocks * num_groups), 0.0);
-      std::vector<int64_t> blk_counts(
-          static_cast<size_t>(num_blocks * num_groups), 0);
-      std::vector<unsigned char> blk_has(
-          static_cast<size_t>(num_blocks * num_groups), 0);
+    AggAccumulators total(num_groups);
+    if (AggFoldsBlocks(def, rows, num_groups)) {
+      AggAccumulators blocks(num_blocks * num_groups);
       ParallelFor(0, num_blocks, GrainForCost(kAggBlock),
                   [&](int64_t block_begin, int64_t block_end) {
                     for (int64_t blk = block_begin; blk < block_end; ++blk) {
                       const int64_t lo = blk * kAggBlock;
-                      const int64_t hi = std::min(rows, lo + kAggBlock);
-                      const size_t base =
-                          static_cast<size_t>(blk * num_groups);
-                      accumulate_rows(lo, hi, blk_acc.data() + base,
-                                      blk_counts.data() + base,
-                                      blk_has.data() + base);
+                      AccumulateAggRows(
+                          def, lo, std::min(rows, lo + kAggBlock),
+                          row_group.data(), arg_values.data(), distinct_cols,
+                          distinct_seen, blocks,
+                          static_cast<size_t>(blk * num_groups));
                     }
                   });
       for (int64_t blk = 0; blk < num_blocks; ++blk) {
-        const size_t base = static_cast<size_t>(blk * num_groups);
-        for (int64_t g = 0; g < num_groups; ++g) {
-          const size_t ug = static_cast<size_t>(g);
-          if (!blk_has[base + ug]) continue;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              acc[ug] += blk_acc[base + ug];
-              break;
-            case AggKind::kMin:
-              acc[ug] = has_flags[ug] ? std::min(acc[ug], blk_acc[base + ug])
-                                      : blk_acc[base + ug];
-              break;
-            case AggKind::kMax:
-              acc[ug] = has_flags[ug] ? std::max(acc[ug], blk_acc[base + ug])
-                                      : blk_acc[base + ug];
-              break;
-          }
-          has_flags[ug] = 1;
-          counts[ug] += blk_counts[base + ug];
-        }
+        FoldAggBlock(def.kind, num_groups, blocks,
+                     static_cast<size_t>(blk * num_groups), total);
       }
     } else {
-      accumulate_rows(0, rows, acc.data(), counts.data(), has_flags.data());
+      AccumulateAggRows(def, 0, rows, row_group.data(), arg_values.data(),
+                        distinct_cols, distinct_seen, total, 0);
     }
 
     out.names.push_back(def.name);
     out.columns.push_back(AggregateOutputColumn(
-        def.kind, node.schema[node.group_exprs.size() + def_index].dtype, acc,
-        counts, ctx.device));
+        def.kind, node.schema[node.group_exprs.size() + def_index].dtype,
+        total.acc, total.counts, ctx.device));
+  }
+  return out;
+}
+
+Chunk GroupKeyColumns(const AggregateNode& node, const AggInputs& inputs,
+                      const std::vector<int64_t>& rank,
+                      const std::vector<int64_t>& first_rows, Device device) {
+  Chunk out;
+  if (node.group_exprs.empty()) return out;
+  std::vector<int64_t> representative(rank.size());
+  for (size_t id = 0; id < rank.size(); ++id) {
+    representative[static_cast<size_t>(rank[id])] = first_rows[id];
+  }
+  const Tensor rep = Tensor::FromVector(representative, {}, device);
+  for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
+    Column key_col = inputs.key_columns[k];
+    if (key_col.encoding() == Encoding::kProbability) {
+      key_col = Column::Plain(key_col.DecodeValues());
+    }
+    out.names.push_back(node.group_names[k]);
+    out.columns.push_back(key_col.Select(rep));
   }
   return out;
 }
@@ -662,7 +586,17 @@ StatusOr<Chunk> ProbeJoin(const JoinNode& node, const JoinHashTable& ht,
 StatusOr<Chunk> ExecuteSort(const SortNode& node, const Chunk& input,
                             const ExecContext& ctx) {
   const int64_t rows = input.num_rows();
-  // In-memory sort scratch: the gathered keys + permutation (+ the output
+  // The keys are evaluated once, over the whole relation, and collapsed
+  // to order codes; both the in-memory and the external sort rank rows by
+  // them through `SortRows`.
+  SortKeys keys;
+  for (const plan::SortItem& item : node.items) {
+    TDP_ASSIGN_OR_RETURN(
+        Column key_col, EvaluateExprToColumn(*item.expr, input, EvalOpts(ctx)));
+    TDP_ASSIGN_OR_RETURN(SortKey key, MakeSortKey(key_col, item.descending));
+    keys.push_back(std::move(key));
+  }
+  // In-memory sort scratch: the key codes + permutation (+ the output
   // copy of the relation, since `input` stays live until Select returns).
   // Over budget -> external merge sort, bit-identical permutation.
   if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
@@ -671,30 +605,15 @@ StatusOr<Chunk> ExecuteSort(const SortNode& node, const Chunk& input,
         ChunkFootprintBytes(input) +
         rows * 8 * static_cast<int64_t>(node.items.size() + 2);
     if (ctx.memory->ShouldSpill(scratch)) {
-      return ExternalSortChunk(node, input, ctx);
+      return ExternalSortChunk(node, keys, input, ctx);
     }
   }
   const ScopedReservation reservation(
       ctx.memory,
       rows * 8 * static_cast<int64_t>(node.items.size() + 2));
-  Tensor perm = Tensor::Arange(rows, DType::kInt64, ctx.device);
-  // Stable multi-key sort: apply keys from last to first.
-  for (auto it = node.items.rbegin(); it != node.items.rend(); ++it) {
-    TDP_ASSIGN_OR_RETURN(
-        Column key_col,
-        EvaluateExprToColumn(*it->expr, input, EvalOpts(ctx)));
-    Tensor keys = key_col.DecodeValues();
-    if (keys.dim() != 1) {
-      return Status::TypeError("ORDER BY key must be a scalar column");
-    }
-    const Tensor gathered = IndexSelect(keys.Detach(), 0, perm);
-    const Tensor order = ArgSort(gathered, it->descending);
-    perm = IndexSelect(perm, 0, order);
-  }
-  if (node.fused_limit >= 0 && node.fused_limit < rows) {
-    perm = Slice(perm, 0, 0, node.fused_limit).Contiguous();
-  }
-  return input.Select(perm);
+  const std::vector<int64_t> perm =
+      SortRows(keys, 0, rows, node.fused_limit);
+  return input.Select(Tensor::FromVector(perm, {}, ctx.device));
 }
 
 StatusOr<Chunk> ExecuteLimit(const LimitNode& node, const Chunk& input) {
@@ -756,32 +675,26 @@ StatusOr<Chunk> ProjectIndexTopK(const plan::IndexTopKNode& node,
   return out;
 }
 
-// Top-k permutation over `n` rows ranked by the node's sort keys — the
+// The first `node.k` of `n` rows ranked by the node's sort keys — the
 // similarity DESC first, then the absorbed `extra_keys` tie-breaks —
-// composed as stable argsorts applied last-key-first, mirroring
-// ExecuteSort exactly so candidate-subset ranking reproduces the exact
-// plan's order (ties included) bit for bit. `key_values(ordinal)` yields
-// the decoded 1-d values of `exprs[ordinal]` over those n rows.
-StatusOr<Tensor> TopKPerm(
-    const plan::IndexTopKNode& node, int64_t n, Device device,
-    const std::function<StatusOr<Tensor>(int64_t)>& key_values) {
-  std::vector<std::pair<int64_t, bool>> keys;  // (ordinal, descending)
-  keys.emplace_back(node.sim_ordinal, true);
+// through `SortRows`, the comparator ExecuteSort uses, so ranking a
+// candidate subset reproduces the exact plan's order (ties included) bit
+// for bit. `key_column(ordinal)` yields `exprs[ordinal]` over those rows.
+StatusOr<std::vector<int64_t>> TopKRows(
+    const plan::IndexTopKNode& node, int64_t n,
+    const std::function<StatusOr<Column>(int64_t)>& key_column) {
+  std::vector<std::pair<int64_t, bool>> items;  // (ordinal, descending)
+  items.emplace_back(node.sim_ordinal, true);
   for (const auto& extra : node.extra_keys) {
-    keys.emplace_back(extra.ordinal, extra.descending);
+    items.emplace_back(extra.ordinal, extra.descending);
   }
-  Tensor perm = Tensor::Arange(n, DType::kInt64, device);
-  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-    TDP_ASSIGN_OR_RETURN(Tensor values, key_values(it->first));
-    if (values.dim() != 1) {
-      return Status::TypeError("similarity key must be a scalar column");
-    }
-    const Tensor gathered = IndexSelect(values.Detach(), 0, perm);
-    const Tensor order = ArgSort(gathered, it->second);
-    perm = IndexSelect(perm, 0, order);
+  SortKeys keys;
+  for (const auto& [ordinal, descending] : items) {
+    TDP_ASSIGN_OR_RETURN(Column column, key_column(ordinal));
+    TDP_ASSIGN_OR_RETURN(SortKey key, MakeSortKey(column, descending));
+    keys.push_back(std::move(key));
   }
-  const int64_t out_k = std::min<int64_t>(node.k, n);
-  return Slice(perm, 0, 0, out_k).Contiguous();
+  return SortRows(keys, 0, n, node.k);
 }
 
 // The k = 0 / zero-survivor result: the projection evaluated over the
@@ -816,13 +729,12 @@ StatusOr<Chunk> IndexTopKExact(const plan::IndexTopKNode& node,
   }
   TDP_ASSIGN_OR_RETURN(Chunk projected, ProjectIndexTopK(node, *base, ctx));
   TDP_ASSIGN_OR_RETURN(
-      Tensor perm,
-      TopKPerm(node, projected.num_rows(), ctx.device,
-               [&projected](int64_t ordinal) -> StatusOr<Tensor> {
-                 return projected.columns[static_cast<size_t>(ordinal)]
-                     .DecodeValues();
+      std::vector<int64_t> top,
+      TopKRows(node, projected.num_rows(),
+               [&projected](int64_t ordinal) -> StatusOr<Column> {
+                 return projected.columns[static_cast<size_t>(ordinal)];
                }));
-  return projected.Select(perm);
+  return projected.Select(Tensor::FromVector(top, {}, ctx.device));
 }
 
 }  // namespace
@@ -999,32 +911,31 @@ StatusOr<Chunk> ExecuteIndexTopK(const plan::IndexTopKNode& node,
   }
 
   // Candidates arrive in ascending row order; ranking them with the
-  // plan's own sort keys (sim DESC, then tie-breaks) under TopKPerm's
-  // stable composition reproduces the exact plan's ranking over the
-  // candidate subset — with full probes the subset IS the (surviving)
-  // relation, making the result bit-identical to the exact plan,
-  // tie-breaks included. In the all-rows case the gather is skipped
-  // (candidate ids are exactly [0, n) ascending, so `input` IS the
-  // candidate chunk): the default probe budget must not pay a full-table
-  // copy the brute plan never pays. Key expressions are row-local, so
-  // skipping the identity gather cannot change a byte.
+  // plan's own sort keys (sim DESC, then tie-breaks, then row order)
+  // reproduces the exact plan's ranking over the candidate subset — with
+  // full probes the subset IS the (surviving) relation, making the result
+  // bit-identical to the exact plan, tie-breaks included. In the all-rows
+  // case the gather is skipped (candidate ids are exactly [0, n)
+  // ascending, so `input` IS the candidate chunk): the default probe
+  // budget must not pay a full-table copy the brute plan never pays. Key
+  // expressions are row-local, so skipping the identity gather cannot
+  // change a byte.
   const bool all_rows =
       static_cast<int64_t>(candidates.size()) == input.num_rows();
-  const Tensor cand_ids = Tensor::FromVector(candidates, {}, ctx.device);
-  const Chunk cand_rows = all_rows ? input : input.Select(cand_ids);
+  const Chunk cand_rows =
+      all_rows ? input
+               : input.Select(Tensor::FromVector(candidates, {}, ctx.device));
   TDP_ASSIGN_OR_RETURN(
-      Tensor perm,
-      TopKPerm(node, cand_rows.num_rows(), ctx.device,
-               [&](int64_t ordinal) -> StatusOr<Tensor> {
-                 TDP_ASSIGN_OR_RETURN(
-                     Column col,
-                     EvaluateExprToColumn(
-                         *node.exprs[static_cast<size_t>(ordinal)],
-                         cand_rows, EvalOpts(ctx)));
-                 return col.DecodeValues();
+      std::vector<int64_t> top,
+      TopKRows(node, cand_rows.num_rows(),
+               [&](int64_t ordinal) -> StatusOr<Column> {
+                 return EvaluateExprToColumn(
+                     *node.exprs[static_cast<size_t>(ordinal)], cand_rows,
+                     EvalOpts(ctx));
                }));
-  const Tensor row_ids = IndexSelect(cand_ids, 0, perm);
-  return ProjectIndexTopK(node, input.Select(row_ids), ctx);
+  for (int64_t& row : top) row = candidates[static_cast<size_t>(row)];
+  return ProjectIndexTopK(
+      node, input.Select(Tensor::FromVector(top, {}, ctx.device)), ctx);
 }
 
 // ---- DDL / DML kernels ------------------------------------------------------

@@ -21,15 +21,6 @@ using plan::AggregateNode;
 using plan::JoinNode;
 using plan::SortNode;
 
-EvalOptions EvalOpts(const ExecContext& ctx) {
-  EvalOptions opts;
-  opts.device = ctx.device;
-  opts.params = ctx.params;
-  opts.udf_dispatch = ctx.udf_dispatch;
-  opts.cancel = ctx.cancel;
-  return opts;
-}
-
 // Grace partition of row `row`'s join key. Uses the key table hash's high
 // bits: the partition's own table indexes slots by the low bits, which
 // would otherwise be constant within a partition.
@@ -92,35 +83,19 @@ Column WrapLike(const Column& prototype, Tensor payload) {
 
 // ---- External merge sort ----------------------------------------------------
 
-StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
-                                  const ExecContext& ctx) {
+StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const SortKeys& keys,
+                                  const Chunk& input, const ExecContext& ctx) {
   QueryMemory* mem = ctx.memory;
   TDP_CHECK(mem != nullptr);
   const int64_t rows = input.num_rows();
-  const size_t num_keys = node.items.size();
+  const size_t num_keys = keys.size();
   TDP_CHECK(rows > 0 && num_keys > 0);
 
-  // Sort keys are evaluated over the whole relation, exactly as the
-  // in-memory kernel does (per-run evaluation could diverge for
-  // non-row-local key expressions), then collapsed to order codes. The
-  // code arrays are this path's resident working set — 8 bytes/row/key vs
-  // the payload+permutation+copy footprint the in-memory sort holds.
-  std::vector<std::vector<int64_t>> codes(num_keys);
-  std::vector<uint8_t> descending(num_keys), float_key(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) {
-    const auto& item = node.items[k];
-    TDP_ASSIGN_OR_RETURN(Column key_col, EvaluateExprToColumn(
-                                             *item.expr, input, EvalOpts(ctx)));
-    if (key_col.IsTensorColumn()) {
-      return Status::TypeError("ORDER BY key must be a scalar column");
-    }
-    bool is_float = false;
-    TDP_ASSIGN_OR_RETURN(codes[k], OrderPreservingCodes(key_col, &is_float));
-    descending[k] = item.descending ? 1 : 0;
-    float_key[k] = is_float ? 1 : 0;
-  }
-  const ScopedReservation code_reservation(
-      mem, static_cast<int64_t>(num_keys) * rows * 8);
+  // The key codes and the runs' row orders stay resident — 8 bytes/row/key
+  // plus 8 bytes/row, against the payload+permutation+copy footprint the
+  // in-memory sort holds; the payload is what spills.
+  const ScopedReservation order_reservation(
+      mem, static_cast<int64_t>(num_keys + 1) * rows * 8);
 
   const int64_t row_bytes =
       ChunkFootprintBytes(input) / std::max<int64_t>(rows, 1) +
@@ -130,35 +105,20 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
   const int64_t num_runs = (rows + run_rows - 1) / run_rows;
   const int64_t page_rows = std::min<int64_t>(run_rows, 4096);
 
-  // Full-tie comparator over all keys; stability supplies the original-
-  // index tiebreak, reproducing the in-memory composition of stable
-  // per-key sorts exactly.
-  const auto row_less = [&](int64_t a, int64_t b) {
-    for (size_t k = 0; k < num_keys; ++k) {
-      const int c =
-          CompareKeyCodes(codes[k][static_cast<size_t>(a)],
-                          codes[k][static_cast<size_t>(b)],
-                          descending[k] != 0, float_key[k] != 0);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  };
-
-  // Phase 1: sort + spill each row-order run. Run file layout:
-  //   [run_rows][num_pages] then per page:
-  //   [page_rows][sorted key codes: num_keys x page_rows]
-  //   [num_cols][column][column]...
+  // Phase 1: order each row-order run and spill its payload. A run keeps
+  // at most the fused limit's rows: no later row of it can reach the
+  // output. Run file layout:
+  //   [num_pages] then per page: [page_rows][num_cols][column][column]...
+  std::vector<std::vector<int64_t>> run_order(static_cast<size_t>(num_runs));
   std::vector<std::string> run_files(static_cast<size_t>(num_runs));
   for (int64_t r = 0; r < num_runs; ++r) {
     TDP_RETURN_NOT_OK(CheckCancel(ctx));
     const int64_t lo = r * run_rows;
-    const int64_t n = std::min(run_rows, rows - lo);
-    std::vector<int64_t> perm(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i) perm[static_cast<size_t>(i)] = lo + i;
-    std::stable_sort(perm.begin(), perm.end(), row_less);
-
-    Tensor perm_t = Tensor::FromVector(perm, {}, ctx.device);
-    const Chunk run_chunk = input.Select(perm_t);
+    std::vector<int64_t>& order = run_order[static_cast<size_t>(r)];
+    order = SortRows(keys, lo, std::min(run_rows, rows - lo), node.fused_limit);
+    const int64_t n = static_cast<int64_t>(order.size());
+    const Chunk run_chunk =
+        input.Select(Tensor::FromVector(order, {}, ctx.device));
     const ScopedReservation run_reservation(mem,
                                             ChunkFootprintBytes(run_chunk));
 
@@ -166,23 +126,11 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
     run_files[static_cast<size_t>(r)] = path;
     SpillWriter w(path);
     const int64_t pages = (n + page_rows - 1) / page_rows;
-    TDP_RETURN_NOT_OK(w.WriteInt64(n));
     TDP_RETURN_NOT_OK(w.WriteInt64(pages));
-    std::vector<int64_t> page_codes;
     for (int64_t p = 0; p < pages; ++p) {
       const int64_t plo = p * page_rows;
       const int64_t pn = std::min(page_rows, n - plo);
       TDP_RETURN_NOT_OK(w.WriteInt64(pn));
-      page_codes.resize(static_cast<size_t>(num_keys) *
-                        static_cast<size_t>(pn));
-      for (size_t k = 0; k < num_keys; ++k) {
-        for (int64_t i = 0; i < pn; ++i) {
-          page_codes[k * static_cast<size_t>(pn) + static_cast<size_t>(i)] =
-              codes[k][static_cast<size_t>(perm[static_cast<size_t>(plo + i)])];
-        }
-      }
-      TDP_RETURN_NOT_OK(w.WriteInt64Span(page_codes.data(),
-                                         page_codes.size()));
       const Chunk page = run_chunk.SliceRows(plo, pn);
       TDP_RETURN_NOT_OK(
           w.WriteInt64(static_cast<int64_t>(page.columns.size())));
@@ -194,79 +142,35 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
     mem->AddSpilledBytes(w.bytes_written());
   }
 
-  // Phase 2: codes-only k-way merge. Each pop appends its run to the
-  // merge sequence; ties pick the lower run (= smaller original indices,
-  // since runs partition rows in order). The per-run output-position
-  // lists are the only whole-relation state this phase keeps (~8
-  // bytes/row, small next to the materialized output the kernel must
-  // return regardless).
-  struct RunCursor {
-    SpillReader reader;
-    int64_t rows_left = 0;
-    int64_t pages_left = 0;
-    int64_t page_rows = 0;   // rows in the loaded page
-    int64_t page_pos = 0;    // cursor within the loaded page
-    std::vector<int64_t> page_codes;  // [key][row] flattened
-    explicit RunCursor(const std::string& path) : reader(path) {}
+  // Phase 2: k-way merge of the runs' heads by the same order. Each pop
+  // records the output position of its run's next row; the per-run
+  // position lists are the only other whole-relation state this phase
+  // keeps (~8 bytes/row, small next to the materialized output the kernel
+  // must return regardless).
+  std::vector<size_t> head(static_cast<size_t>(num_runs), 0);
+  const auto head_row = [&](int64_t r) {
+    const size_t ur = static_cast<size_t>(r);
+    return run_order[ur][head[ur]];
   };
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(static_cast<size_t>(num_runs));
-  const auto load_page = [&](RunCursor& rc) -> Status {
-    TDP_ASSIGN_OR_RETURN(rc.page_rows, rc.reader.ReadInt64());
-    rc.page_codes.resize(static_cast<size_t>(num_keys) *
-                         static_cast<size_t>(rc.page_rows));
-    TDP_RETURN_NOT_OK(rc.reader.ReadInt64Span(rc.page_codes.data(),
-                                              rc.page_codes.size()));
-    TDP_ASSIGN_OR_RETURN(int64_t cols, rc.reader.ReadInt64());
-    for (int64_t c = 0; c < cols; ++c) {
-      TDP_RETURN_NOT_OK(rc.reader.SkipColumn());
-    }
-    rc.page_pos = 0;
-    --rc.pages_left;
-    return Status::OK();
-  };
-  for (int64_t r = 0; r < num_runs; ++r) {
-    auto rc = std::make_unique<RunCursor>(run_files[static_cast<size_t>(r)]);
-    TDP_ASSIGN_OR_RETURN(rc->rows_left, rc->reader.ReadInt64());
-    TDP_ASSIGN_OR_RETURN(rc->pages_left, rc->reader.ReadInt64());
-    if (rc->rows_left > 0) TDP_RETURN_NOT_OK(load_page(*rc));
-    cursors.push_back(std::move(rc));
-  }
-  const auto head_code = [&](int64_t r, size_t k) {
-    const RunCursor& rc = *cursors[static_cast<size_t>(r)];
-    return rc.page_codes[k * static_cast<size_t>(rc.page_rows) +
-                         static_cast<size_t>(rc.page_pos)];
-  };
-  // priority_queue comparator: true when `a` merges AFTER `b`.
+  // priority_queue comparator: true when `a`'s head merges AFTER `b`'s.
   const auto merge_after = [&](int64_t a, int64_t b) {
-    for (size_t k = 0; k < num_keys; ++k) {
-      const int c = CompareKeyCodes(head_code(a, k), head_code(b, k),
-                                    descending[k] != 0, float_key[k] != 0);
-      if (c != 0) return c > 0;
-    }
-    return a > b;  // tie: lower run index first (earlier original rows)
+    return SortsBefore(keys, head_row(b), head_row(a));
   };
   std::priority_queue<int64_t, std::vector<int64_t>, decltype(merge_after)>
       heap(merge_after);
   for (int64_t r = 0; r < num_runs; ++r) {
-    if (cursors[static_cast<size_t>(r)]->rows_left > 0) heap.push(r);
+    if (!run_order[static_cast<size_t>(r)].empty()) heap.push(r);
   }
   const int64_t out_rows =
       node.fused_limit >= 0 ? std::min(node.fused_limit, rows) : rows;
   std::vector<std::vector<int64_t>> out_pos(static_cast<size_t>(num_runs));
-  int64_t emitted = 0;
-  while (emitted < out_rows) {
+  for (int64_t emitted = 0; emitted < out_rows; ++emitted) {
     TDP_CHECK(!heap.empty());
     const int64_t r = heap.top();
     heap.pop();
-    RunCursor& rc = *cursors[static_cast<size_t>(r)];
-    out_pos[static_cast<size_t>(r)].push_back(emitted++);
-    ++rc.page_pos;
-    --rc.rows_left;
-    if (rc.rows_left > 0) {
-      if (rc.page_pos == rc.page_rows) TDP_RETURN_NOT_OK(load_page(rc));
-      heap.push(r);
-    }
+    const size_t ur = static_cast<size_t>(r);
+    out_pos[ur].push_back(emitted);
+    if (++head[ur] < run_order[ur].size()) heap.push(r);
   }
 
   // Phase 3: per-column assembly — one pass over each run's pages per
@@ -282,15 +186,11 @@ StatusOr<Chunk> ExternalSortChunk(const SortNode& node, const Chunk& input,
     for (int64_t r = 0; r < num_runs; ++r) {
       const std::vector<int64_t>& positions = out_pos[static_cast<size_t>(r)];
       SpillReader reader(run_files[static_cast<size_t>(r)]);
-      TDP_ASSIGN_OR_RETURN(int64_t run_total, reader.ReadInt64());
       TDP_ASSIGN_OR_RETURN(int64_t pages, reader.ReadInt64());
-      (void)run_total;
       int64_t consumed = 0;
       for (int64_t p = 0; p < pages; ++p) {
         if (consumed >= static_cast<int64_t>(positions.size())) break;
         TDP_ASSIGN_OR_RETURN(int64_t pn, reader.ReadInt64());
-        TDP_RETURN_NOT_OK(reader.Skip(
-            static_cast<int64_t>(num_keys) * pn * 8));
         TDP_ASSIGN_OR_RETURN(int64_t cols, reader.ReadInt64());
         TDP_CHECK(static_cast<int64_t>(j) < cols);
         for (size_t c = 0; c < j; ++c) {
@@ -524,26 +424,8 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   TDP_CHECK(mem != nullptr);
   const int64_t rows = inputs.rows;
   const size_t num_key_cols = inputs.key_columns.size();
-  constexpr int64_t kAggBlock = 4096;  // == the in-memory kernel's block
   const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
 
-  // Mirror the in-memory kernel's per-def argument checks up front (same
-  // first error, same message) so the spill path never writes pages for a
-  // query that would have failed in memory.
-  for (size_t d = 0; d < node.aggregates.size(); ++d) {
-    const AggDef& def = node.aggregates[d];
-    if (!def.arg) continue;
-    const Column& arg_col = inputs.arg_columns[d];
-    if (arg_col.encoding() == Encoding::kDictionary &&
-        def.kind != AggKind::kCount) {
-      return Status::TypeError("cannot " +
-                               std::string(plan::AggKindName(def.kind)) +
-                               " a string column");
-    }
-    if (arg_col.DecodeValues().dim() != 1) {
-      return Status::TypeError("aggregate argument must be a scalar column");
-    }
-  }
   // Which defs carry an argument blob / a distinct-codes blob per page.
   std::vector<int64_t> arg_blob(node.aggregates.size(), -1);
   std::vector<int64_t> distinct_blob(node.aggregates.size(), -1);
@@ -623,57 +505,30 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
   TDP_RETURN_NOT_OK(w.Close());
   mem->AddSpilledBytes(w.bytes_written());
 
-  // Renumber groups in sorted key order and recover representatives —
-  // the same renumbering the in-memory kernel applies.
+  // Renumber groups in sorted key order; the group key columns are the
+  // in-memory kernel's, from the same ranks and first rows.
   const std::vector<int64_t> rank = groups.SortedRanks();
   const int64_t num_groups = node.group_exprs.empty() ? 1 : groups.size();
-  std::vector<int64_t> representative(static_cast<size_t>(groups.size()));
-  for (int64_t id = 0; id < groups.size(); ++id) {
-    representative[static_cast<size_t>(rank[static_cast<size_t>(id)])] =
-        first_rows[static_cast<size_t>(id)];
-  }
-
-  Chunk out;
-
-  // Group key output columns: representative rows of the (resident) key
-  // columns — verbatim the in-memory code, shared dictionaries included.
-  if (!node.group_exprs.empty()) {
-    const Tensor rep = Tensor::FromVector(representative, {}, ctx.device);
-    for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
-      Column key_col = inputs.key_columns[k];
-      if (key_col.encoding() == Encoding::kProbability) {
-        key_col = Column::Plain(key_col.DecodeValues());
-      }
-      out.names.push_back(node.group_names[k]);
-      out.columns.push_back(key_col.Select(rep));
-    }
-  }
+  Chunk out = GroupKeyColumns(node, inputs, rank, first_rows, ctx.device);
 
   // Pass B, once per aggregate: re-stream the pages, resolving each row's
-  // group through the finished key table and accumulating with the in-memory
-  // kernel's exact arithmetic. When that kernel would have parallelized
-  // (num_blocks > 1, merge cheaper than the rows), per-block partials are
-  // folded in block order — pages ARE blocks (both 4096-row, both
-  // row-aligned) — reproducing its floating-point tree op for op;
-  // otherwise rows accumulate sequentially across pages, which IS the
-  // serial tree.
+  // group through the finished key table, and accumulate through the
+  // in-memory kernel's accumulator. Pages ARE its blocks (both
+  // `kAggBlock` rows, both row-aligned), so when `AggFoldsBlocks` holds,
+  // folding each page's partials as the page arrives is that kernel's
+  // block-order fold; otherwise rows accumulate straight across the pages,
+  // which IS its serial loop.
   for (size_t def_index = 0; def_index < node.aggregates.size();
        ++def_index) {
     const AggDef& def = node.aggregates[def_index];
-    std::vector<double> acc(static_cast<size_t>(num_groups), 0.0);
-    std::vector<int64_t> counts(static_cast<size_t>(num_groups), 0);
-    std::vector<unsigned char> has_flags(static_cast<size_t>(num_groups), 0);
+    const bool folds_blocks = AggFoldsBlocks(def, rows, num_groups);
+    AggAccumulators total(num_groups), block(0);
     KeyTable distinct_seen(2);  // (group, value) pairs, as in memory
-    const bool parallel_ok =
-        !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
 
     SpillReader reader(path);
     std::vector<int64_t> page_codes;
     std::vector<double> page_args;
     std::vector<int64_t> page_distinct;
-    std::vector<double> blk_acc;
-    std::vector<int64_t> blk_counts;
-    std::vector<unsigned char> blk_has;
     std::vector<int64_t> row_gid;
     for (int64_t b = 0; b < num_blocks; ++b) {
       TDP_RETURN_NOT_OK(CheckCancel(ctx));
@@ -720,78 +575,21 @@ StatusOr<Chunk> SpilledFinalizeAggregate(const AggregateNode& node,
       }
 
       const KeyColumns distinct_cols = {row_gid.data(), page_distinct.data()};
-      const auto accumulate_rows = [&](double* block_acc,
-                                       int64_t* block_counts,
-                                       unsigned char* block_has) {
-        for (int64_t i = 0; i < pn; ++i) {
-          const size_t g =
-              static_cast<size_t>(row_gid[static_cast<size_t>(i)]);
-          if (def.distinct && def.arg) {
-            bool inserted = false;
-            distinct_seen.Insert(distinct_cols, i, &inserted);
-            if (!inserted) continue;
-          }
-          const double v =
-              def.arg ? page_args[static_cast<size_t>(i)] : 0.0;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              block_acc[g] += v;
-              break;
-            case AggKind::kMin:
-              block_acc[g] = block_has[g] ? std::min(block_acc[g], v) : v;
-              break;
-            case AggKind::kMax:
-              block_acc[g] = block_has[g] ? std::max(block_acc[g], v) : v;
-              break;
-          }
-          block_has[g] = 1;
-          ++block_counts[g];
-        }
-      };
-
-      if (parallel_ok) {
-        blk_acc.assign(static_cast<size_t>(num_groups), 0.0);
-        blk_counts.assign(static_cast<size_t>(num_groups), 0);
-        blk_has.assign(static_cast<size_t>(num_groups), 0);
-        accumulate_rows(blk_acc.data(), blk_counts.data(), blk_has.data());
-        // Fold this block's partials immediately — blocks arrive in block
-        // order, so the fold sequence equals the in-memory merge loop.
-        for (int64_t g = 0; g < num_groups; ++g) {
-          const size_t ug = static_cast<size_t>(g);
-          if (!blk_has[ug]) continue;
-          switch (def.kind) {
-            case AggKind::kCountStar:
-            case AggKind::kCount:
-              break;
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              acc[ug] += blk_acc[ug];
-              break;
-            case AggKind::kMin:
-              acc[ug] =
-                  has_flags[ug] ? std::min(acc[ug], blk_acc[ug]) : blk_acc[ug];
-              break;
-            case AggKind::kMax:
-              acc[ug] =
-                  has_flags[ug] ? std::max(acc[ug], blk_acc[ug]) : blk_acc[ug];
-              break;
-          }
-          has_flags[ug] = 1;
-          counts[ug] += blk_counts[ug];
-        }
+      if (folds_blocks) {
+        block.Reset(num_groups);
+        AccumulateAggRows(def, 0, pn, row_gid.data(), page_args.data(),
+                          distinct_cols, distinct_seen, block, 0);
+        FoldAggBlock(def.kind, num_groups, block, 0, total);
       } else {
-        accumulate_rows(acc.data(), counts.data(), has_flags.data());
+        AccumulateAggRows(def, 0, pn, row_gid.data(), page_args.data(),
+                          distinct_cols, distinct_seen, total, 0);
       }
     }
 
     out.names.push_back(def.name);
     out.columns.push_back(AggregateOutputColumn(
-        def.kind, node.schema[node.group_exprs.size() + def_index].dtype, acc,
-        counts, ctx.device));
+        def.kind, node.schema[node.group_exprs.size() + def_index].dtype,
+        total.acc, total.counts, ctx.device));
   }
   return out;
 }

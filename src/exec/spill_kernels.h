@@ -22,39 +22,20 @@ namespace exec {
 // `ExecuteSort` / `BuildJoinHashTable` / `FinalizeAggregate` dispatch here
 // when `ExecContext::memory` reports the in-memory footprint over budget.
 
-// ---- Sort-key comparison ----------------------------------------------------
-//
-// Spill paths compare keys through the row-local order-preserving codes of
-// key_table.h (`OrderPreservingCodes`): codes computed per run or per page
-// are globally consistent, so a page-wise sort, merge or group discovery
-// sees exactly the key order and equivalences of the in-memory kernel.
-
-/// Three-way comparison of two codes of one sort key: <0, 0, >0. NaN
-/// orders last under BOTH directions (ArgSort's comparator contract).
-inline int CompareKeyCodes(int64_t a, int64_t b, bool descending,
-                           bool is_float) {
-  if (a == b) return 0;
-  if (is_float) {
-    const bool a_nan = a == kNanOrderCode;
-    const bool b_nan = b == kNanOrderCode;
-    if (a_nan != b_nan) return a_nan ? 1 : -1;
-  }
-  if (descending) return a < b ? 1 : -1;
-  return a < b ? -1 : 1;
-}
-
 // ---- External merge sort ----------------------------------------------------
 
-/// Out-of-budget ORDER BY: splits the input into row-order runs sized to
-/// the budget, stable-sorts each run and spills it (sorted key codes +
-/// exact column pages), then k-way merges the runs — ties broken by run
-/// order, i.e. by original row index, reproducing the exact permutation of
-/// the in-memory composition of stable sorts. Output columns are assembled
-/// one at a time by scattering spilled pages into place, so peak scratch
-/// is one output column + one page instead of keys+permutation+copy of the
-/// whole relation. Honors `fused_limit` by truncating the merge.
+/// Out-of-budget ORDER BY over `keys` (the sort's evaluated `SortKeys`,
+/// one code per input row): splits the input into row-order runs sized to
+/// the budget, orders each run with `SortRows` (cut to the fused limit)
+/// and spills its payload in pages, then k-way merges the runs by the same
+/// order — keys, then row index — reproducing the in-memory permutation
+/// exactly. The key codes and run orders stay resident; output columns
+/// are assembled one at a time by scattering spilled pages into place, so
+/// the payload scratch is one output column + one page instead of a copy
+/// of the whole relation. Honors `fused_limit` by truncating the merge.
 StatusOr<Chunk> ExternalSortChunk(const plan::SortNode& node,
-                                  const Chunk& input, const ExecContext& ctx);
+                                  const SortKeys& keys, const Chunk& input,
+                                  const ExecContext& ctx);
 
 // ---- Grace hash join (spilled build payload) --------------------------------
 
@@ -91,16 +72,16 @@ StatusOr<Chunk> ProbeSpilledJoin(const plan::JoinNode& node,
 
 // ---- Paged two-pass aggregation ---------------------------------------------
 
-/// Out-of-budget GROUP BY: spills the evaluated key/argument columns in
-/// 4096-row pages (aligned with the in-memory kernel's accumulation
-/// blocks), discovers groups in a first streaming pass (a `KeyTable` over
-/// the row-local order codes: the same first-occurrence ids, first rows
-/// and code-order renumbering as the in-memory kernel), then re-streams
-/// the pages accumulating each aggregate — folding block partials in block
-/// order exactly when the in-memory kernel would have parallelized, and
-/// sequentially otherwise — so the floating-point reduction tree is
-/// reproduced operation for operation. Never materializes the whole-
-/// relation code/argument/group arrays.
+/// Out-of-budget GROUP BY, reached from `FinalizeAggregate` once it has
+/// checked the arguments: spills the evaluated key/argument columns in
+/// `kAggBlock`-row pages (the in-memory kernel's accumulation blocks),
+/// discovers groups in a first streaming pass (a `KeyTable` over the
+/// row-local order codes: the same first-occurrence ids, first rows and
+/// code-order renumbering as the in-memory kernel), then re-streams the
+/// pages through the in-memory kernel's accumulator
+/// (`AccumulateAggRows`, `FoldAggBlock`), so the floating-point reduction
+/// tree is reproduced operation for operation. Never materializes the
+/// whole-relation code/argument/group arrays.
 StatusOr<Chunk> SpilledFinalizeAggregate(const plan::AggregateNode& node,
                                          const AggInputs& inputs,
                                          const ExecContext& ctx);

@@ -123,7 +123,7 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   }
 
   // Row-major operands via the format tag: dense inputs pass through,
-  // strided views hit the cached reorder. The bias is read in place (no
+  // strided views are copied. The bias is read in place (no
   // per-call ToVector copy — it used to be re-materialized every forward).
   const Tensor ic = input.RowMajor();
   const Tensor wc = weight.RowMajor();

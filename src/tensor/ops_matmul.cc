@@ -95,8 +95,7 @@ Tensor MatMulEval(const Tensor& a, const Tensor& b) {
   }
 
   // Request row-major operands through the format tag: already-dense views
-  // pass through untouched, strided views hit the impl's cached reorder
-  // (built once, reused by every later call over the same view).
+  // pass through untouched, strided views are copied.
   const Tensor ac = a.RowMajor();
   const Tensor bc = b.RowMajor();
   TDP_DISPATCH_FLOAT(a.dtype(), {

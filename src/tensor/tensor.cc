@@ -1,7 +1,6 @@
 #include "src/tensor/tensor.h"
 
 #include <cstring>
-#include <mutex>
 #include <sstream>
 
 #include "src/tensor/dispatch.h"
@@ -217,17 +216,7 @@ Tensor Tensor::Contiguous() const {
 
 Tensor Tensor::RowMajor() const {
   if (format() == MemFormat::kRowMajor) return *this;
-  // Reorders are expensive relative to a lock, and only strided views
-  // reach here; one global mutex keeps concurrent first-reorders of a
-  // shared impl (e.g. two queries hitting the same weight view) race-free.
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lock(mu);
-  if (!impl_->reorder) {
-    Tensor out = Empty(shape(), dtype(), device());
-    StridedCopy(*impl_, *out.impl());
-    impl_->reorder = out.impl();
-  }
-  return Tensor(impl_->reorder);
+  return Clone();
 }
 
 Tensor Tensor::Clone() const {

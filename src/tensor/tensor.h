@@ -22,9 +22,8 @@ class Tensor;
 
 /// Memory-format tag carried by every tensor: how the viewed elements are
 /// laid out relative to the logical (row-major) element order. Ops that
-/// want a dense scan request `kRowMajor` via `Tensor::RowMajor()` and a
-/// cached reorder fixes mismatches — instead of every kernel call paying
-/// an ad-hoc `Contiguous()` copy.
+/// want a dense scan request `kRowMajor` via `Tensor::RowMajor()`, which
+/// copies only strided views.
 enum class MemFormat : uint8_t {
   /// Dense C-order strides: linear pointer walks visit elements in
   /// logical order. (The view may still start at a nonzero offset.)
@@ -57,13 +56,6 @@ struct TensorImpl {
   /// are race-free.
   mutable std::atomic<MemFormat> format{MemFormat::kUnknown};
 
-  /// Lazily built row-major copy of a strided view, shared across handle
-  /// copies so repeated kernel calls pay the reorder once (see
-  /// `Tensor::RowMajor()`). Only ever set on `kStrided` impls whose
-  /// backing storage is immutable for the cache's lifetime — true for the
-  /// kernel inputs (columns, weights) that request reorders.
-  std::shared_ptr<TensorImpl> reorder;
-
   TensorImpl() = default;
   TensorImpl(const TensorImpl& other)
       : buffer(other.buffer),
@@ -75,8 +67,7 @@ struct TensorImpl {
         requires_grad(other.requires_grad),
         grad(other.grad),
         grad_fn(other.grad_fn),
-        format(other.format.load(std::memory_order_relaxed)),
-        reorder(other.reorder) {}
+        format(other.format.load(std::memory_order_relaxed)) {}
 };
 
 /// Computes the row-major (C-order) strides for `shape`.
@@ -188,14 +179,11 @@ class Tensor {
 
   /// Same-contents tensor with contiguous layout (no-op if already).
   Tensor Contiguous() const;
-  /// The tensor in `kRowMajor` format: `*this` when already row-major,
-  /// otherwise a detached, cached reorder (built once per impl, shared by
-  /// every handle). Kernels use this instead of per-call `Contiguous()`
-  /// so repeated runs over the same strided view reorder once. The cache
-  /// snapshots the data — only valid for storage that is not mutated in
-  /// place afterwards. The in-place writers uphold this: tables are
-  /// immutable, and optimizer steps only touch contiguous parameters
-  /// (enforced in `Optimizer`), which never cache a reorder.
+  /// The tensor in `kRowMajor` format: `*this` when already row-major
+  /// (a window into a larger buffer included, unlike `Contiguous()`),
+  /// otherwise a fresh, detached row-major copy of the view. The copy is
+  /// taken on every call, so it always reflects the storage's current
+  /// contents, in-place optimizer steps included.
   Tensor RowMajor() const;
   /// Deep copy, contiguous; drops autograd history.
   Tensor Clone() const;

@@ -586,6 +586,57 @@ TEST_F(IvfIndexSqlTest, SecondarySortKeysRideTheIndexAsTiebreaks) {
   testutil::ExpectTablesBitIdentical(**expected, **got, "tiebreak");
 }
 
+TEST(IvfIndexBoolTiebreakTest, BoolTiebreakRanksLikeThePlanWithoutIndex) {
+  // Every embedding appears twice, flagged false then true, so the bool
+  // tiebreak decides between equal similarities.
+  Rng rng(31);
+  constexpr int64_t kDistinct = 60;
+  const Tensor emb = MakeClusteredUnitVectors(kDistinct, 8, 4, rng);
+  std::vector<int64_t> ids, twice;
+  std::vector<bool> flags;
+  for (int64_t i = 0; i < 2 * kDistinct; ++i) {
+    ids.push_back(i);
+    twice.push_back(i % kDistinct);
+    flags.push_back(i >= kDistinct);
+  }
+  const auto make_table = [&] {
+    auto table = TableBuilder("flagged")
+                     .AddInt64("id", ids)
+                     .AddBool("flag", flags)
+                     .AddTensor("emb", IndexSelect(emb, 0,
+                                                   Tensor::FromVector(twice)))
+                     .Build();
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    return table.value();
+  };
+  Session plain, indexed;
+  ASSERT_TRUE(plain.RegisterTable("flagged", make_table()).ok());
+  ASSERT_TRUE(indexed.RegisterTable("flagged", make_table()).ok());
+  index::IvfIndex::Options options;
+  options.num_lists = 4;
+  ASSERT_TRUE(indexed.CreateVectorIndex("flagged", "emb", options).ok());
+
+  const char* sql =
+      "SELECT id, flag, dot(emb, ?) AS sim FROM flagged "
+      "ORDER BY sim DESC, flag DESC LIMIT 5";
+  auto plan = indexed.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("IndexTopK"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("tiebreak=1"), std::string::npos) << *plan;
+
+  const exec::RunOptions run =
+      WithParams({ScalarValue::FromTensor(MakeQuery(8, 77))});
+  auto expected = plain.Sql(sql, {}, run);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto got = indexed.Sql(sql, {}, run);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  testutil::ExpectTablesBitIdentical(**expected, **got, "bool tiebreak");
+  // The best pair comes first, its true-flagged copy ahead.
+  const std::vector<int64_t> top = (*got)->column(0).data().ToVector<int64_t>();
+  ASSERT_EQ(top.size(), 5u);
+  EXPECT_EQ(top[0], top[1] + kDistinct);
+}
+
 // ---- IvfIndex edge-case regressions (the API the SQL path leans on) --------
 
 TEST(IvfIndexEdgeTest, SearchEdgeCasesReturnCleanStatus) {

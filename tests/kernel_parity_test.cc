@@ -6,10 +6,10 @@
 //     IEEE 754) into 0. Both backends must now classify every output
 //     element (NaN / inf / finite) exactly like a naive double-precision
 //     reference.
-//   - Strided/transposed views: the cached row-major reorder behind
-//     `Tensor::RowMajor()` must make kernels over views bit-identical to
-//     the same kernels over eager contiguous copies, per backend, across
-//     thread counts.
+//   - Strided/transposed views: `Tensor::RowMajor()` must make kernels
+//     over views bit-identical to the same kernels over eager contiguous
+//     copies, per backend, across thread counts — also after the viewed
+//     storage was updated in place by an optimizer step.
 //   - Fused filter+project: with the fusion knob on vs off, every
 //     (thread count, morsel size) combination must be bit-identical to
 //     the unfused one-morsel run — including the runtime-fallback cases
@@ -39,6 +39,7 @@
 #include "src/exec/bound_expr.h"
 #include "src/exec/fused_filter_project.h"
 #include "src/exec/primitive_cache.h"
+#include "src/nn/optim.h"
 #include "src/runtime/session.h"
 #include "src/tensor/buffer.h"
 #include "src/tensor/ops.h"
@@ -185,7 +186,7 @@ TEST(KernelNonFiniteTest, Conv2dPropagatesZeroTimesInf) {
 
 // Kernels over views must be bit-identical to the same kernels over eager
 // contiguous copies of those views, per backend, for serial and parallel
-// thread counts (the cached reorder must not change results, only cost).
+// thread counts.
 class ViewParityTest : public ::testing::Test {
  protected:
   static void ExpectBitwise(const Tensor& a, const Tensor& b) {
@@ -250,6 +251,30 @@ TEST_F(ViewParityTest, Conv2dOnStridedViews) {
   }
 }
 
+TEST_F(ViewParityTest, ViewHeldAcrossAnOptimizerStepSeesTheStep) {
+  // nn::SGD writes its parameter in place; a transposed view taken before
+  // the step must read the stepped values, not a copy of the old ones.
+  for (Device device : kDevices) {
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    Tensor w = Tensor::Full({2, 3}, 2.0, DType::kFloat32, device);
+    w.set_requires_grad(true);
+    const Tensor wt = Transpose(w, 0, 1);
+    const Tensor x = Tensor::Ones({1, 3}, DType::kFloat32, device);
+    const Tensor before = MatMul(x, wt);
+    EXPECT_EQ(before.At({0, 0}), 6.0);
+    EXPECT_EQ(before.At({0, 1}), 6.0);
+
+    Sum(w).Backward();  // d/dw = 1 everywhere
+    nn::SGD sgd({w}, /*lr=*/1.0);
+    sgd.Step();  // w: 2 -> 1, in place
+
+    const Tensor after = MatMul(x, wt);
+    ExpectBitwise(after, MatMul(x, wt.Contiguous()));
+    EXPECT_EQ(after.At({0, 0}), 3.0);
+    EXPECT_EQ(after.At({0, 1}), 3.0);
+  }
+}
+
 // ---- Warm-path allocation accounting --------------------------------------
 
 TEST(ConvScratchTest, WarmAccelForwardAllocatesOnlyTheOutput) {
@@ -261,7 +286,7 @@ TEST(ConvScratchTest, WarmAccelForwardAllocatesOnlyTheOutput) {
   const Tensor in = RandNormal({2, 3, 16, 16}, 0, 1, rng).To(Device::kAccel);
   const Tensor w = RandNormal({4, 3, 3, 3}, 0, 1, rng).To(Device::kAccel);
   const Tensor b = RandNormal({4}, 0, 1, rng).To(Device::kAccel);
-  // Warm: sizes the arena slot and caches any reorders.
+  // Warm: sizes the arena slot.
   Conv2d(in, w, b, 1, 1);
   Conv2d(in, w, b, 1, 1);
   const int64_t allocs_before = Buffer::allocation_count();

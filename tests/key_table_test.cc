@@ -1,7 +1,9 @@
 // Unit tests for the key table shared by GROUP BY, DISTINCT, COUNT(DISTINCT)
 // and the hash joins (src/exec/key_table.h): id assignment, code-order
 // ranks, growth, hash spread on double bit patterns, join match lists, and
-// the join-code rules (NaN never matches, -0 == +0, int == float).
+// the join-code rules (NaN never matches, -0 == +0, int == float). Also
+// the row order of ORDER BY and top-k (`SortRows`), checked against stable
+// per-key `ArgSort`s.
 //
 // Registered in TDP_SANITIZER_TESTS: the concurrent-probe case is what the
 // TSan job checks for the cached join build side.
@@ -11,12 +13,15 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/exec/chunk.h"
 #include "src/exec/key_table.h"
 #include "src/storage/table.h"
+#include "src/tensor/ops.h"
 
 namespace tdp {
 namespace exec {
@@ -208,6 +213,97 @@ TEST(JoinKeyCodesTest, StringsMatchAcrossDictionaries) {
   EXPECT_EQ(lc->columns[0][2], rc->columns[0][0]);
   EXPECT_NE(lc->columns[0][0], rc->columns[0][1]);
   EXPECT_EQ(lc->never_match, (std::vector<uint8_t>{0, 0, 0}));
+}
+
+// ---- SortRows ---------------------------------------------------------------
+
+// The reference order `SortRows` must reproduce: one stable ArgSort per
+// key, last key first, over the 1-d key values (bool keys cast to int64,
+// which ArgSort does not take), then the first `limit` rows.
+std::vector<int64_t> StableArgSortOracle(const std::vector<Column>& columns,
+                                         const std::vector<bool>& descending,
+                                         int64_t n, int64_t limit) {
+  Tensor perm = Tensor::Arange(n);
+  for (size_t k = columns.size(); k-- > 0;) {
+    Tensor values = columns[k].DecodeValues();
+    if (values.dtype() == DType::kBool) values = values.To(DType::kInt64);
+    const Tensor order = ArgSort(IndexSelect(values, 0, perm), descending[k]);
+    perm = IndexSelect(perm, 0, order);
+  }
+  std::vector<int64_t> rows = perm.ToVector<int64_t>();
+  if (limit >= 0 && limit < n) rows.resize(static_cast<size_t>(limit));
+  return rows;
+}
+
+TEST(SortRowsTest, MatchesStablePerKeyArgSorts) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> float_pool = {nan,  -0.0f, 0.0f, 1.5f,
+                                         -2.0f, 7.0f, -0.0f, 1.5f};
+  const std::vector<std::string> string_pool = {"pear", "apple", "fig", ""};
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int64_t n = rng.UniformInt(1, 300);
+    std::vector<int64_t> ints(static_cast<size_t>(n));
+    std::vector<float> floats(static_cast<size_t>(n));
+    std::vector<std::string> strings(static_cast<size_t>(n));
+    std::vector<bool> bools(static_cast<size_t>(n));
+    for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+      ints[i] = rng.UniformInt(-5, 5);  // dense duplicates
+      floats[i] = rng.Bernoulli(0.5)
+                      ? float_pool[static_cast<size_t>(rng.UniformInt(0, 7))]
+                      : static_cast<float>(rng.Uniform(-3, 3));
+      strings[i] = string_pool[static_cast<size_t>(rng.UniformInt(0, 3))];
+      bools[i] = rng.Bernoulli(0.5);
+    }
+    auto table = TableBuilder("t")
+                     .AddInt64("i", ints)
+                     .AddFloat32("f", floats)
+                     .AddStrings("s", strings)
+                     .AddBool("b", bools)
+                     .Build();
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const Chunk chunk = Chunk::FromTable(*table.value());
+
+    // One to four keys over the four columns, in a random order and with
+    // random directions; repeated columns are allowed.
+    const int64_t num_keys = rng.UniformInt(1, 4);
+    std::vector<Column> columns;
+    std::vector<bool> descending;
+    SortKeys keys;
+    for (int64_t k = 0; k < num_keys; ++k) {
+      const size_t column = static_cast<size_t>(rng.UniformInt(0, 3));
+      columns.push_back(chunk.columns[column]);
+      descending.push_back(rng.Bernoulli(0.5));
+      auto key = MakeSortKey(columns.back(), descending.back());
+      ASSERT_TRUE(key.ok()) << key.status().ToString();
+      keys.push_back(std::move(key).value());
+    }
+    for (int64_t limit : {int64_t{-1}, int64_t{0}, int64_t{1}, int64_t{7}, n,
+                          n + 5}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " limit " +
+                   std::to_string(limit));
+      const std::vector<int64_t> expected =
+          StableArgSortOracle(columns, descending, n, limit);
+      EXPECT_EQ(SortRows(keys, 0, n, limit), expected);
+    }
+    // A sub-range sorts as the full order restricted to its rows (the
+    // external sort's runs).
+    const int64_t lo = rng.UniformInt(0, n - 1);
+    const int64_t count = rng.UniformInt(0, n - lo);
+    std::vector<int64_t> restricted;
+    for (int64_t row : StableArgSortOracle(columns, descending, n, -1)) {
+      if (row >= lo && row < lo + count) restricted.push_back(row);
+    }
+    EXPECT_EQ(SortRows(keys, lo, count, -1), restricted);
+  }
+}
+
+TEST(SortRowsTest, NoKeysKeepRowOrderAndTensorKeysAreTypeErrors) {
+  EXPECT_EQ(SortRows({}, 3, 4, -1), (std::vector<int64_t>{3, 4, 5, 6}));
+  EXPECT_EQ(SortRows({}, 3, 4, 2), (std::vector<int64_t>{3, 4}));
+  auto key = MakeSortKey(Column::Plain(Tensor::Zeros({3, 2})), false);
+  EXPECT_FALSE(key.ok());
+  EXPECT_EQ(key.status().code(), StatusCode::kTypeError);
 }
 
 }  // namespace

@@ -343,6 +343,41 @@ TEST(QueryNanTest, OrderBySortsNanLast) {
   EXPECT_EQ((*desc)->column(0).data().At({2}), 3.0);
   EXPECT_EQ((*desc)->column(0).data().At({3}), 2.0);
   EXPECT_EQ((*desc)->column(0).data().At({4}), 4.0);
+
+  // -0 and +0 tie (rows keep their order), NaNs stay last under DESC and
+  // under a LIMIT that cuts between them.
+  auto z = TableBuilder("z")
+               .AddInt64("id", {1, 2, 3, 4, 5, 6, 7})
+               .AddFloat32("v", {-0.0f, nan, 0.0f, -1.0f, 0.0f, nan, -0.0f})
+               .Build();
+  ASSERT_TRUE(z.ok());
+  ASSERT_TRUE(session.RegisterTable("z", z.value()).ok());
+  const auto ids = [&session](const std::string& sql) {
+    auto r = session.Sql(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (!r.ok()) return std::vector<int64_t>{};
+    return (*r)->column(0).data().ToVector<int64_t>();
+  };
+  using Ids = std::vector<int64_t>;
+  EXPECT_EQ(ids("SELECT id FROM z ORDER BY v"), (Ids{4, 1, 3, 5, 7, 2, 6}));
+  EXPECT_EQ(ids("SELECT id FROM z ORDER BY v DESC"),
+            (Ids{1, 3, 5, 7, 4, 2, 6}));
+  EXPECT_EQ(ids("SELECT id FROM z ORDER BY v LIMIT 2"), (Ids{4, 1}));
+  EXPECT_EQ(ids("SELECT id FROM z ORDER BY v DESC LIMIT 3"), (Ids{1, 3, 5}));
+  EXPECT_EQ(ids("SELECT id FROM z ORDER BY v DESC LIMIT 6"),
+            (Ids{1, 3, 5, 7, 4, 2}));
+  EXPECT_EQ(ids("SELECT id FROM z ORDER BY v DESC, id DESC LIMIT 3"),
+            (Ids{7, 5, 3}));
+  // The tied zeros come back with their own signs.
+  auto signs = session.Sql("SELECT v FROM z ORDER BY v DESC LIMIT 4");
+  ASSERT_TRUE(signs.ok()) << signs.status().ToString();
+  const std::vector<float> zeros =
+      (*signs)->column(0).data().ToVector<float>();
+  ASSERT_EQ(zeros.size(), 4u);
+  EXPECT_TRUE(std::signbit(zeros[0]));
+  EXPECT_FALSE(std::signbit(zeros[1]));
+  EXPECT_FALSE(std::signbit(zeros[2]));
+  EXPECT_TRUE(std::signbit(zeros[3]));
 }
 
 TEST(QueryNanTest, GroupByCollapsesNanKeysIntoOneGroup) {

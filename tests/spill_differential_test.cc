@@ -410,5 +410,24 @@ TEST_P(SpillDifferentialTest, CancellationMidSpillReleasesSpillFiles) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));
 
+// A bool sort key (here a comparison) orders false before true, in memory
+// and through the external sort alike.
+TEST(SpillSortKeyTest, BoolKeySortsTheSameInMemoryAndSpilled) {
+  Session session;
+  auto t = TableBuilder("t").AddInt64("k", {3, 1, 4, 1, 5, 9, 2, 6}).Build();
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_TRUE(session.RegisterTable("t", t.value()).ok());
+  const std::string sql = "SELECT k FROM t ORDER BY k > 2, k DESC";
+  auto in_memory = session.Sql(sql);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  EXPECT_EQ((*in_memory)->column(0).data().ToVector<int64_t>(),
+            (std::vector<int64_t>{2, 1, 1, 9, 6, 5, 4, 3}));
+  RunOptions run;
+  run.memory_budget_bytes = 1;
+  auto spilled = session.Sql(sql, {}, run);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  ExpectTablesByteIdentical(*in_memory.value(), *spilled.value(), sql);
+}
+
 }  // namespace
 }  // namespace tdp

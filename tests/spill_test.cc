@@ -239,8 +239,8 @@ TEST(OrderCodeTest, DoubleOrderCodeIsMonotone) {
 }
 
 TEST(OrderCodeTest, NegativeZeroTiesPositiveZero) {
-  // The in-memory ArgSort comparator cannot distinguish -0 from +0, so the
-  // spill codes must tie them too or sort stability would diverge.
+  // -0 and +0 are equal values: they share a code, so sorts keep their
+  // rows in row order and GROUP BY puts them in one group.
   EXPECT_EQ(DoubleOrderCode(-0.0), DoubleOrderCode(0.0));
 }
 
@@ -256,8 +256,7 @@ TEST(OrderCodeTest, CompareKeyCodesNanLastBothDirections) {
   EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/false,
                             /*is_float=*/true),
             0);
-  // Descending: 1.0 STILL before NaN (NaN is last in both directions,
-  // matching the in-memory comparator).
+  // Descending: 1.0 STILL before NaN (NaN is last in both directions).
   EXPECT_LT(CompareKeyCodes(one, kNanOrderCode, /*descending=*/true,
                             /*is_float=*/true),
             0);
