@@ -128,9 +128,9 @@ void BM_GroupByQueryThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupByQueryThreads)->Arg(1)->Arg(2)->Arg(4);
 
-// The streaming executor on a filter-heavy query: scan, fused
-// filter+project and assembly, with no intermediate relation
-// materialized between them.
+// The streaming executor on a filter-heavy query: scan, filter, project
+// and assembly per morsel, with no intermediate relation materialized
+// between them.
 void BM_ExecutorFilterProject(benchmark::State& state) {
   QueryBench bench(1 << 17);
   QueryOptions options;

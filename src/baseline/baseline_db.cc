@@ -57,10 +57,11 @@ bool ValueEquals(const Value& a, const Value& b) {
 }
 
 bool ValueLess(const Value& a, const Value& b) {
-  if (std::holds_alternative<std::string>(a) &&
-      std::holds_alternative<std::string>(b)) {
-    return std::get<std::string>(a) < std::get<std::string>(b);
-  }
+  const bool a_string = std::holds_alternative<std::string>(a);
+  const bool b_string = std::holds_alternative<std::string>(b);
+  // Numbers order before strings, so a mixed column still sorts.
+  if (a_string != b_string) return b_string;
+  if (a_string) return std::get<std::string>(a) < std::get<std::string>(b);
   return AsDouble(a) < AsDouble(b);
 }
 
@@ -78,6 +79,84 @@ std::string ValueToString(const Value& v) {
 }
 
 namespace {
+
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
+         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+/// `lhs op rhs`. AND/OR take bools, and strings only compare with
+/// strings. Two integers add, subtract and multiply exactly; everything
+/// else computes in doubles.
+StatusOr<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
+  if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
+    if (!std::holds_alternative<bool>(lhs) ||
+        !std::holds_alternative<bool>(rhs)) {
+      return Status::TypeError("AND/OR need boolean operands");
+    }
+    return Value(op == BinaryOp::kAnd
+                     ? std::get<bool>(lhs) && std::get<bool>(rhs)
+                     : std::get<bool>(lhs) || std::get<bool>(rhs));
+  }
+  const bool both_strings = !IsNumeric(lhs) && !IsNumeric(rhs);
+  if ((!IsNumeric(lhs) || !IsNumeric(rhs)) &&
+      !(both_strings && IsComparison(op))) {
+    return Status::TypeError("a string cannot be used as a number");
+  }
+  switch (op) {
+    case BinaryOp::kEq:
+      return Value(ValueEquals(lhs, rhs));
+    case BinaryOp::kNe:
+      return Value(!ValueEquals(lhs, rhs));
+    case BinaryOp::kLt:
+      return Value(ValueLess(lhs, rhs));
+    case BinaryOp::kGe:
+      return Value(!ValueLess(lhs, rhs));
+    case BinaryOp::kGt:
+      return Value(ValueLess(rhs, lhs));
+    case BinaryOp::kLe:
+      return Value(!ValueLess(rhs, lhs));
+    default:
+      break;
+  }
+  const bool both_int = std::holds_alternative<int64_t>(lhs) &&
+                        std::holds_alternative<int64_t>(rhs);
+  const double x = AsDouble(lhs), y = AsDouble(rhs);
+  switch (op) {
+    case BinaryOp::kAdd:
+      return both_int ? Value(std::get<int64_t>(lhs) + std::get<int64_t>(rhs))
+                      : Value(x + y);
+    case BinaryOp::kSub:
+      return both_int ? Value(std::get<int64_t>(lhs) - std::get<int64_t>(rhs))
+                      : Value(x - y);
+    case BinaryOp::kMul:
+      return both_int ? Value(std::get<int64_t>(lhs) * std::get<int64_t>(rhs))
+                      : Value(x * y);
+    case BinaryOp::kDiv:
+      if (y == 0) return Status::ExecutionError("division by zero");
+      return Value(x / y);
+    case BinaryOp::kMod: {
+      const int64_t yi = static_cast<int64_t>(y);
+      if (yi == 0) return Status::ExecutionError("modulo by zero");
+      return Value(static_cast<int64_t>(x) % yi);
+    }
+    default:
+      return Status::Internal("bad binary op");
+  }
+}
+
+/// `op v`: NOT takes a bool, and strings are never negated.
+StatusOr<Value> ApplyUnary(UnaryOp op, const Value& v) {
+  if (op == UnaryOp::kNot) {
+    if (!std::holds_alternative<bool>(v)) {
+      return Status::TypeError("NOT needs a boolean operand");
+    }
+    return Value(!std::get<bool>(v));
+  }
+  if (!IsNumeric(v)) return Status::TypeError("cannot negate a string");
+  if (std::holds_alternative<int64_t>(v)) return Value(-std::get<int64_t>(v));
+  return Value(-AsDouble(v));
+}
 
 // Row scope during evaluation: column name -> value index, with optional
 // table qualifiers.
@@ -225,59 +304,12 @@ StatusOr<Value> Executor::Eval(const Expr& e, const RowScope& scope,
       const auto& b = static_cast<const BinaryExpr&>(e);
       TDP_ASSIGN_OR_RETURN(Value lhs, Eval(*b.left, scope, row));
       TDP_ASSIGN_OR_RETURN(Value rhs, Eval(*b.right, scope, row));
-      switch (b.op) {
-        case BinaryOp::kAnd:
-          return Value(std::get<bool>(lhs) && std::get<bool>(rhs));
-        case BinaryOp::kOr:
-          return Value(std::get<bool>(lhs) || std::get<bool>(rhs));
-        case BinaryOp::kEq:
-          return Value(ValueEquals(lhs, rhs));
-        case BinaryOp::kNe:
-          return Value(!ValueEquals(lhs, rhs));
-        case BinaryOp::kLt:
-          return Value(ValueLess(lhs, rhs));
-        case BinaryOp::kGe:
-          return Value(!ValueLess(lhs, rhs));
-        case BinaryOp::kGt:
-          return Value(ValueLess(rhs, lhs));
-        case BinaryOp::kLe:
-          return Value(!ValueLess(rhs, lhs));
-        default:
-          break;
-      }
-      if (!IsNumeric(lhs) || !IsNumeric(rhs)) {
-        return Status::TypeError("arithmetic on strings");
-      }
-      const bool both_int = std::holds_alternative<int64_t>(lhs) &&
-                            std::holds_alternative<int64_t>(rhs);
-      const double x = AsDouble(lhs), y = AsDouble(rhs);
-      switch (b.op) {
-        case BinaryOp::kAdd:
-          return both_int ? Value(static_cast<int64_t>(x + y)) : Value(x + y);
-        case BinaryOp::kSub:
-          return both_int ? Value(static_cast<int64_t>(x - y)) : Value(x - y);
-        case BinaryOp::kMul:
-          return both_int ? Value(static_cast<int64_t>(x * y)) : Value(x * y);
-        case BinaryOp::kDiv:
-          if (y == 0) return Status::ExecutionError("division by zero");
-          return Value(x / y);
-        case BinaryOp::kMod: {
-          const int64_t yi = static_cast<int64_t>(y);
-          if (yi == 0) return Status::ExecutionError("modulo by zero");
-          return Value(static_cast<int64_t>(x) % yi);
-        }
-        default:
-          return Status::Internal("bad binary op");
-      }
+      return ApplyBinary(b.op, lhs, rhs);
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
       TDP_ASSIGN_OR_RETURN(Value v, Eval(*u.operand, scope, row));
-      if (u.op == UnaryOp::kNot) return Value(!std::get<bool>(v));
-      if (std::holds_alternative<int64_t>(v)) {
-        return Value(-std::get<int64_t>(v));
-      }
-      return Value(-AsDouble(v));
+      return ApplyUnary(u.op, v);
     }
     case ExprKind::kCase: {
       const auto& c = static_cast<const CaseExpr&>(e);
@@ -471,6 +503,10 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
           if (!agg->is_star_arg) {
             TDP_ASSIGN_OR_RETURN(
                 v, Eval(*agg->args[0], input.scope, input.rows[r]));
+            if (agg->function_name != "count" && !IsNumeric(v)) {
+              return Status::TypeError("cannot " + agg->function_name +
+                                       " a string column");
+            }
             if (agg->distinct &&
                 !distinct_seen
                      .insert(ValueToString(v) + "|" +
@@ -664,58 +700,13 @@ StatusOr<Value> Executor::EvalPostAgg(const Expr& e,
                                                   group_row));
       TDP_ASSIGN_OR_RETURN(Value rhs, EvalPostAgg(*b.right, group_scope,
                                                   group_row));
-      // Reuse the scalar machinery via a tiny synthetic evaluation: build
-      // literals is overkill — duplicate the op switch instead.
-      const bool both_int = std::holds_alternative<int64_t>(lhs) &&
-                            std::holds_alternative<int64_t>(rhs);
-      switch (b.op) {
-        case BinaryOp::kAnd:
-          return Value(std::get<bool>(lhs) && std::get<bool>(rhs));
-        case BinaryOp::kOr:
-          return Value(std::get<bool>(lhs) || std::get<bool>(rhs));
-        case BinaryOp::kEq:
-          return Value(ValueEquals(lhs, rhs));
-        case BinaryOp::kNe:
-          return Value(!ValueEquals(lhs, rhs));
-        case BinaryOp::kLt:
-          return Value(ValueLess(lhs, rhs));
-        case BinaryOp::kGe:
-          return Value(!ValueLess(lhs, rhs));
-        case BinaryOp::kGt:
-          return Value(ValueLess(rhs, lhs));
-        case BinaryOp::kLe:
-          return Value(!ValueLess(rhs, lhs));
-        case BinaryOp::kAdd:
-          return both_int ? Value(std::get<int64_t>(lhs) +
-                                  std::get<int64_t>(rhs))
-                          : Value(AsDouble(lhs) + AsDouble(rhs));
-        case BinaryOp::kSub:
-          return both_int ? Value(std::get<int64_t>(lhs) -
-                                  std::get<int64_t>(rhs))
-                          : Value(AsDouble(lhs) - AsDouble(rhs));
-        case BinaryOp::kMul:
-          return both_int ? Value(std::get<int64_t>(lhs) *
-                                  std::get<int64_t>(rhs))
-                          : Value(AsDouble(lhs) * AsDouble(rhs));
-        case BinaryOp::kDiv:
-          if (AsDouble(rhs) == 0) {
-            return Status::ExecutionError("division by zero");
-          }
-          return Value(AsDouble(lhs) / AsDouble(rhs));
-        case BinaryOp::kMod:
-          return Value(std::get<int64_t>(lhs) % std::get<int64_t>(rhs));
-      }
-      return Status::Internal("bad op");
+      return ApplyBinary(b.op, lhs, rhs);
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(e);
       TDP_ASSIGN_OR_RETURN(Value v,
                            EvalPostAgg(*u.operand, group_scope, group_row));
-      if (u.op == UnaryOp::kNot) return Value(!std::get<bool>(v));
-      if (std::holds_alternative<int64_t>(v)) {
-        return Value(-std::get<int64_t>(v));
-      }
-      return Value(-AsDouble(v));
+      return ApplyUnary(u.op, v);
     }
     default:
       return Status::BindError(

@@ -29,8 +29,15 @@ StatusOr<Tensor> ScalarToTensor(const ScalarValue& v, Device device) {
 }
 
 // Numeric payload of a column for expression math: PE columns decode to
-// hard values, dictionary columns expose codes (comparisons only).
-Tensor NumericPayload(const Column& c) { return c.DecodeValues(); }
+// hard values. A dictionary column's payload would be its codes, so it is
+// refused: strings compare only against strings (`CompareStringLiteral`
+// and the two-column case in `EvaluateBinary`).
+StatusOr<Tensor> NumericPayload(const Column& c) {
+  if (c.encoding() == Encoding::kDictionary) {
+    return Status::TypeError("a string column cannot be used as a number");
+  }
+  return c.DecodeValues();
+}
 
 StatusOr<Column> CompareStringLiteral(const Column& column, BinaryOp op,
                                       const std::string& literal,
@@ -274,12 +281,12 @@ StatusOr<EvalResult> EvaluateBinary(const BoundBinary& expr,
   if (lhs.is_scalar) {
     TDP_ASSIGN_OR_RETURN(ta, ScalarToTensor(lhs.scalar, device));
   } else {
-    ta = NumericPayload(lhs.column);
+    TDP_ASSIGN_OR_RETURN(ta, NumericPayload(lhs.column));
   }
   if (rhs.is_scalar) {
     TDP_ASSIGN_OR_RETURN(tb, ScalarToTensor(rhs.scalar, device));
   } else {
-    tb = NumericPayload(rhs.column);
+    TDP_ASSIGN_OR_RETURN(tb, NumericPayload(rhs.column));
   }
   TDP_ASSIGN_OR_RETURN(Column c, TensorBinary(expr.op, ta, tb));
   return EvalResult{false, {}, std::move(c)};
@@ -297,14 +304,14 @@ StatusOr<EvalResult> EvaluateCase(const BoundCase& expr, const Chunk& input,
   if (expr.else_expr) {
     TDP_ASSIGN_OR_RETURN(Column c,
                          EvaluateExprToColumn(*expr.else_expr, input, opts));
-    else_tensor = NumericPayload(c);
+    TDP_ASSIGN_OR_RETURN(else_tensor, NumericPayload(c));
   }
   for (auto it = expr.branches.rbegin(); it != expr.branches.rend(); ++it) {
     TDP_ASSIGN_OR_RETURN(Tensor cond,
                          EvaluatePredicate(*it->first, input, opts));
     TDP_ASSIGN_OR_RETURN(Column then_col,
                          EvaluateExprToColumn(*it->second, input, opts));
-    Tensor then_tensor = NumericPayload(then_col);
+    TDP_ASSIGN_OR_RETURN(Tensor then_tensor, NumericPayload(then_col));
     if (!have_result) {
       result = else_tensor.defined()
                    ? Where(cond, then_tensor, else_tensor)
@@ -445,8 +452,8 @@ StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
             true, ScalarValue::Bool(!operand.scalar.bool_value()), {}};
       }
       if (un.op == UnaryOp::kNeg) {
-        return EvalResult{
-            false, {}, Column::Plain(Neg(NumericPayload(operand.column)))};
+        TDP_ASSIGN_OR_RETURN(Tensor payload, NumericPayload(operand.column));
+        return EvalResult{false, {}, Column::Plain(Neg(payload))};
       }
       if (operand.column.data().dtype() != DType::kBool) {
         return Status::TypeError("NOT requires a boolean column");

@@ -172,11 +172,6 @@ static Status ValidateRunOptions(const RunOptions& options) {
         "RunOptions::morsel_rows must be non-negative (0 = default), got " +
         std::to_string(options.morsel_rows));
   }
-  if (options.model_batch_rows < 0) {
-    return Status::InvalidArgument(
-        "RunOptions::model_batch_rows must be non-negative, got " +
-        std::to_string(options.model_batch_rows));
-  }
   if (options.memory_budget_bytes < 0) {
     return Status::InvalidArgument(
         "RunOptions::memory_budget_bytes must be non-negative (0 = "
@@ -210,10 +205,9 @@ ExecContext CompiledQuery::MakeContext(const RunOptions& options,
   // batched with other queries' rows). trainable_ already forced the
   // member to null, but guard soft_mode explicitly for clarity.
   ctx.udf_dispatch = ctx.soft_mode ? nullptr : udf_dispatch_;
-  ctx.model_batch_rows = options.model_batch_rows;
-  // The plan-lifetime primitive cache (fused filter+project programs,
-  // reusable join build sides). Internally synchronized, so concurrent
-  // runs of one shared CompiledQuery stay safe.
+  // The plan-lifetime primitive cache (reusable join build sides, scan
+  // device transfers). Internally synchronized, so concurrent runs of one
+  // shared CompiledQuery stay safe.
   ctx.primitive_cache = primitive_cache_.get();
   return ctx;
 }

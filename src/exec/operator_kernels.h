@@ -51,8 +51,7 @@ StatusOr<Chunk> ExecuteProject(const plan::ProjectNode& node,
                                const Chunk& input, const ExecContext& ctx);
 
 /// Micro-batch model evaluation (the streaming form of a batchable
-/// Filter/Project/TVF): slices `morsel` into `batch_rows`-row batches
-/// (ctx.model_batch_rows overrides the node's compiled size when set),
+/// Filter/Project/TVF): slices `morsel` into `batch_rows`-row batches,
 /// runs the wrapped operator's kernel per batch, and concatenates outputs
 /// in slice order. Because batchable bodies are row-local, the reassembled
 /// result is bit-identical to evaluating the whole morsel at once — and,

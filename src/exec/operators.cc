@@ -197,8 +197,7 @@ StatusOr<Chunk> ExecuteModelEval(const plan::ModelEvalNode& node,
                                 node.wrapped->Describe());
     }
   };
-  const int64_t batch_rows = std::max<int64_t>(
-      ctx.model_batch_rows > 0 ? ctx.model_batch_rows : node.batch_rows, 1);
+  const int64_t batch_rows = std::max<int64_t>(node.batch_rows, 1);
   const int64_t rows = morsel.num_rows();
   // Zero or one batch: a single direct call, exactly what the breaker path
   // would have done with this input (empty inputs included — TVF bodies

@@ -44,8 +44,8 @@ struct ExecContext {
   /// inference the exact operators are swapped back in. A soft run's
   /// autograd graph must span the whole relation, so every pipeline takes
   /// one whole-relation morsel and every ModelEval stage one batch: the
-  /// result and its gradients never depend on `morsel_rows`,
-  /// `model_batch_rows`, or the thread count.
+  /// result and its gradients never depend on `morsel_rows`, the batch
+  /// size, or the thread count.
   bool soft_mode = false;
   /// Values for the statement's `?` placeholders, owned by the caller for
   /// the duration of the run. Null when the query has none. Keeping the
@@ -77,9 +77,6 @@ struct ExecContext {
   /// Null (direct calls) for trainable runs — coalescing would entangle
   /// autograd graphs across queries — and for bare CompiledQuery users.
   UdfDispatcher* udf_dispatch = nullptr;
-  /// Per-run override of every ModelEval stage's batch size
-  /// (`RunOptions::model_batch_rows`); 0 keeps each stage's compiled size.
-  int64_t model_batch_rows = 0;
   /// Per-query memory accounting + spill-file registry, owned by the run
   /// (`RunOptions::memory_budget_bytes > 0`); null means unlimited. The
   /// breaker kernels (Sort, hash-join build, Aggregate finalize) account
@@ -87,8 +84,8 @@ struct ExecContext {
   /// when over budget — bit-identical results either way.
   QueryMemory* memory = nullptr;
   /// Per-plan scratch/primitive cache owned by the CompiledQuery (null for
-  /// bare kernel callers): fused filter+project programs and reusable join
-  /// build sides live here, so repeated prepared-statement runs stop
+  /// bare kernel callers): reusable join build sides and scan device
+  /// transfers live here, so repeated prepared-statement runs stop
   /// re-deriving per-run state that only depends on the plan and the
   /// (immutable) input tables. Internally synchronized; entries are keyed
   /// so every run — any device, params, or data version — stays correct.

@@ -48,23 +48,6 @@ void PrimitiveCache::StoreScan(
   scans_[node] = ScanSlot{std::move(table), device, std::move(columns)};
 }
 
-FusedProgramPtr PrimitiveCache::GetFused(
-    const void* key, const std::function<FusedProgramPtr()>& compile) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = fused_.find(key);
-    if (it != fused_.end()) return it->second;
-  }
-  // Compile outside the lock (analysis is pure); concurrent first calls
-  // may both compile, but the results are structurally identical and
-  // whichever lands second simply replaces an equivalent program.
-  FusedProgramPtr program = compile();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++fused_compiles_;
-  fused_[key] = program;
-  return program;
-}
-
 int64_t PrimitiveCache::join_hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return join_hits_;
@@ -83,11 +66,6 @@ int64_t PrimitiveCache::scan_hits() const {
 int64_t PrimitiveCache::scan_misses() const {
   std::lock_guard<std::mutex> lock(mu_);
   return scan_misses_;
-}
-
-int64_t PrimitiveCache::fused_compiles() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fused_compiles_;
 }
 
 bool CacheableExpr(const BoundExpr& expr) {

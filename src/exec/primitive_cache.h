@@ -2,12 +2,11 @@
 #define TDP_EXEC_PRIMITIVE_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
-#include "src/exec/fused_filter_project.h"
 #include "src/exec/operator_kernels.h"
 #include "src/storage/table.h"
 #include "src/tensor/tensor.h"
@@ -16,7 +15,7 @@ namespace tdp {
 namespace exec {
 
 /// Per-plan cache of reusable execution primitives, owned by the
-/// CompiledQuery and shared by all of its runs. Three kinds of entries:
+/// CompiledQuery and shared by all of its runs. Two kinds of entries:
 ///
 ///   - Join build sides: the hash table over a deterministic build pipeline
 ///     (a Filter/Project chain over one table scan, free of parameters and
@@ -37,11 +36,6 @@ namespace exec {
 ///     dominated repeated prepared-statement runs. Sharing the cached copy
 ///     is exactly as safe as the same-device sharing path: columns are
 ///     immutable, and DML installs a fresh Table whose new identity misses.
-///
-///   - Fused filter+project programs (see FusedFilterProject): the
-///     structural compilation of a Filter(+Project) node pair, including
-///     the negative verdict ("not fusable"), so per-morsel execution never
-///     re-walks the expression tree.
 ///
 /// All methods are internally synchronized: a CompiledQuery may be run by
 /// many threads concurrently (the cache is the only mutable state hanging
@@ -73,18 +67,15 @@ class PrimitiveCache {
                  Device device,
                  std::shared_ptr<const std::vector<Column>> columns);
 
-  /// The fused program for the Filter node `key`, compiling via `compile`
-  /// on first use. A null compilation result is cached too (negative
-  /// caching), so unfusable nodes pay the analysis exactly once.
-  FusedProgramPtr GetFused(const void* key,
-                           const std::function<FusedProgramPtr()>& compile);
-
   // Statistics (tests assert hit/miss behaviour and DML invalidation).
   int64_t join_hits() const;
   int64_t join_misses() const;
   int64_t scan_hits() const;
   int64_t scan_misses() const;
-  int64_t fused_compiles() const;
+  /// Always 0: the cache holds no compiled programs. Kept only because the
+  /// repository benchmark still reports it (`exec.fused_compiles` in
+  /// `perfbench/workloads/olap_large.cc`); drop it with that metric.
+  int64_t fused_compiles() const { return 0; }
 
  private:
   struct JoinSlot {
@@ -102,12 +93,10 @@ class PrimitiveCache {
   mutable std::mutex mu_;
   std::unordered_map<const void*, JoinSlot> joins_;
   std::unordered_map<const void*, ScanSlot> scans_;
-  std::unordered_map<const void*, FusedProgramPtr> fused_;
   int64_t join_hits_ = 0;
   int64_t join_misses_ = 0;
   int64_t scan_hits_ = 0;
   int64_t scan_misses_ = 0;
-  int64_t fused_compiles_ = 0;
 };
 
 /// True when `expr` evaluates to the same result on every run over the

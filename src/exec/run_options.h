@@ -84,18 +84,6 @@ struct RunOptions {
   /// boundaries; a cancelled run fails with `StatusCode::kCancelled`.
   std::shared_ptr<CancellationToken> cancel;
 
-  /// Per-run override of the ModelEval micro-batch size: every batchable
-  /// model stage in the plan slices its morsels into batches of this many
-  /// rows instead of its compiled size (the registering UDF/TVF's
-  /// preferred batch, default `udf::kDefaultModelBatchRows`). 0 (the
-  /// default) keeps each stage's compiled size. Purely a scheduling knob:
-  /// batchable model bodies are row-local, so results are bit-identical
-  /// at any batch size — only latency/throughput change. Soft (trainable)
-  /// runs evaluate each stage in one batch, so their autograd graph does
-  /// not depend on this knob. Like the morsel knob this is per-run state,
-  /// NOT part of the plan-cache key.
-  int64_t model_batch_rows = 0;
-
   /// Per-query memory budget (bytes) for breaker materializations — the
   /// scratch the blocking operators hold while they run: sort keys,
   /// permutations and the sorted copy; the hash-join build table; the

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
-#include "src/exec/fused_filter_project.h"
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
 #include "src/plan/pipeline.h"
@@ -79,35 +78,13 @@ struct PipelineOutputs {
 StatusOr<Chunk> ApplyOps(const Pipeline& p, Chunk morsel,
                          const PipelineOutputs& outs, const ExecContext& ctx,
                          bool stop_when_empty) {
-  for (size_t i = 0; i < p.ops.size(); ++i) {
-    const LogicalNode* op = p.ops[i];
+  for (const LogicalNode* op : p.ops) {
     if (stop_when_empty && morsel.num_rows() == 0) return morsel;
     switch (op->kind) {
       case NodeKind::kFilter: {
-        const auto& filter = static_cast<const plan::FilterNode&>(*op);
-        // Fused filter(+project) fast path: one pass over the morsel. The
-        // program is compiled once per plan node (PrimitiveCache, with
-        // negative caching); a per-morsel applicability miss falls through
-        // to the unfused operators, which are bit-identical.
-        if (ctx.primitive_cache != nullptr && FusedEvalEnabled()) {
-          const plan::ProjectNode* next_project =
-              i + 1 < p.ops.size() && p.ops[i + 1]->kind == NodeKind::kProject
-                  ? static_cast<const plan::ProjectNode*>(p.ops[i + 1])
-                  : nullptr;
-          FusedProgramPtr program = ctx.primitive_cache->GetFused(
-              op, [&filter, next_project] {
-                return FusedFilterProject::Compile(filter, next_project);
-              });
-          if (program != nullptr) {
-            std::optional<Chunk> fused = program->Execute(morsel, ctx);
-            if (fused.has_value()) {
-              morsel = std::move(*fused);
-              if (program->has_project()) ++i;  // consumed the Project too
-              break;
-            }
-          }
-        }
-        TDP_ASSIGN_OR_RETURN(morsel, ExecuteFilter(filter, morsel, ctx));
+        TDP_ASSIGN_OR_RETURN(
+            morsel, ExecuteFilter(static_cast<const plan::FilterNode&>(*op),
+                                  morsel, ctx));
         break;
       }
       case NodeKind::kProject: {

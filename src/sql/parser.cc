@@ -1,5 +1,6 @@
 #include "src/sql/parser.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -326,7 +327,9 @@ class Parser {
     TableRefPtr ref;
     if (Match(TokenType::kLeftParen)) {
       auto sub = std::make_unique<SubqueryRef>();
+      TDP_RETURN_NOT_OK(Open());
       TDP_ASSIGN_OR_RETURN(sub->subquery, ParseSelect());
+      Close();
       TDP_RETURN_NOT_OK(Expect(TokenType::kRightParen, "')'"));
       ref = std::move(sub);
     } else if (Peek().type == TokenType::kIdentifier &&
@@ -337,7 +340,9 @@ class Parser {
       Advance();  // '('
       if (PeekKeyword("SELECT")) {
         auto sub = std::make_unique<SubqueryRef>();
+        TDP_RETURN_NOT_OK(Open());
         TDP_ASSIGN_OR_RETURN(sub->subquery, ParseSelect());
+        Close();
         tvf->input = std::move(sub);
       } else if (Peek().type == TokenType::kIdentifier) {
         tvf->input = std::make_unique<BaseTableRef>(Advance().text);
@@ -367,16 +372,68 @@ class Parser {
     return ref;
   }
 
+  // ---- Nesting limit -------------------------------------------------------
+  //
+  // This parser recurses once per parenthesis, unary operator, call, CASE
+  // and subquery, and every later pass (binder, optimizer, evaluator, the
+  // AST destructor) once per level of an expression tree, which a left-deep
+  // chain makes as deep as it is long. One limit bounds both: each of those
+  // constructs, and each link of an IN, AND, OR, comparison or arithmetic
+  // chain, is one level; a bare operand is depth 0.
+
+  /// Deepest nesting accepted. Sanitizer builds have the largest frames:
+  /// with GCC 12 ASan+UBSan on x86-64 and an 8 MiB stack, parentheses
+  /// overflow between 400 and 600 levels and an IN list between 400 and
+  /// 500 values. 256 stays under two thirds of the lowest of those, and
+  /// `sql_frontend_test` runs a query at the limit in the ASan CI job.
+  static constexpr int kMaxNestingDepth = 256;
+
+  /// Opens a level on the descent path, failing past the limit before the
+  /// descent recurses any further.
+  Status Open() {
+    if (++open_ > kMaxNestingDepth) return NestingError();
+    return Status::OK();
+  }
+  void Close() { --open_; }
+
+  /// Records `depth` as the nesting depth of the expression about to be
+  /// returned, failing when it passes the limit below the open levels.
+  Status SetDepth(int depth) {
+    depth_ = depth;
+    if (open_ + depth_ > kMaxNestingDepth) return NestingError();
+    return Status::OK();
+  }
+
+  Status NestingError() const {
+    return Status::ParseError(
+        "expression nests deeper than the limit of " +
+        std::to_string(kMaxNestingDepth) +
+        " levels (each parenthesis, unary operator, call and chained "
+        "operator adds one) at position " +
+        std::to_string(Peek().position));
+  }
+
   // ---- Expressions (precedence climbing) -----------------------------------
 
   StatusOr<ExprPtr> ParseExpr() { return ParseOr(); }
 
+  /// Links `left op right`: `left_depth` is the depth `left` was parsed
+  /// with, and `depth_` still holds that of `right`, parsed last. A chain
+  /// is left-deep, so each link adds a level.
+  StatusOr<ExprPtr> Link(BinaryOp op, ExprPtr left, int left_depth,
+                         ExprPtr right) {
+    TDP_RETURN_NOT_OK(SetDepth(std::max(left_depth, depth_) + 1));
+    return ExprPtr(
+        std::make_unique<BinaryExpr>(op, std::move(left), std::move(right)));
+  }
+
   StatusOr<ExprPtr> ParseOr() {
     TDP_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
     while (MatchKeyword("OR")) {
+      const int left_depth = depth_;
       TDP_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
-      left = std::make_unique<BinaryExpr>(BinaryOp::kOr, std::move(left),
-                                          std::move(right));
+      TDP_ASSIGN_OR_RETURN(left, Link(BinaryOp::kOr, std::move(left),
+                                      left_depth, std::move(right)));
     }
     return left;
   }
@@ -384,16 +441,20 @@ class Parser {
   StatusOr<ExprPtr> ParseAnd() {
     TDP_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
     while (MatchKeyword("AND")) {
+      const int left_depth = depth_;
       TDP_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
-      left = std::make_unique<BinaryExpr>(BinaryOp::kAnd, std::move(left),
-                                          std::move(right));
+      TDP_ASSIGN_OR_RETURN(left, Link(BinaryOp::kAnd, std::move(left),
+                                      left_depth, std::move(right)));
     }
     return left;
   }
 
   StatusOr<ExprPtr> ParseNot() {
     if (MatchKeyword("NOT")) {
+      TDP_RETURN_NOT_OK(Open());
       TDP_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      Close();
+      TDP_RETURN_NOT_OK(SetDepth(depth_ + 1));
       return ExprPtr(
           std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(operand)));
     }
@@ -402,12 +463,16 @@ class Parser {
 
   StatusOr<ExprPtr> ParseComparison() {
     TDP_ASSIGN_OR_RETURN(ExprPtr left, ParseAddSub());
+    const int left_depth = depth_;
     // BETWEEN lo AND hi  ->  (left >= lo AND left <= hi)
     if (MatchKeyword("BETWEEN")) {
       TDP_ASSIGN_OR_RETURN(ExprPtr lo, ParseAddSub());
+      const int lo_depth = depth_;
       TDP_RETURN_NOT_OK(ExpectKeyword("AND"));
       TDP_ASSIGN_OR_RETURN(ExprPtr hi, ParseAddSub());
-      auto left_copy = CloneForBetween(left);
+      TDP_RETURN_NOT_OK(
+          SetDepth(std::max({left_depth, lo_depth, depth_}) + 2));
+      auto left_copy = CloneExpr(*left);
       auto ge = std::make_unique<BinaryExpr>(BinaryOp::kGe, std::move(left),
                                              std::move(lo));
       auto le = std::make_unique<BinaryExpr>(
@@ -419,16 +484,20 @@ class Parser {
     if (MatchKeyword("IN")) {
       TDP_RETURN_NOT_OK(Expect(TokenType::kLeftParen, "'('"));
       ExprPtr disjunction;
+      int disjunction_depth = 0;
       do {
         TDP_ASSIGN_OR_RETURN(ExprPtr value, ParseAddSub());
-        auto eq = std::make_unique<BinaryExpr>(
-            BinaryOp::kEq, CloneForBetween(left), std::move(value));
+        TDP_ASSIGN_OR_RETURN(ExprPtr eq,
+                             Link(BinaryOp::kEq, CloneExpr(*left),
+                                  left_depth, std::move(value)));
         if (disjunction) {
-          disjunction = std::make_unique<BinaryExpr>(
-              BinaryOp::kOr, std::move(disjunction), std::move(eq));
+          TDP_ASSIGN_OR_RETURN(
+              disjunction, Link(BinaryOp::kOr, std::move(disjunction),
+                                disjunction_depth, std::move(eq)));
         } else {
           disjunction = std::move(eq);
         }
+        disjunction_depth = depth_;
       } while (Match(TokenType::kComma));
       TDP_RETURN_NOT_OK(Expect(TokenType::kRightParen, "')'"));
       return disjunction;
@@ -442,8 +511,7 @@ class Parser {
       if (Peek().type == TokenType::kOperator && Peek().text == text) {
         Advance();
         TDP_ASSIGN_OR_RETURN(ExprPtr right, ParseAddSub());
-        return ExprPtr(std::make_unique<BinaryExpr>(op, std::move(left),
-                                                    std::move(right)));
+        return Link(op, std::move(left), left_depth, std::move(right));
       }
     }
     return left;
@@ -460,9 +528,10 @@ class Parser {
       } else {
         return left;
       }
+      const int left_depth = depth_;
       TDP_ASSIGN_OR_RETURN(ExprPtr right, ParseMulDiv());
-      left = std::make_unique<BinaryExpr>(op, std::move(left),
-                                          std::move(right));
+      TDP_ASSIGN_OR_RETURN(
+          left, Link(op, std::move(left), left_depth, std::move(right)));
     }
   }
 
@@ -480,25 +549,27 @@ class Parser {
       } else {
         return left;
       }
+      const int left_depth = depth_;
       TDP_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
-      left = std::make_unique<BinaryExpr>(op, std::move(left),
-                                          std::move(right));
+      TDP_ASSIGN_OR_RETURN(
+          left, Link(op, std::move(left), left_depth, std::move(right)));
     }
   }
 
   StatusOr<ExprPtr> ParseUnary() {
-    if (MatchOperator("-")) {
-      TDP_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return ExprPtr(
-          std::make_unique<UnaryExpr>(UnaryOp::kNeg, std::move(operand)));
-    }
-    if (MatchOperator("+")) {
-      return ParseUnary();
-    }
-    return ParsePrimary();
+    const bool negate = MatchOperator("-");
+    if (!negate && !MatchOperator("+")) return ParsePrimary();
+    TDP_RETURN_NOT_OK(Open());
+    TDP_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+    Close();
+    TDP_RETURN_NOT_OK(SetDepth(depth_ + 1));
+    if (!negate) return operand;
+    return ExprPtr(
+        std::make_unique<UnaryExpr>(UnaryOp::kNeg, std::move(operand)));
   }
 
   StatusOr<ExprPtr> ParsePrimary() {
+    depth_ = 0;
     const Token& token = Peek();
     switch (token.type) {
       case TokenType::kNumber: {
@@ -522,7 +593,10 @@ class Parser {
       }
       case TokenType::kLeftParen: {
         Advance();
+        TDP_RETURN_NOT_OK(Open());
         TDP_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+        Close();
+        TDP_RETURN_NOT_OK(SetDepth(depth_ + 1));
         TDP_RETURN_NOT_OK(Expect(TokenType::kRightParen, "')'"));
         return inner;
       }
@@ -575,15 +649,20 @@ class Parser {
     auto call = std::make_unique<FunctionCallExpr>();
     call->function_name = std::move(name);
     if (MatchKeyword("DISTINCT")) call->distinct = true;
+    int deepest = 0;
+    TDP_RETURN_NOT_OK(Open());
     if (Peek().type == TokenType::kStar) {
       Advance();
       call->is_star_arg = true;
     } else if (Peek().type != TokenType::kRightParen) {
       do {
         TDP_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
+        deepest = std::max(deepest, depth_);
         call->args.push_back(std::move(arg));
       } while (Match(TokenType::kComma));
     }
+    Close();
+    TDP_RETURN_NOT_OK(SetDepth(deepest + 1));
     TDP_RETURN_NOT_OK(Expect(TokenType::kRightParen, "')'"));
     return ExprPtr(std::move(call));
   }
@@ -591,32 +670,37 @@ class Parser {
   StatusOr<ExprPtr> ParseCase() {
     TDP_RETURN_NOT_OK(ExpectKeyword("CASE"));
     auto kase = std::make_unique<CaseExpr>();
+    int deepest = 0;
+    TDP_RETURN_NOT_OK(Open());
     while (MatchKeyword("WHEN")) {
       TDP_ASSIGN_OR_RETURN(ExprPtr when, ParseExpr());
+      deepest = std::max(deepest, depth_);
       TDP_RETURN_NOT_OK(ExpectKeyword("THEN"));
       TDP_ASSIGN_OR_RETURN(ExprPtr then, ParseExpr());
+      deepest = std::max(deepest, depth_);
       kase->branches.emplace_back(std::move(when), std::move(then));
     }
     if (kase->branches.empty()) return Unexpected("WHEN");
     if (MatchKeyword("ELSE")) {
       TDP_ASSIGN_OR_RETURN(kase->else_expr, ParseExpr());
+      deepest = std::max(deepest, depth_);
     }
+    Close();
+    TDP_RETURN_NOT_OK(SetDepth(deepest + 1));
     TDP_RETURN_NOT_OK(ExpectKeyword("END"));
     return ExprPtr(std::move(kase));
   }
 
-  // BETWEEN/IN need the left operand twice; deep-clone via re-parse is
-  // overkill, so clone structurally.
-  static ExprPtr CloneForBetween(const ExprPtr& e);
-
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  // Levels open on the descent path above the expression being parsed.
+  int open_ = 0;
+  // Nesting depth of the expression the last expression parser returned.
+  int depth_ = 0;
   // '?' placeholders are numbered left-to-right across the whole statement
   // (including subqueries), matching the order of values passed to Run().
   int64_t num_parameters_ = 0;
 };
-
-ExprPtr Parser::CloneForBetween(const ExprPtr& e) { return CloneExpr(*e); }
 
 }  // namespace
 

@@ -289,6 +289,11 @@ Tensor BinaryEval(BinKind kind, const Tensor& a0, const Tensor& b0) {
   }
 
   if (IsComparison(kind)) {
+    if (compute_dtype == DType::kBool) {
+      // Bools compare as 0/1, as on the reference backend.
+      AccelCompareLoop<bool>(kind, a, b, out, out_shape);
+      return out;
+    }
     TDP_DISPATCH_NUMERIC(compute_dtype, {
       AccelCompareLoop<scalar_t>(kind, a, b, out, out_shape);
     });

@@ -86,6 +86,34 @@ TEST(BaselineDbTest, DistinctLimitOffset) {
   EXPECT_EQ(std::get<int64_t>(l->rows[0][0]), 3);
 }
 
+// A string used as a number, or a number used as a bool, is a type error,
+// not a process abort; a column that mixes strings and numbers still
+// sorts (numbers first).
+TEST(BaselineDbTest, MistypedOperandsAreTypeErrors) {
+  BaselineDb db;
+  ASSERT_TRUE(db.RegisterTable("sales", MakeSales()).ok());
+  for (const char* sql :
+       {"SELECT id FROM sales WHERE region > 0",
+        "SELECT id FROM sales WHERE region = 1", "SELECT -region FROM sales",
+        "SELECT SUM(region) FROM sales", "SELECT MIN(region) FROM sales",
+        "SELECT region, -region FROM sales GROUP BY region",
+        "SELECT region + 1 FROM sales GROUP BY region",
+        "SELECT id FROM sales WHERE NOT id",
+        "SELECT id FROM sales WHERE id AND TRUE"}) {
+    SCOPED_TRACE(sql);
+    auto r = db.Sql(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
+  }
+  auto mixed = db.Sql(
+      "SELECT id FROM sales ORDER BY CASE WHEN id > 2 THEN region ELSE id "
+      "END");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_EQ(mixed->rows.size(), 4u);
+  EXPECT_EQ(std::get<int64_t>(mixed->rows[0][0]), 1);
+  EXPECT_EQ(std::get<int64_t>(mixed->rows[2][0]), 3);  // "east" < "north"
+}
+
 }  // namespace
 }  // namespace baseline
 }  // namespace tdp

@@ -162,6 +162,31 @@ TEST_P(DifferentialTest, RandomQueriesAgree) {
                        "ORDER BY k LIMIT 10");
 }
 
+// Bools compare as 0/1 in both engines, on the accel kernels too.
+TEST_P(DifferentialTest, BoolComparisonsAgree) {
+  Rng rng(GetParam());
+  Engines engines;
+  std::vector<int64_t> keys;
+  std::vector<bool> flags;
+  baseline::BaselineTable bt;
+  bt.column_names = {"k", "b"};
+  for (int64_t i = 0; i < 20 + static_cast<int64_t>(GetParam()); ++i) {
+    keys.push_back(i);
+    flags.push_back(rng.UniformInt(0, 1) == 1);
+    bt.rows.push_back({keys.back(), static_cast<bool>(flags.back())});
+  }
+  auto table =
+      TableBuilder("bt").AddInt64("k", keys).AddBool("b", flags).Build();
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(engines.tdp.RegisterTable("bt", table.value()).ok());
+  ASSERT_TRUE(engines.base.RegisterTable("bt", std::move(bt)).ok());
+
+  ExpectAgree(engines, "SELECT k FROM bt WHERE b = TRUE");
+  ExpectAgree(engines, "SELECT k FROM bt WHERE b <> FALSE");
+  ExpectAgree(engines, "SELECT k FROM bt WHERE b = b");
+  ExpectAgree(engines, "SELECT k FROM bt WHERE b < TRUE");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range<uint64_t>(1, 13));
 

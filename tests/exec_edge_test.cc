@@ -258,5 +258,28 @@ TEST_F(ExecEdgeTest, ProbabilityColumnsGroupExactlyWhenNotTrainable) {
   EXPECT_EQ((*r)->column(1).data().At({1}), 1.0);
 }
 
+// A string column's payload is its dictionary codes, so using it as a
+// number — arithmetic, negation, a numeric comparison or binding — is a
+// type error, exactly like a string literal compared with a number.
+TEST_F(ExecEdgeTest, StringColumnUsedAsNumberIsATypeError) {
+  for (const char* sql :
+       {"SELECT k FROM t WHERE s > 0", "SELECT s + 1 FROM t",
+        "SELECT s * 2 FROM t", "SELECT -s FROM t",
+        "SELECT k FROM t WHERE k > 'a'"}) {
+    SCOPED_TRACE(sql);
+    auto r = session_.Sql(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
+  }
+  auto query = session_.Prepare("SELECT k FROM t WHERE s = ?");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto by_number = (*query)->Run({exec::ScalarValue::Int(1)});
+  ASSERT_FALSE(by_number.ok());
+  EXPECT_EQ(by_number.status().code(), StatusCode::kTypeError);
+  auto by_string = (*query)->Run({exec::ScalarValue::String("a")});
+  ASSERT_TRUE(by_string.ok()) << by_string.status().ToString();
+  EXPECT_EQ((*by_string)->num_rows(), 2);
+}
+
 }  // namespace
 }  // namespace tdp

@@ -1,5 +1,4 @@
-// Kernel-correctness and primitive-cache regression suite for the layout /
-// fused-evaluation overhaul:
+// Kernel-correctness and primitive-cache regression suite:
 //
 //   - IEEE non-finite propagation: the accelerated matmul/conv kernels used
 //     to skip zero multiplicands, silently turning `0 * inf` (NaN under
@@ -10,11 +9,10 @@
 //     over views bit-identical to the same kernels over eager contiguous
 //     copies, per backend, across thread counts — also after the viewed
 //     storage was updated in place by an optimizer step.
-//   - Fused filter+project: with the fusion knob on vs off, every
-//     (thread count, morsel size) combination must be bit-identical to
-//     the unfused one-morsel run — including the runtime-fallback cases
-//     (parameters, unfusable projections, bool columns, dictionary
-//     predicates with absent literals, literal-on-the-left comparisons).
+//   - Filter+project: every (thread count, morsel size) combination must
+//     be bit-identical to the one-morsel run — over numeric and dictionary
+//     predicates (absent literals, literal-on-the-left comparisons),
+//     parameters, bool columns, column-vs-column compares and OR trees.
 //   - Per-plan primitive cache: repeated runs of one CompiledQuery reuse
 //     the join build side (hit/miss stats), invalidate on table change
 //     (re-register and DML UPDATE), and never cache a parameter-bearing
@@ -37,7 +35,6 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/exec/bound_expr.h"
-#include "src/exec/fused_filter_project.h"
 #include "src/exec/primitive_cache.h"
 #include "src/nn/optim.h"
 #include "src/runtime/session.h"
@@ -328,19 +325,10 @@ TEST(PrimitiveCacheUnitTest, CacheableExprRejectsParameters) {
   EXPECT_FALSE(exec::CacheableExpr(cmp));
 }
 
-// ---- Fused filter+project parity ------------------------------------------
+// ---- Filter+project parity ------------------------------------------------
 
-/// Flips the process-wide fusion knob for one scope.
-class ScopedFusedEval {
- public:
-  explicit ScopedFusedEval(bool enabled)
-      : saved_(exec::SetFusedEvalEnabled(enabled)) {}
-  ~ScopedFusedEval() { exec::SetFusedEvalEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
+// The suite name predates the removal of the fused evaluator; it is kept so
+// the test ids stay stable.
 class FusedParityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -423,30 +411,21 @@ class FusedParityTest : public ::testing::Test {
     }
   }
 
-  /// The core oracle: results with fusion ON must be bit-identical to
-  /// results with fusion OFF, across thread counts and morsel sizes. The
-  /// OFF one-morsel run is the reference.
-  void ExpectFusedParity(const std::string& sql,
-                         const std::vector<exec::ScalarValue>& params = {}) {
+  /// The core oracle: every thread count and morsel size must be
+  /// bit-identical to the one-morsel run.
+  void ExpectMorselParity(const std::string& sql,
+                          const std::vector<exec::ScalarValue>& params = {}) {
     SCOPED_TRACE(sql);
-    StatusOr<std::shared_ptr<Table>> reference(nullptr);
-    {
-      ScopedFusedEval off(false);
-      reference = RunWith(sql, kWholeRelation, params);
-    }
+    auto reference = RunWith(sql, kWholeRelation, params);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (const bool fused : {false, true}) {
-      ScopedFusedEval knob(fused);
-      for (int threads : kThreadCounts) {
-        ScopedNumThreads guard(threads);
-        for (int64_t morsel : kMorselSizes) {
-          SCOPED_TRACE(std::string("fused=") + (fused ? "on" : "off") +
-                       " threads=" + std::to_string(threads) +
-                       " morsel=" + std::to_string(morsel));
-          auto got = RunWith(sql, morsel, params);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectBitIdentical(**reference, **got);
-        }
+    for (int threads : kThreadCounts) {
+      ScopedNumThreads guard(threads);
+      for (int64_t morsel : kMorselSizes) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " morsel=" + std::to_string(morsel));
+        auto got = RunWith(sql, morsel, params);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectBitIdentical(**reference, **got);
       }
     }
   }
@@ -455,72 +434,57 @@ class FusedParityTest : public ::testing::Test {
 };
 
 TEST_F(FusedParityTest, NumericComparisonsAndProjections) {
-  ExpectFusedParity("SELECT k, v FROM big WHERE v > 0");
-  ExpectFusedParity("SELECT k + 1, v * 2 FROM big WHERE k < 32 AND v <= 10");
-  ExpectFusedParity("SELECT v - 3.5, k * 2 FROM big WHERE v >= -50 AND k > 5");
+  ExpectMorselParity("SELECT k, v FROM big WHERE v > 0");
+  ExpectMorselParity("SELECT k + 1, v * 2 FROM big WHERE k < 32 AND v <= 10");
+  ExpectMorselParity(
+      "SELECT v - 3.5, k * 2 FROM big WHERE v >= -50 AND k > 5");
   // float32 column compared/combined with int and float literals (the
   // promoted compute dtype differs per leaf).
-  ExpectFusedParity("SELECT f + 1, f * 0.5 FROM big WHERE f < 4");
-  ExpectFusedParity("SELECT k FROM big WHERE f > 2.5 AND k <= 40");
+  ExpectMorselParity("SELECT f + 1, f * 0.5 FROM big WHERE f < 4");
+  ExpectMorselParity("SELECT k FROM big WHERE f > 2.5 AND k <= 40");
 }
 
 TEST_F(FusedParityTest, LiteralOnTheLeft) {
   // Mirrored comparisons and non-commutative arithmetic with the literal
-  // on the left — the fused compiler must normalize, not reject.
-  ExpectFusedParity("SELECT k FROM big WHERE 10 > k AND 3 < k");
-  ExpectFusedParity("SELECT 100 - k, 2 * v FROM big WHERE 0 <= v");
-  ExpectFusedParity("SELECT 1 + k FROM big WHERE 32 >= k");
+  // on the left.
+  ExpectMorselParity("SELECT k FROM big WHERE 10 > k AND 3 < k");
+  ExpectMorselParity("SELECT 100 - k, 2 * v FROM big WHERE 0 <= v");
+  ExpectMorselParity("SELECT 1 + k FROM big WHERE 32 >= k");
 }
 
 TEST_F(FusedParityTest, DictionaryPredicates) {
-  ExpectFusedParity("SELECT tag, k FROM big WHERE tag >= 'beta'");
-  ExpectFusedParity("SELECT k FROM big WHERE tag = 'omega'");
+  ExpectMorselParity("SELECT tag, k FROM big WHERE tag >= 'beta'");
+  ExpectMorselParity("SELECT k FROM big WHERE tag = 'omega'");
   // Absent literals: constant-false / constant-true lowerings.
-  ExpectFusedParity("SELECT k FROM big WHERE tag = 'zzz'");
-  ExpectFusedParity("SELECT k FROM big WHERE tag <> 'zzz'");
-  ExpectFusedParity("SELECT k FROM big WHERE tag < 'aardvark'");
+  ExpectMorselParity("SELECT k FROM big WHERE tag = 'zzz'");
+  ExpectMorselParity("SELECT k FROM big WHERE tag <> 'zzz'");
+  ExpectMorselParity("SELECT k FROM big WHERE tag < 'aardvark'");
   // Literal on the left over dictionary codes.
-  ExpectFusedParity("SELECT tag FROM big WHERE 'beta' <= tag");
+  ExpectMorselParity("SELECT tag FROM big WHERE 'beta' <= tag");
   // Mixed string + numeric conjunction.
-  ExpectFusedParity("SELECT k, v FROM big WHERE tag > 'beta' AND v > 0");
+  ExpectMorselParity("SELECT k, v FROM big WHERE tag > 'beta' AND v > 0");
 }
 
 TEST_F(FusedParityTest, RuntimeFallbackCases) {
-  // Parameters resolve per run; the fused program must bind them from the
-  // run's bindings, and identical results must come out either way.
-  ExpectFusedParity("SELECT k, v FROM big WHERE v > ? AND k < ?",
-                    {exec::ScalarValue::Float(0.0), exec::ScalarValue::Int(40)});
-  // Division is not a fusable projection op -> filter-only fusion with the
-  // projection falling back to the unfused evaluator.
-  ExpectFusedParity("SELECT v / 2, k FROM big WHERE v > 0");
-  // A bare bool-column predicate is not a comparison conjunct.
-  ExpectFusedParity("SELECT k FROM big WHERE flag");
-  // Column-vs-column comparisons are not literal leaves.
-  ExpectFusedParity("SELECT k FROM big WHERE v > f");
-  // OR trees are not conjunctions.
-  ExpectFusedParity("SELECT k FROM big WHERE k < 5 OR v > 90");
+  // Parameters resolve from each run's bindings.
+  ExpectMorselParity(
+      "SELECT k, v FROM big WHERE v > ? AND k < ?",
+      {exec::ScalarValue::Float(0.0), exec::ScalarValue::Int(40)});
+  // Division yields float.
+  ExpectMorselParity("SELECT v / 2, k FROM big WHERE v > 0");
+  // A bare bool-column predicate.
+  ExpectMorselParity("SELECT k FROM big WHERE flag");
+  // Column-vs-column comparison.
+  ExpectMorselParity("SELECT k FROM big WHERE v > f");
+  // An OR tree.
+  ExpectMorselParity("SELECT k FROM big WHERE k < 5 OR v > 90");
 }
 
 TEST_F(FusedParityTest, DegenerateShapes) {
-  ExpectFusedParity("SELECT k + 1 FROM empty_t WHERE v > 0");
+  ExpectMorselParity("SELECT k + 1 FROM empty_t WHERE v > 0");
   // Predicate selecting nothing / everything.
-  ExpectFusedParity("SELECT k, v FROM big WHERE v > 1000");
-  ExpectFusedParity("SELECT k, v FROM big WHERE v >= -1000");
-}
-
-TEST_F(FusedParityTest, FusedProgramCompiledOncePerPlan) {
-  auto query = Compile("SELECT k + 1 FROM big WHERE k < 32 AND v > 0");
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-  exec::RunOptions run;
-  ASSERT_TRUE((*query)->Run(run).ok());
-  const int64_t compiles = (*query)->primitive_cache().fused_compiles();
-  EXPECT_GE(compiles, 1);
-  // Re-runs (any morsel size) reuse the cached program — structural
-  // analysis happens exactly once per plan node.
-  ASSERT_TRUE((*query)->Run(run).ok());
-  run.morsel_rows = 7;
-  ASSERT_TRUE((*query)->Run(run).ok());
-  EXPECT_EQ((*query)->primitive_cache().fused_compiles(), compiles);
+  ExpectMorselParity("SELECT k, v FROM big WHERE v > 1000");
+  ExpectMorselParity("SELECT k, v FROM big WHERE v >= -1000");
 }
 
 // ---- Join build-side reuse ------------------------------------------------

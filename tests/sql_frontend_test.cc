@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/runtime/session.h"
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
 
@@ -202,6 +206,105 @@ TEST(ParserTest, BetweenWithParameterReusesOrdinalInDesugaredClone) {
   ASSERT_EQ(le.left->kind, ExprKind::kParameter);
   EXPECT_EQ(static_cast<const ParameterExpr&>(*ge.left).ordinal, 0);
   EXPECT_EQ(static_cast<const ParameterExpr&>(*le.left).ordinal, 0);
+}
+
+// ---- Nesting limit ---------------------------------------------------------
+
+// The parser's nesting limit: each parenthesis, unary operator, call,
+// subquery and chained operator is one level.
+constexpr int kMaxNesting = 256;
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// `n` terms, `term(i)` each, joined by `sep`.
+template <typename F>
+std::string Join(int n, const std::string& sep, F term) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += (i > 0 ? sep : "") + term(i);
+  return out;
+}
+
+enum class Shape { kParens, kNeg, kNot, kIn, kOr, kAnd, kAdd, kSubquery };
+
+/// A query over `t(k, b)` whose expression (or FROM clause) nests exactly
+/// `depth` levels deep, in the given shape.
+std::string NestedQuery(Shape shape, int depth) {
+  const auto number = [](int i) { return std::to_string(i); };
+  const auto equals = [](int i) { return "k = " + std::to_string(i); };
+  const auto flag = [](int) { return std::string("b"); };
+  switch (shape) {
+    case Shape::kParens:  // the comparison is one level
+      return "SELECT k FROM t WHERE " + Repeat("(", depth - 1) + "k > 0" +
+             Repeat(")", depth - 1);
+    case Shape::kNeg:
+      return "SELECT " + Repeat("- ", depth) + "k FROM t";
+    case Shape::kNot:
+      return "SELECT k FROM t WHERE " + Repeat("NOT ", depth) + "b";
+    case Shape::kIn:  // k = v0, then one OR link per further value
+      return "SELECT k FROM t WHERE k IN (" + Join(depth, ", ", number) +
+             ")";
+    case Shape::kOr:
+      return "SELECT k FROM t WHERE " + Join(depth, " OR ", equals);
+    case Shape::kAnd:
+      return "SELECT k FROM t WHERE " + Join(depth + 1, " AND ", flag);
+    case Shape::kAdd:
+      return "SELECT k" + Repeat(" + 1", depth) + " FROM t";
+    case Shape::kSubquery:
+      return "SELECT k FROM " + Repeat("(SELECT k FROM ", depth) + "t" +
+             Repeat(")", depth);
+  }
+  return "";
+}
+
+const Shape kShapes[] = {Shape::kParens, Shape::kNeg, Shape::kNot,
+                         Shape::kIn,     Shape::kOr,  Shape::kAnd,
+                         Shape::kAdd,    Shape::kSubquery};
+
+TEST(ParserTest, NestingAtTheLimitParses) {
+  for (const Shape shape : kShapes) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    auto stmt = ParseStatement(NestedQuery(shape, kMaxNesting));
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  }
+}
+
+TEST(ParserTest, NestingPastTheLimitIsAParseErrorNamingIt) {
+  for (const int depth : {kMaxNesting + 1, 100000}) {
+    for (const Shape shape : kShapes) {
+      SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)) +
+                   " depth " + std::to_string(depth));
+      auto stmt = ParseStatement(NestedQuery(shape, depth));
+      ASSERT_FALSE(stmt.ok());
+      EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+      EXPECT_NE(stmt.status().message().find("limit of 256"),
+                std::string::npos)
+          << stmt.status().ToString();
+    }
+  }
+}
+
+// A query at the limit binds, plans and runs: every pass after the parser
+// recurses once per level, and this suite runs in the sanitizer builds,
+// whose frames are the largest.
+TEST(NestingLimitTest, QueryAtTheLimitRuns) {
+  Session session;
+  auto table = TableBuilder("t")
+                   .AddInt64("k", {1, 2, 3})
+                   .AddBool("b", {true, false, true})
+                   .Build();
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(session.RegisterTable("t", table.value()).ok());
+  for (const Shape shape : kShapes) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    auto result = session.Sql(NestedQuery(shape, kMaxNesting));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT((*result)->num_rows(), 0);
+  }
 }
 
 }  // namespace

@@ -109,17 +109,8 @@ class StreamingParityTest : public ::testing::Test {
     // A batchable (row-local) scalar UDF with a tiny preferred batch, so
     // the ModelEval stage genuinely splits morsels at batch boundaries
     // that differ from every swept morsel size.
-    udf::ScalarFunction scale;
-    scale.name = "rowscale";
-    scale.return_type = udf::DeclaredType::kFloat;
-    scale.batchable = true;
-    scale.preferred_batch_rows = 3;
-    scale.fn = [](const std::vector<udf::Argument>& args, int64_t,
-                  Device) -> StatusOr<Column> {
-      const Tensor x = args[0].column.DecodeValues();
-      return Column::Plain(AddScalar(MulScalar(x, 1.5), 0.25));
-    };
-    ASSERT_TRUE(session_.functions().RegisterScalar(std::move(scale)).ok());
+    ASSERT_TRUE(
+        session_.functions().RegisterScalar(RowScale("rowscale", 3)).ok());
 
     // A batchable TVF that maps each input row to TWO output rows
     // ([v, -v] interleaved in row order): row-local including the output
@@ -157,6 +148,23 @@ class StreamingParityTest : public ::testing::Test {
     auto table = std::move(builder).Build();
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     ASSERT_TRUE(session_.RegisterTable(name, table.value()).ok());
+  }
+
+  /// The batchable row-local UDF `v * 1.5 + 0.25`, registered under
+  /// `name` with a preferred batch of `batch_rows`.
+  static udf::ScalarFunction RowScale(const std::string& name,
+                                      int64_t batch_rows) {
+    udf::ScalarFunction scale;
+    scale.name = name;
+    scale.return_type = udf::DeclaredType::kFloat;
+    scale.batchable = true;
+    scale.preferred_batch_rows = batch_rows;
+    scale.fn = [](const std::vector<udf::Argument>& args, int64_t,
+                  Device) -> StatusOr<Column> {
+      const Tensor x = args[0].column.DecodeValues();
+      return Column::Plain(AddScalar(MulScalar(x, 1.5), 0.25));
+    };
+    return scale;
   }
 
   StatusOr<std::shared_ptr<Table>> RunWith(
@@ -451,13 +459,13 @@ TEST_F(StreamingParityTest, BatchableTvfStreamsThroughModelEval) {
 }
 
 // EXPLAIN PIPELINES renders the synthesized ModelEval stage with its
-// batch size, and the per-run RunOptions::model_batch_rows override
-// reslices without changing a byte.
+// batch size, and the same UDF registered with any other preferred batch
+// size reslices without changing a byte.
 TEST_F(StreamingParityTest, ModelEvalExplainAndBatchOverride) {
   QueryOptions options;
   options.use_plan_cache = false;
-  auto query = session_.Query("SELECT k, rowscale(v) FROM big WHERE v > 0",
-                              options);
+  auto query = session_.Query(
+      "SELECT k, rowscale(v) AS scaled FROM big WHERE v > 0", options);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   const std::string pipelines = (*query)->ExplainPipelines();
   EXPECT_NE(pipelines.find("ModelEval(batch=3)"), std::string::npos)
@@ -470,23 +478,23 @@ TEST_F(StreamingParityTest, ModelEvalExplainAndBatchOverride) {
   auto reference = (*query)->Run(reference_run);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (int64_t batch : {1, 2, 7, 4096}) {
-    SCOPED_TRACE("model_batch_rows=" + std::to_string(batch));
+    SCOPED_TRACE("preferred_batch_rows=" + std::to_string(batch));
+    const std::string name = "rowscale" + std::to_string(batch);
+    ASSERT_TRUE(
+        session_.functions().RegisterScalar(RowScale(name, batch)).ok());
+    auto batched = session_.Query(
+        "SELECT k, " + name + "(v) AS scaled FROM big WHERE v > 0", options);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    EXPECT_NE((*batched)->ExplainPipelines().find(
+                  "ModelEval(batch=" + std::to_string(batch) + ")"),
+              std::string::npos);
     exec::RunOptions run;
-    run.model_batch_rows = batch;
     run.morsel_rows = 64;
-    auto result = (*query)->Run(run);
+    auto result = (*batched)->Run(run);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectBitIdentical(**reference, **result);
   }
-  // A negative override fails fast with a named error, and so does a
-  // negative morsel size.
-  exec::RunOptions bad;
-  bad.model_batch_rows = -1;
-  auto fail = (*query)->Run(bad);
-  ASSERT_FALSE(fail.ok());
-  EXPECT_EQ(fail.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(fail.status().ToString().find("model_batch_rows"),
-            std::string::npos);
+  // A negative morsel size fails fast with a named error.
   exec::RunOptions bad_morsel;
   bad_morsel.morsel_rows = -1;
   auto morsel_fail = (*query)->Run(bad_morsel);

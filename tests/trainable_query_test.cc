@@ -154,35 +154,30 @@ TEST_F(TrainableQueryTest, SoftRunsIgnoreSchedulingKnobs) {
   for (const int threads : {1, 4}) {
     ScopedNumThreads guard(threads);
     for (const int64_t morsel_rows : {int64_t{0}, int64_t{1}}) {
-      for (const int64_t batch_rows : {int64_t{0}, int64_t{1}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " morsel_rows=" + std::to_string(morsel_rows) +
-                     " model_batch_rows=" + std::to_string(batch_rows));
-        exec::RunOptions run;
-        run.morsel_rows = morsel_rows;
-        run.model_batch_rows = batch_rows;
-        for (const Tensor& p : params) p.ZeroGrad();
-        auto chunk = (*query)->RunChunk(run);
-        ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
-        const Tensor counts = chunk->columns[2].data();
-        ASSERT_NE(counts.grad_fn(), nullptr);
-        nn::MSELoss(counts, target).Backward();
-        std::vector<Tensor> observed = {counts.Detach()};
-        for (const Tensor& p : params) {
-          ASSERT_TRUE(p.grad().defined());
-          observed.push_back(p.grad());
-        }
-        if (reference.empty()) {
-          reference = std::move(observed);
-          continue;
-        }
-        ASSERT_EQ(observed.size(), reference.size());
-        EXPECT_TRUE(BitIdentical(reference[0], observed[0]))
-            << "soft counts";
-        for (size_t i = 1; i < observed.size(); ++i) {
-          EXPECT_TRUE(BitIdentical(reference[i], observed[i]))
-              << "gradient of parameter " << i - 1;
-        }
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " morsel_rows=" + std::to_string(morsel_rows));
+      exec::RunOptions run;
+      run.morsel_rows = morsel_rows;
+      for (const Tensor& p : params) p.ZeroGrad();
+      auto chunk = (*query)->RunChunk(run);
+      ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+      const Tensor counts = chunk->columns[2].data();
+      ASSERT_NE(counts.grad_fn(), nullptr);
+      nn::MSELoss(counts, target).Backward();
+      std::vector<Tensor> observed = {counts.Detach()};
+      for (const Tensor& p : params) {
+        ASSERT_TRUE(p.grad().defined());
+        observed.push_back(p.grad());
+      }
+      if (reference.empty()) {
+        reference = std::move(observed);
+        continue;
+      }
+      ASSERT_EQ(observed.size(), reference.size());
+      EXPECT_TRUE(BitIdentical(reference[0], observed[0])) << "soft counts";
+      for (size_t i = 1; i < observed.size(); ++i) {
+        EXPECT_TRUE(BitIdentical(reference[i], observed[i]))
+            << "gradient of parameter " << i - 1;
       }
     }
   }

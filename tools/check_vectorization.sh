@@ -19,10 +19,9 @@ FLAGS=(-std=c++20 -O3 -Wall -I. -c -o /dev/null -fopt-info-vec-optimized)
 # Requirement: at least one "loop vectorized" report attributed to the file
 # itself (not an STL header it pulls in).
 HOT_TUS=(
-  src/tensor/ops_matmul.cc         # MatMulAccel saxpy inner loop
-  src/tensor/ops_conv.cc           # GemmRowMajor inner loop (im2col GEMM)
-  src/tensor/ops_binary.cc         # AccelLoop fast/scalar-broadcast paths
-  src/exec/fused_filter_project.cc # fused predicate CmpRange loops
+  src/tensor/ops_matmul.cc # MatMulAccel saxpy inner loop
+  src/tensor/ops_conv.cc   # GemmRowMajor inner loop (im2col GEMM)
+  src/tensor/ops_binary.cc # AccelLoop fast/scalar-broadcast paths
 )
 
 status=0
