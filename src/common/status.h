@@ -23,8 +23,7 @@ enum class StatusCode {
   kExecutionError,
   kCancelled,
   /// Load shedding: the serving front end refused the request (admission
-  /// queue full, or estimated plan footprint beyond the configured
-  /// ceiling). Retryable after backoff; the engine sheds instead of
+  /// queue full). Retryable after backoff; the engine sheds instead of
   /// collapsing.
   kResourceExhausted,
 };

@@ -39,6 +39,12 @@ StatusOr<Tensor> NumericPayload(const Column& c) {
   return c.DecodeValues();
 }
 
+// A bool operand of arithmetic is the number 0 or 1, computed in doubles
+// as BaselineDB computes it (so -FALSE is -0.0).
+Tensor ArithmeticOperand(const Tensor& t) {
+  return t.dtype() == DType::kBool ? t.To(DType::kFloat64) : t;
+}
+
 StatusOr<Column> CompareStringLiteral(const Column& column, BinaryOp op,
                                       const std::string& literal,
                                       bool literal_on_left) {
@@ -180,11 +186,11 @@ StatusOr<ScalarValue> FoldScalarBinary(BinaryOp op, const ScalarValue& a,
 StatusOr<Column> TensorBinary(BinaryOp op, const Tensor& a, const Tensor& b) {
   switch (op) {
     case BinaryOp::kAdd:
-      return Column::Plain(Add(a, b));
+      return Column::Plain(Add(ArithmeticOperand(a), ArithmeticOperand(b)));
     case BinaryOp::kSub:
-      return Column::Plain(Sub(a, b));
+      return Column::Plain(Sub(ArithmeticOperand(a), ArithmeticOperand(b)));
     case BinaryOp::kMul:
-      return Column::Plain(Mul(a, b));
+      return Column::Plain(Mul(ArithmeticOperand(a), ArithmeticOperand(b)));
     case BinaryOp::kDiv: {
       // SQL semantics: division yields float.
       const Tensor af = IsFloatingPoint(a.dtype()) ? a : a.To(DType::kFloat32);
@@ -214,9 +220,12 @@ StatusOr<Column> TensorBinary(BinaryOp op, const Tensor& a, const Tensor& b) {
     case BinaryOp::kGe:
       return Column::Plain(Ge(a, b));
     case BinaryOp::kAnd:
-      return Column::Plain(LogicalAnd(a, b));
     case BinaryOp::kOr:
-      return Column::Plain(LogicalOr(a, b));
+      if (a.dtype() != DType::kBool || b.dtype() != DType::kBool) {
+        return Status::TypeError("AND/OR need boolean operands");
+      }
+      return Column::Plain(op == BinaryOp::kAnd ? LogicalAnd(a, b)
+                                                : LogicalOr(a, b));
   }
   return Status::TypeError("unknown binary operator");
 }
@@ -453,7 +462,8 @@ StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
       }
       if (un.op == UnaryOp::kNeg) {
         TDP_ASSIGN_OR_RETURN(Tensor payload, NumericPayload(operand.column));
-        return EvalResult{false, {}, Column::Plain(Neg(payload))};
+        return EvalResult{false, {},
+                          Column::Plain(Neg(ArithmeticOperand(payload)))};
       }
       if (operand.column.data().dtype() != DType::kBool) {
         return Status::TypeError("NOT requires a boolean column");

@@ -70,12 +70,11 @@ StatusOr<SortKey> MakeSortKey(const Column& column, bool descending) {
   return key;
 }
 
-std::vector<int64_t> SortRows(const SortKeys& keys, int64_t lo, int64_t n,
-                              int64_t limit) {
+std::vector<int64_t> SortRows(const SortKeys& keys, int64_t n, int64_t limit) {
   const int64_t out = limit < 0 ? n : std::min(limit, n);
   if (out == 0) return {};
   std::vector<int64_t> rows(static_cast<size_t>(n));
-  std::iota(rows.begin(), rows.end(), lo);
+  std::iota(rows.begin(), rows.end(), int64_t{0});
   const auto before = [&keys](int64_t a, int64_t b) {
     return SortsBefore(keys, a, b);
   };
@@ -254,9 +253,9 @@ std::vector<int64_t> KeyTable::SortedRanks() const {
 
 // ---- JoinIndex --------------------------------------------------------------
 
-void JoinIndex::Add(const KeyColumns& cols, int64_t row, int64_t build_row) {
+void JoinIndex::Add(const KeyColumns& cols, int64_t row) {
   row_ids_.push_back(keys_.Insert(cols, row));
-  rows_.push_back(build_row);
+  rows_.push_back(row);
 }
 
 void JoinIndex::Finish() {

@@ -21,10 +21,10 @@ namespace exec {
 // open-addressing `KeyTable` below. Every kernel that orders rows does it
 // through one comparator: `SortRows` below. Codes are ROW-LOCAL — a row's
 // code depends on that row's value alone, never on the rest of its
-// column — so codes computed per morsel, per spill page or per grace
-// partition agree with codes computed over the whole relation. That is
-// what lets the in-memory and the spill kernels share one notion of key
-// identity and key order, and stay byte-identical to each other.
+// column — so codes computed per morsel or per aggregation page agree
+// with codes computed over the whole relation. That is what lets the
+// in-memory and the paged aggregate share one notion of key identity and
+// key order, and stay byte-identical to each other.
 
 // ---- Order codes ------------------------------------------------------------
 //
@@ -57,10 +57,10 @@ StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
 
 // ---- Sort keys --------------------------------------------------------------
 //
-// ORDER BY (in memory and spilled) and both top-k paths rank rows the same
-// way: by the keys in order, then by row index. The row index makes the
-// order total, so every sorting algorithm yields the permutation a stable
-// sort would, and a LIMIT is a partial sort of its first rows.
+// ORDER BY and both top-k paths rank rows the same way: by the keys in
+// order, then by row index. The row index makes the order total, so every
+// sorting algorithm yields the permutation a stable sort would, and a
+// LIMIT is a partial sort of its first rows.
 
 /// Three-way comparison of two codes of one sort key: <0, 0, >0. NaN
 /// orders last under BOTH directions.
@@ -101,10 +101,9 @@ inline bool SortsBefore(const SortKeys& keys, int64_t a, int64_t b) {
   return a < b;
 }
 
-/// Rows `lo` .. `lo + n - 1` in sort order, cut to the first `limit` of
-/// them (all of them when `limit` is negative).
-std::vector<int64_t> SortRows(const SortKeys& keys, int64_t lo, int64_t n,
-                              int64_t limit);
+/// Rows 0 .. `n - 1` in sort order, cut to the first `limit` of them (all
+/// of them when `limit` is negative).
+std::vector<int64_t> SortRows(const SortKeys& keys, int64_t n, int64_t limit);
 
 // ---- Join codes -------------------------------------------------------------
 
@@ -127,8 +126,8 @@ StatusOr<JoinKeyCodes> ComputeJoinKeyCodes(const Chunk& chunk,
 // ---- The key table ----------------------------------------------------------
 
 /// Column-major view of a set of key rows: code `k` of row `r` is
-/// `cols[k][r]`. Spill pages, per-column code vectors and (group, value)
-/// pairs all present their keys this way without copying them.
+/// `cols[k][r]`. Aggregation pages, per-column code vectors and (group,
+/// value) pairs all present their keys this way without copying them.
 using KeyColumns = std::vector<const int64_t*>;
 
 /// The view of `codes` (one vector per key column).
@@ -174,8 +173,8 @@ class KeyTable {
   /// only; with order-preserving codes this is value order.
   std::vector<int64_t> SortedRanks() const;
 
-  /// The table's hash of row `row`'s key. Grace joins partition by its
-  /// high 32 bits, so the partition never correlates with the slot index.
+  /// The table's hash of row `row`'s key; slots are indexed by its low
+  /// bits.
   static uint64_t Hash(const KeyColumns& cols, int64_t row);
 
  private:
@@ -202,9 +201,9 @@ class JoinIndex {
  public:
   explicit JoinIndex(int64_t width = 0) : keys_(width) {}
 
-  /// Adds build row `build_row`, whose key is row `row` of `cols`. Rows
-  /// must be added in ascending `build_row` order.
-  void Add(const KeyColumns& cols, int64_t row, int64_t build_row);
+  /// Adds build row `row`, whose key is row `row` of `cols`. Rows must be
+  /// added in ascending order.
+  void Add(const KeyColumns& cols, int64_t row);
 
   /// Groups the added rows by key. Call once, after the last `Add`.
   void Finish();

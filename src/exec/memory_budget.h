@@ -26,8 +26,10 @@ int64_t ChunkFootprintBytes(const Chunk& chunk);
 /// `RunOptions::memory_budget_bytes > 0` and threaded through `ExecContext`
 /// to the breaker kernels (Sort, hash-join build, Aggregate finalize). A
 /// kernel about to materialize `bytes` of breaker scratch asks
-/// `ShouldSpill(bytes)`; over budget it takes its external (spill-to-disk)
-/// path instead — bit-identical results, bounded scratch.
+/// `ShouldSpill(bytes)`; over budget the aggregate computes page by page
+/// from its resident inputs and the join build writes its payload to a
+/// spill file — bit-identical results, bounded scratch. The sort reserves
+/// its scratch but never spills: its input and output are resident anyway.
 ///
 /// Spill files live in one per-query temp directory whose lifetime is the
 /// run: the destructor (and the eager `ReleaseSpillFiles`, called at the
@@ -50,8 +52,8 @@ class QueryMemory {
   bool unlimited() const { return budget_bytes_ <= 0; }
 
   /// Accounting for in-memory breaker materializations. `Charge` never
-  /// fails — the budget steers kernels toward their spill paths via
-  /// `ShouldSpill`, it does not abort queries.
+  /// fails — the budget steers kernels toward their paged or spilled
+  /// paths via `ShouldSpill`, it does not abort queries.
   void Charge(int64_t bytes) {
     reserved_.fetch_add(bytes, std::memory_order_relaxed);
     int64_t peak = peak_.load(std::memory_order_relaxed);

@@ -1,8 +1,7 @@
 #ifndef TDP_EXEC_OPERATOR_KERNELS_H_
 #define TDP_EXEC_OPERATOR_KERNELS_H_
 
-#include <algorithm>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/statusor.h"
@@ -13,8 +12,6 @@
 
 namespace tdp {
 namespace exec {
-
-struct SpilledJoinBuild;  // spill_kernels.h
 
 /// Expression-evaluation options for one run: the device, the `?`
 /// bindings, the batchable-UDF dispatch seam and the cancellation token.
@@ -72,21 +69,23 @@ StatusOr<Chunk> ExecuteModelEval(const plan::ModelEvalNode& node,
 struct JoinHashTable {
   /// The join's materialized build side: the right child by default, the
   /// left when the optimizer flipped `JoinNode::build_left` (smaller
-  /// estimated input).
+  /// estimated input). When the payload spilled, a 0-row prototype of it:
+  /// the schema, encodings and dictionaries the probe's output takes.
   Chunk build;
   /// Build-side join codes (`ComputeJoinKeyCodes`) -> build rows,
   /// ascending. Rows whose key holds a NaN are left out: they never match.
   JoinIndex index;
-  /// Set instead of `build`/`index` when the build went grace (the build
-  /// footprint exceeded the run's `MemoryBudget`): the payload lives in
-  /// per-partition spill files and `ProbeJoin` dispatches to
-  /// `ProbeSpilledJoin`. Shared so morsel probes can run concurrently.
-  std::shared_ptr<const SpilledJoinBuild> spilled;
+  /// Set when the build's payload went to disk because it exceeded the
+  /// run's memory budget: the `WritePages` file holding the build rows in
+  /// build-row order, from which each probe gathers its matched rows
+  /// (`GatherPages`). The index stays resident either way.
+  std::string spill_file;
 };
 
 /// Builds the hash table over the join's build child output (see
-/// `JoinNode::build_left`). Pure-residual joins (no equi keys) leave
-/// `index` empty and probe as a per-morsel cartesian product.
+/// `JoinNode::build_left`), spilling the payload when it exceeds the run's
+/// budget. Pure-residual joins (no equi keys) leave `index` empty, never
+/// spill, and probe as a per-morsel cartesian product.
 StatusOr<JoinHashTable> BuildJoinHashTable(const plan::JoinNode& node,
                                            Chunk build_input,
                                            const ExecContext& ctx);
@@ -95,7 +94,8 @@ StatusOr<JoinHashTable> BuildJoinHashTable(const plan::JoinNode& node,
 /// build table: emits matches in probe-row-major order, applies the
 /// residual predicate, and assembles the joined chunk in schema order
 /// (left child's columns first, whichever side was the build) — the same
-/// row order whether `probe` is one morsel or the whole relation.
+/// row order whether `probe` is one morsel or the whole relation, and
+/// whether the build side is resident or spilled.
 StatusOr<Chunk> ProbeJoin(const plan::JoinNode& node, const JoinHashTable& ht,
                           const Chunk& probe, const ExecContext& ctx);
 
@@ -122,132 +122,15 @@ AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts);
 
 /// Checks the aggregate arguments, then groups, accumulates (fixed
 /// 4096-row blocks, block-order combine) and materializes the aggregate
-/// output columns — in memory, or paged through `SpilledFinalizeAggregate`
-/// when the run's budget is exceeded. Groups come out in key order: a
-/// `KeyTable` over the keys' order-preserving codes numbers them by first
-/// occurrence (each group's first row is its representative), then
-/// ranking the distinct keys renumbers them into code order.
+/// output columns. Over the run's budget it computes the same result a
+/// 4096-row page at a time from the resident inputs, never materializing
+/// a whole-relation code, argument or group array. Groups come out in key
+/// order: a `KeyTable` over the keys' order-preserving codes numbers them
+/// by first occurrence (each group's first row is its representative),
+/// then ranking the distinct keys renumbers them into code order.
 StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx);
-
-// ---- Aggregate accumulation, shared by the in-memory and paged kernels -----
-//
-// Both kernels fold rows into per-group accumulators in fixed blocks of
-// `kAggBlock` rows. When `AggFoldsBlocks` holds, each block accumulates
-// into partials of its own, and the partials fold into the totals in block
-// order; otherwise the rows accumulate straight into the totals. The
-// floating-point reduction tree thus depends only on the row count, and
-// the paged kernel, whose pages are these blocks, reproduces it operation
-// for operation.
-
-/// Rows per accumulation block, and per page of the paged aggregate.
-constexpr int64_t kAggBlock = 4096;
-
-/// Whether one aggregate over `rows` rows and `num_groups` groups folds
-/// per-block partials: only when the fold (one entry per block and group)
-/// costs no more than the rows it splits, and never for DISTINCT, whose
-/// table of seen pairs spans every row.
-inline bool AggFoldsBlocks(const plan::AggDef& def, int64_t rows,
-                           int64_t num_groups) {
-  const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
-  return !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
-}
-
-/// Per-group accumulators of one aggregate: the running sum or extreme,
-/// the rows counted, and whether any row has reached the group.
-struct AggAccumulators {
-  explicit AggAccumulators(int64_t slots) { Reset(slots); }
-  void Reset(int64_t slots) {
-    acc.assign(static_cast<size_t>(slots), 0.0);
-    counts.assign(static_cast<size_t>(slots), 0);
-    has.assign(static_cast<size_t>(slots), 0);
-  }
-  std::vector<double> acc;
-  std::vector<int64_t> counts;
-  std::vector<unsigned char> has;
-};
-
-/// Accumulates rows `begin` .. `end - 1` of aggregate `def` into the slots
-/// `base + group[r]` of `out`; `values[r]` is row r's argument (unread
-/// without one). For COUNT(DISTINCT), row r counts only when its (group,
-/// value code) key in `distinct` is new to `seen`.
-inline void AccumulateAggRows(const plan::AggDef& def, int64_t begin,
-                              int64_t end, const int64_t* group,
-                              const double* values, const KeyColumns& distinct,
-                              KeyTable& seen, AggAccumulators& out,
-                              size_t base) {
-  double* acc = out.acc.data() + base;
-  int64_t* counts = out.counts.data() + base;
-  unsigned char* has = out.has.data() + base;
-  for (int64_t r = begin; r < end; ++r) {
-    const size_t g = static_cast<size_t>(group[r]);
-    if (def.distinct && def.arg) {
-      bool inserted = false;
-      seen.Insert(distinct, r, &inserted);
-      if (!inserted) continue;
-    }
-    const double v = def.arg ? values[r] : 0.0;
-    switch (def.kind) {
-      case plan::AggKind::kCountStar:
-      case plan::AggKind::kCount:
-        break;
-      case plan::AggKind::kSum:
-      case plan::AggKind::kAvg:
-        acc[g] += v;
-        break;
-      case plan::AggKind::kMin:
-        acc[g] = has[g] ? std::min(acc[g], v) : v;
-        break;
-      case plan::AggKind::kMax:
-        acc[g] = has[g] ? std::max(acc[g], v) : v;
-        break;
-    }
-    has[g] = 1;
-    ++counts[g];
-  }
-}
-
-/// Folds the `num_groups` partials of one block, at slots `base` ..
-/// `base + num_groups - 1` of `block`, into the totals.
-inline void FoldAggBlock(plan::AggKind kind, int64_t num_groups,
-                         const AggAccumulators& block, size_t base,
-                         AggAccumulators& total) {
-  const double* blk_acc = block.acc.data() + base;
-  const int64_t* blk_counts = block.counts.data() + base;
-  const unsigned char* blk_has = block.has.data() + base;
-  double* acc = total.acc.data();
-  int64_t* counts = total.counts.data();
-  unsigned char* has = total.has.data();
-  for (size_t g = 0; g < static_cast<size_t>(num_groups); ++g) {
-    if (!blk_has[g]) continue;
-    switch (kind) {
-      case plan::AggKind::kCountStar:
-      case plan::AggKind::kCount:
-        break;
-      case plan::AggKind::kSum:
-      case plan::AggKind::kAvg:
-        acc[g] += blk_acc[g];
-        break;
-      case plan::AggKind::kMin:
-        acc[g] = has[g] ? std::min(acc[g], blk_acc[g]) : blk_acc[g];
-        break;
-      case plan::AggKind::kMax:
-        acc[g] = has[g] ? std::max(acc[g], blk_acc[g]) : blk_acc[g];
-        break;
-    }
-    has[g] = 1;
-    counts[g] += blk_counts[g];
-  }
-}
-
-/// The group key output columns: for each group, in rank order, the key
-/// columns' values at its first row (`first_rows[id]` for key-table id
-/// `id`, whose rank is `rank[id]`). Probability-encoded keys are
-/// hard-decoded — the exact operator swap of §4. Empty without GROUP BY.
-Chunk GroupKeyColumns(const plan::AggregateNode& node, const AggInputs& inputs,
-                      const std::vector<int64_t>& rank,
-                      const std::vector<int64_t>& first_rows, Device device);
 
 /// The aggregate over one whole input relation: the soft
 /// (differentiable) COUNT(*) group-by when a soft run groups by
@@ -257,15 +140,6 @@ Chunk GroupKeyColumns(const plan::AggregateNode& node, const AggInputs& inputs,
 /// one morsel).
 StatusOr<Chunk> ExecuteAggregate(const plan::AggregateNode& node,
                                  const Chunk& input, const ExecContext& ctx);
-
-/// One aggregate's output column from its per-group accumulators: the
-/// count for COUNT, the sum for SUM, sum / count for AVG, the running
-/// extreme for MIN/MAX, each cast to `dtype` (the schema's output type).
-/// Shared by `FinalizeAggregate` and `SpilledFinalizeAggregate`.
-Column AggregateOutputColumn(plan::AggKind kind, DType dtype,
-                             const std::vector<double>& acc,
-                             const std::vector<int64_t>& counts,
-                             Device device);
 
 // ---- Breakers (whole-relation kernels) -------------------------------------
 

@@ -12,7 +12,7 @@
 #include "src/exec/operator_kernels.h"
 #include "src/exec/primitive_cache.h"
 #include "src/exec/soft_ops.h"
-#include "src/exec/spill_kernels.h"
+#include "src/exec/spill.h"
 #include "src/tensor/dispatch.h"
 #include "src/tensor/ops.h"
 
@@ -276,6 +276,271 @@ AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts) {
   return out;
 }
 
+namespace {
+
+// Both finalize kernels, in memory and paged, fold rows into per-group
+// accumulators in fixed blocks of `kAggBlock` rows. When `AggFoldsBlocks`
+// holds, each block accumulates into partials of its own, and the
+// partials fold into the totals in block order; otherwise the rows
+// accumulate straight into the totals. The floating-point reduction tree
+// thus depends only on the row count, and the paged kernel, whose pages
+// are these blocks, reproduces it operation for operation.
+
+/// Rows per accumulation block, and per page of the paged aggregate.
+constexpr int64_t kAggBlock = 4096;
+
+/// Whether one aggregate over `rows` rows and `num_groups` groups folds
+/// per-block partials: only when the fold (one entry per block and group)
+/// costs no more than the rows it splits, and never for DISTINCT, whose
+/// table of seen pairs spans every row.
+bool AggFoldsBlocks(const AggDef& def, int64_t rows, int64_t num_groups) {
+  const int64_t num_blocks = (rows + kAggBlock - 1) / kAggBlock;
+  return !def.distinct && num_blocks > 1 && num_blocks * num_groups <= rows;
+}
+
+/// Per-group accumulators of one aggregate: the running sum or extreme,
+/// the rows counted, and whether any row has reached the group.
+struct AggAccumulators {
+  explicit AggAccumulators(int64_t slots) { Reset(slots); }
+  void Reset(int64_t slots) {
+    acc.assign(static_cast<size_t>(slots), 0.0);
+    counts.assign(static_cast<size_t>(slots), 0);
+    has.assign(static_cast<size_t>(slots), 0);
+  }
+  std::vector<double> acc;
+  std::vector<int64_t> counts;
+  std::vector<unsigned char> has;
+};
+
+/// Accumulates rows `begin` .. `end - 1` of aggregate `def` into the slots
+/// `base + group[r]` of `out`; `values[r]` is row r's argument (unread
+/// without one). For COUNT(DISTINCT), row r counts only when its (group,
+/// value code) key in `distinct` is new to `seen`.
+void AccumulateAggRows(const AggDef& def, int64_t begin, int64_t end,
+                       const int64_t* group, const double* values,
+                       const KeyColumns& distinct, KeyTable& seen,
+                       AggAccumulators& out, size_t base) {
+  double* acc = out.acc.data() + base;
+  int64_t* counts = out.counts.data() + base;
+  unsigned char* has = out.has.data() + base;
+  for (int64_t r = begin; r < end; ++r) {
+    const size_t g = static_cast<size_t>(group[r]);
+    if (def.distinct && def.arg) {
+      bool inserted = false;
+      seen.Insert(distinct, r, &inserted);
+      if (!inserted) continue;
+    }
+    const double v = def.arg ? values[r] : 0.0;
+    switch (def.kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        acc[g] += v;
+        break;
+      case AggKind::kMin:
+        acc[g] = has[g] ? std::min(acc[g], v) : v;
+        break;
+      case AggKind::kMax:
+        acc[g] = has[g] ? std::max(acc[g], v) : v;
+        break;
+    }
+    has[g] = 1;
+    ++counts[g];
+  }
+}
+
+/// Folds the `num_groups` partials of one block, at slots `base` ..
+/// `base + num_groups - 1` of `block`, into the totals.
+void FoldAggBlock(AggKind kind, int64_t num_groups,
+                  const AggAccumulators& block, size_t base,
+                  AggAccumulators& total) {
+  const double* blk_acc = block.acc.data() + base;
+  const int64_t* blk_counts = block.counts.data() + base;
+  const unsigned char* blk_has = block.has.data() + base;
+  double* acc = total.acc.data();
+  int64_t* counts = total.counts.data();
+  unsigned char* has = total.has.data();
+  for (size_t g = 0; g < static_cast<size_t>(num_groups); ++g) {
+    if (!blk_has[g]) continue;
+    switch (kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
+        break;
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        acc[g] += blk_acc[g];
+        break;
+      case AggKind::kMin:
+        acc[g] = has[g] ? std::min(acc[g], blk_acc[g]) : blk_acc[g];
+        break;
+      case AggKind::kMax:
+        acc[g] = has[g] ? std::max(acc[g], blk_acc[g]) : blk_acc[g];
+        break;
+    }
+    has[g] = 1;
+    counts[g] += blk_counts[g];
+  }
+}
+
+/// The group key output columns: for each group, in rank order, the key
+/// columns' values at its first row (`first_rows[id]` for key-table id
+/// `id`, whose rank is `rank[id]`). Probability-encoded keys are
+/// hard-decoded — the exact operator swap of §4. Empty without GROUP BY.
+Chunk GroupKeyColumns(const AggregateNode& node, const AggInputs& inputs,
+                      const std::vector<int64_t>& rank,
+                      const std::vector<int64_t>& first_rows, Device device) {
+  Chunk out;
+  if (node.group_exprs.empty()) return out;
+  std::vector<int64_t> representative(rank.size());
+  for (size_t id = 0; id < rank.size(); ++id) {
+    representative[static_cast<size_t>(rank[id])] = first_rows[id];
+  }
+  const Tensor rep = Tensor::FromVector(representative, {}, device);
+  for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
+    Column key_col = inputs.key_columns[k];
+    if (key_col.encoding() == Encoding::kProbability) {
+      key_col = Column::Plain(key_col.DecodeValues());
+    }
+    out.names.push_back(node.group_names[k]);
+    out.columns.push_back(key_col.Select(rep));
+  }
+  return out;
+}
+
+/// One aggregate's output column from its per-group accumulators: the
+/// count for COUNT, the sum for SUM, sum / count for AVG, the running
+/// extreme for MIN/MAX, each cast to `dtype` (the schema's output type).
+Column AggregateOutputColumn(AggKind kind, DType dtype,
+                             const std::vector<double>& acc,
+                             const std::vector<int64_t>& counts,
+                             Device device) {
+  const int64_t num_groups = static_cast<int64_t>(acc.size());
+  Tensor result = Tensor::Empty({num_groups}, dtype, device);
+  TDP_DISPATCH_ALL(dtype, {
+    scalar_t* out = result.data<scalar_t>();
+    for (int64_t g = 0; g < num_groups; ++g) {
+      const size_t ug = static_cast<size_t>(g);
+      double v = 0;
+      switch (kind) {
+        case AggKind::kCountStar:
+        case AggKind::kCount:
+          v = static_cast<double>(counts[ug]);
+          break;
+        case AggKind::kSum:
+        case AggKind::kMin:
+        case AggKind::kMax:
+          v = acc[ug];
+          break;
+        case AggKind::kAvg:
+          v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
+          break;
+      }
+      out[g] = static_cast<scalar_t>(v);
+    }
+  });
+  return Column::Plain(std::move(result));
+}
+
+/// The over-budget GROUP BY: the in-memory kernel's result, computed a
+/// `kAggBlock`-row page at a time from the resident inputs, so no
+/// whole-relation code, argument or group array is ever materialized.
+/// Pass A discovers the groups page by page. Order codes are row-local, so
+/// inserting page by page into the key table assigns the same
+/// first-occurrence ids and first rows, and the rank renumbering the same
+/// group order, as the in-memory kernel's single pass. Pass B, once per
+/// aggregate (so at most one table of seen DISTINCT pairs is live),
+/// recomputes each page's key codes and arguments exactly as pass A
+/// does, resolves each row's group through the finished key table, and
+/// accumulates through the in-memory kernel's accumulator. Pages ARE its
+/// blocks, so folding each page's partials as the page arrives is that
+/// kernel's block-order fold; otherwise rows accumulate straight across
+/// the pages, which IS its serial loop.
+StatusOr<Chunk> PagedFinalizeAggregate(const AggregateNode& node,
+                                       const AggInputs& inputs,
+                                       const ExecContext& ctx) {
+  const int64_t rows = inputs.rows;
+  const bool grouped = !node.group_exprs.empty();
+
+  // The group key codes of rows lo .. lo + n - 1.
+  std::vector<std::vector<int64_t>> key_codes(inputs.key_columns.size());
+  const auto page_keys = [&](int64_t lo, int64_t n) -> StatusOr<KeyColumns> {
+    for (size_t k = 0; k < key_codes.size(); ++k) {
+      TDP_ASSIGN_OR_RETURN(
+          key_codes[k],
+          OrderPreservingCodes(inputs.key_columns[k].SliceRows(lo, n)));
+    }
+    return ColumnsOf(key_codes);
+  };
+
+  // Pass A: group discovery, recording each group's first row.
+  KeyTable groups(static_cast<int64_t>(key_codes.size()));
+  std::vector<int64_t> first_rows;
+  for (int64_t lo = 0; grouped && lo < rows; lo += kAggBlock) {
+    TDP_RETURN_NOT_OK(CheckCancel(ctx));
+    const int64_t n = std::min(kAggBlock, rows - lo);
+    TDP_ASSIGN_OR_RETURN(const KeyColumns cols, page_keys(lo, n));
+    for (int64_t i = 0; i < n; ++i) {
+      bool inserted = false;
+      groups.Insert(cols, i, &inserted);
+      if (inserted) first_rows.push_back(lo + i);
+    }
+  }
+  const std::vector<int64_t> rank = groups.SortedRanks();
+  const int64_t num_groups = grouped ? groups.size() : 1;
+  Chunk out = GroupKeyColumns(node, inputs, rank, first_rows, ctx.device);
+
+  // Pass B, once per aggregate.
+  std::vector<int64_t> row_group;
+  std::vector<double> values;
+  std::vector<int64_t> distinct_codes;
+  for (size_t d = 0; d < node.aggregates.size(); ++d) {
+    const AggDef& def = node.aggregates[d];
+    const bool folds_blocks = AggFoldsBlocks(def, rows, num_groups);
+    AggAccumulators total(num_groups), block(0);
+    KeyTable distinct_seen(2);  // (group, value) pairs, as in memory
+    for (int64_t lo = 0; lo < rows; lo += kAggBlock) {
+      TDP_RETURN_NOT_OK(CheckCancel(ctx));
+      const int64_t n = std::min(kAggBlock, rows - lo);
+      row_group.assign(static_cast<size_t>(n), 0);
+      if (grouped) {
+        TDP_ASSIGN_OR_RETURN(const KeyColumns cols, page_keys(lo, n));
+        for (int64_t i = 0; i < n; ++i) {
+          const int64_t id = groups.Find(cols, i);
+          if (id < 0) return Status::Internal("aggregate page key not found");
+          row_group[static_cast<size_t>(i)] = rank[static_cast<size_t>(id)];
+        }
+      }
+      if (def.arg) {
+        const Column arg = inputs.arg_columns[d].SliceRows(lo, n);
+        values = arg.DecodeValues().To(DType::kFloat64).ToVector<double>();
+        if (def.distinct) {
+          TDP_ASSIGN_OR_RETURN(distinct_codes, OrderPreservingCodes(arg));
+        }
+      }
+      const KeyColumns distinct_cols = {row_group.data(),
+                                        distinct_codes.data()};
+      if (folds_blocks) {
+        block.Reset(num_groups);
+        AccumulateAggRows(def, 0, n, row_group.data(), values.data(),
+                          distinct_cols, distinct_seen, block, 0);
+        FoldAggBlock(def.kind, num_groups, block, 0, total);
+      } else {
+        AccumulateAggRows(def, 0, n, row_group.data(), values.data(),
+                          distinct_cols, distinct_seen, total, 0);
+      }
+    }
+    out.names.push_back(def.name);
+    out.columns.push_back(AggregateOutputColumn(
+        def.kind, node.schema[node.group_exprs.size() + d].dtype, total.acc,
+        total.counts, ctx.device));
+  }
+  return out;
+}
+
+}  // namespace
+
 StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx) {
@@ -284,14 +549,14 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
 
   // Scratch this kernel materializes beyond the (caller-owned) evaluated
   // inputs: key codes, argument doubles, distinct codes, and the per-row
-  // group array. Over budget -> the paged two-pass path, bit-identical.
+  // group array. Over budget -> the paged two-pass kernel, bit-identical.
   const int64_t scratch =
       rows * 8 *
       static_cast<int64_t>(inputs.key_columns.size() +
                            node.aggregates.size() + 2);
   if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
       ctx.memory->ShouldSpill(scratch)) {
-    return SpilledFinalizeAggregate(node, inputs, ctx);
+    return PagedFinalizeAggregate(node, inputs, ctx);
   }
   const ScopedReservation reservation(ctx.memory, scratch);
 
@@ -383,58 +648,6 @@ StatusOr<Chunk> FinalizeAggregate(const AggregateNode& node,
   return out;
 }
 
-Chunk GroupKeyColumns(const AggregateNode& node, const AggInputs& inputs,
-                      const std::vector<int64_t>& rank,
-                      const std::vector<int64_t>& first_rows, Device device) {
-  Chunk out;
-  if (node.group_exprs.empty()) return out;
-  std::vector<int64_t> representative(rank.size());
-  for (size_t id = 0; id < rank.size(); ++id) {
-    representative[static_cast<size_t>(rank[id])] = first_rows[id];
-  }
-  const Tensor rep = Tensor::FromVector(representative, {}, device);
-  for (size_t k = 0; k < inputs.key_columns.size(); ++k) {
-    Column key_col = inputs.key_columns[k];
-    if (key_col.encoding() == Encoding::kProbability) {
-      key_col = Column::Plain(key_col.DecodeValues());
-    }
-    out.names.push_back(node.group_names[k]);
-    out.columns.push_back(key_col.Select(rep));
-  }
-  return out;
-}
-
-Column AggregateOutputColumn(AggKind kind, DType dtype,
-                             const std::vector<double>& acc,
-                             const std::vector<int64_t>& counts,
-                             Device device) {
-  const int64_t num_groups = static_cast<int64_t>(acc.size());
-  Tensor result = Tensor::Empty({num_groups}, dtype, device);
-  TDP_DISPATCH_ALL(dtype, {
-    scalar_t* out = result.data<scalar_t>();
-    for (int64_t g = 0; g < num_groups; ++g) {
-      const size_t ug = static_cast<size_t>(g);
-      double v = 0;
-      switch (kind) {
-        case AggKind::kCountStar:
-        case AggKind::kCount:
-          v = static_cast<double>(counts[ug]);
-          break;
-        case AggKind::kSum:
-        case AggKind::kMin:
-        case AggKind::kMax:
-          v = acc[ug];
-          break;
-        case AggKind::kAvg:
-          v = counts[ug] > 0 ? acc[ug] / static_cast<double>(counts[ug]) : 0;
-          break;
-      }
-      out[g] = static_cast<scalar_t>(v);
-    }
-  });
-  return Column::Plain(std::move(result));
-}
-
 StatusOr<Chunk> ExecuteAggregate(const AggregateNode& node,
                                  const Chunk& input, const ExecContext& ctx) {
   // Soft path: trainable mode + PE keys + COUNT(*) aggregates only.
@@ -482,43 +695,41 @@ StatusOr<Chunk> ExecuteAggregate(const AggregateNode& node,
 StatusOr<JoinHashTable> BuildJoinHashTable(const JoinNode& node,
                                            Chunk build_input,
                                            const ExecContext& ctx) {
-  const auto& build_key_cols =
-      node.build_left ? node.left_keys : node.right_keys;
-  // Over-budget equi-join builds go grace: the payload is partitioned to
-  // disk and only the key -> row maps stay resident. Pure-residual joins
-  // (no keys) always build in memory — their probe is a cartesian product
-  // over the materialized build side.
-  if (ctx.memory != nullptr && !ctx.soft_mode && !build_key_cols.empty() &&
-      build_input.num_rows() > 0) {
-    const int64_t footprint =
-        ChunkFootprintBytes(build_input) + build_input.num_rows() * 48;
-    if (ctx.memory->ShouldSpill(footprint)) {
-      JoinHashTable ht;
-      TDP_ASSIGN_OR_RETURN(ht.spilled,
-                           BuildSpilledJoin(node, build_input, ctx));
-      return ht;
-    }
-  }
   JoinHashTable ht;
   ht.build = std::move(build_input);
-  if (!build_key_cols.empty()) {
-    TDP_ASSIGN_OR_RETURN(JoinKeyCodes codes,
-                         ComputeJoinKeyCodes(ht.build, build_key_cols));
-    const KeyColumns cols = ColumnsOf(codes.columns);
-    ht.index = JoinIndex(static_cast<int64_t>(cols.size()));
-    for (int64_t r = 0; r < ht.build.num_rows(); ++r) {
-      if (!codes.never_match[static_cast<size_t>(r)]) ht.index.Add(cols, r, r);
-    }
-    ht.index.Finish();
+  const auto& build_key_cols =
+      node.build_left ? node.left_keys : node.right_keys;
+  // Pure-residual joins (no keys) probe as a cartesian product over the
+  // resident build side.
+  if (build_key_cols.empty()) return ht;
+  TDP_ASSIGN_OR_RETURN(JoinKeyCodes codes,
+                       ComputeJoinKeyCodes(ht.build, build_key_cols));
+  const KeyColumns cols = ColumnsOf(codes.columns);
+  ht.index = JoinIndex(static_cast<int64_t>(cols.size()));
+  for (int64_t r = 0; r < ht.build.num_rows(); ++r) {
+    if (!codes.never_match[static_cast<size_t>(r)]) ht.index.Add(cols, r);
+  }
+  ht.index.Finish();
+
+  // Over budget, the payload goes to disk once, in build-row order, and
+  // only a 0-row prototype of it stays resident; the index (keys and row
+  // numbers) is the cheap part and stays too.
+  const int64_t rows = ht.build.num_rows();
+  if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
+      ctx.memory->ShouldSpill(ChunkFootprintBytes(ht.build) + rows * 48)) {
+    TDP_RETURN_NOT_OK(CheckCancel(ctx));
+    TDP_ASSIGN_OR_RETURN(ht.spill_file, ctx.memory->NewSpillFile("joinbuild"));
+    TDP_ASSIGN_OR_RETURN(const int64_t bytes,
+                         WritePages(ht.spill_file, ht.build));
+    ctx.memory->AddSpilledBytes(bytes);
+    // A Select, not a slice: a 0-row view would keep the payload alive.
+    ht.build = ht.build.Select(Tensor::Empty({0}, DType::kInt64, ctx.device));
   }
   return ht;
 }
 
 StatusOr<Chunk> ProbeJoin(const JoinNode& node, const JoinHashTable& ht,
                           const Chunk& probe, const ExecContext& ctx) {
-  if (ht.spilled != nullptr) {
-    return ProbeSpilledJoin(node, *ht.spilled, probe, ctx);
-  }
   const int64_t probe_rows = probe.num_rows();
   const int64_t build_rows = ht.build.num_rows();
   const auto& probe_key_cols =
@@ -553,22 +764,36 @@ StatusOr<Chunk> ProbeJoin(const JoinNode& node, const JoinHashTable& ht,
     }
   }
 
+  // The build side's matched rows: a Select from the resident build, or
+  // one ordered pass over its spilled pages. Either way row i is build
+  // row build_idx[i].
+  std::vector<Column> build_cols;
+  if (ht.spill_file.empty()) {
+    const Tensor bsel = Tensor::FromVector(build_idx, {}, ctx.device);
+    for (const Column& c : ht.build.columns) {
+      build_cols.push_back(c.Select(bsel));
+    }
+  } else {
+    TDP_RETURN_NOT_OK(CheckCancel(ctx));
+    TDP_ASSIGN_OR_RETURN(build_cols,
+                         GatherPages(ht.spill_file, ht.build, build_idx));
+  }
+  const Tensor psel = Tensor::FromVector(probe_idx, {}, ctx.device);
+  std::vector<Column> probe_cols;
+  for (const Column& c : probe.columns) probe_cols.push_back(c.Select(psel));
+
   // Assemble in schema order (left columns first) regardless of which
   // side was the build: the build-side flip is invisible downstream.
-  const Chunk& left_chunk = node.build_left ? ht.build : probe;
-  const Chunk& right_chunk = node.build_left ? probe : ht.build;
-  const Tensor psel = Tensor::FromVector(probe_idx, {}, ctx.device);
-  const Tensor bsel = Tensor::FromVector(build_idx, {}, ctx.device);
-  const Tensor& lsel = node.build_left ? bsel : psel;
-  const Tensor& rsel = node.build_left ? psel : bsel;
+  const std::vector<Column>& left = node.build_left ? build_cols : probe_cols;
+  const std::vector<Column>& right = node.build_left ? probe_cols : build_cols;
   Chunk joined;
-  for (size_t i = 0; i < left_chunk.columns.size(); ++i) {
+  for (size_t i = 0; i < left.size(); ++i) {
     joined.names.push_back(node.schema[i].name);
-    joined.columns.push_back(left_chunk.columns[i].Select(lsel));
+    joined.columns.push_back(left[i]);
   }
-  for (size_t i = 0; i < right_chunk.columns.size(); ++i) {
-    joined.names.push_back(node.schema[left_chunk.columns.size() + i].name);
-    joined.columns.push_back(right_chunk.columns[i].Select(rsel));
+  for (size_t i = 0; i < right.size(); ++i) {
+    joined.names.push_back(node.schema[left.size() + i].name);
+    joined.columns.push_back(right[i]);
   }
 
   if (node.residual) {
@@ -586,8 +811,7 @@ StatusOr<Chunk> ExecuteSort(const SortNode& node, const Chunk& input,
                             const ExecContext& ctx) {
   const int64_t rows = input.num_rows();
   // The keys are evaluated once, over the whole relation, and collapsed
-  // to order codes; both the in-memory and the external sort rank rows by
-  // them through `SortRows`.
+  // to order codes; `SortRows` ranks the rows by them.
   SortKeys keys;
   for (const plan::SortItem& item : node.items) {
     TDP_ASSIGN_OR_RETURN(
@@ -595,23 +819,13 @@ StatusOr<Chunk> ExecuteSort(const SortNode& node, const Chunk& input,
     TDP_ASSIGN_OR_RETURN(SortKey key, MakeSortKey(key_col, item.descending));
     keys.push_back(std::move(key));
   }
-  // In-memory sort scratch: the key codes + permutation (+ the output
-  // copy of the relation, since `input` stays live until Select returns).
-  // Over budget -> external merge sort, bit-identical permutation.
-  if (ctx.memory != nullptr && !ctx.soft_mode && rows > 0 &&
-      !node.items.empty()) {
-    const int64_t scratch =
-        ChunkFootprintBytes(input) +
-        rows * 8 * static_cast<int64_t>(node.items.size() + 2);
-    if (ctx.memory->ShouldSpill(scratch)) {
-      return ExternalSortChunk(node, keys, input, ctx);
-    }
-  }
+  // Sort scratch: the key codes and the permutation. The sort runs in
+  // memory at every budget: its input is resident for the whole call and
+  // its output must be, so a spill would bound neither.
   const ScopedReservation reservation(
       ctx.memory,
       rows * 8 * static_cast<int64_t>(node.items.size() + 2));
-  const std::vector<int64_t> perm =
-      SortRows(keys, 0, rows, node.fused_limit);
+  const std::vector<int64_t> perm = SortRows(keys, rows, node.fused_limit);
   return input.Select(Tensor::FromVector(perm, {}, ctx.device));
 }
 
@@ -693,7 +907,7 @@ StatusOr<std::vector<int64_t>> TopKRows(
     TDP_ASSIGN_OR_RETURN(SortKey key, MakeSortKey(column, descending));
     keys.push_back(std::move(key));
   }
-  return SortRows(keys, 0, n, node.k);
+  return SortRows(keys, n, node.k);
 }
 
 // The k = 0 / zero-survivor result: the projection evaluated over the

@@ -80,8 +80,9 @@ struct ExecContext {
   /// Per-query memory accounting + spill-file registry, owned by the run
   /// (`RunOptions::memory_budget_bytes > 0`); null means unlimited. The
   /// breaker kernels (Sort, hash-join build, Aggregate finalize) account
-  /// their materializations here and switch to their spill-to-disk paths
-  /// when over budget — bit-identical results either way.
+  /// their materializations here; over budget the aggregate pages and
+  /// the join build spills its payload — bit-identical results either
+  /// way.
   QueryMemory* memory = nullptr;
   /// Per-plan scratch/primitive cache owned by the CompiledQuery (null for
   /// bare kernel callers): reusable join build sides and scan device

@@ -85,17 +85,17 @@ struct RunOptions {
   std::shared_ptr<CancellationToken> cancel;
 
   /// Per-query memory budget (bytes) for breaker materializations — the
-  /// scratch the blocking operators hold while they run: sort keys,
-  /// permutations and the sorted copy; the hash-join build table; the
-  /// aggregate's code/argument/accumulator arrays. 0 (default) is
-  /// unlimited: everything stays in memory. When > 0, a breaker whose
-  /// accounted footprint would exceed the budget takes its spill-to-disk
-  /// path instead (external merge sort; partitioned build payload with
-  /// per-partition gather; paged two-pass aggregation) — results are
-  /// bit-identical to the in-memory path, only scratch residency changes.
-  /// Spill temp files live for exactly one run: they are deleted when the
-  /// run returns, is cancelled, or its cursor is closed early. Purely a
-  /// resource knob, NOT part of the plan-cache key.
+  /// scratch the blocking operators hold while they run: sort keys and
+  /// permutations; the hash-join build table; the aggregate's
+  /// code/argument/accumulator arrays. 0 (default) is unlimited:
+  /// everything stays in memory. When > 0, an aggregate whose scratch
+  /// would exceed the budget computes page by page from its resident
+  /// inputs, and a join build over it writes its payload to disk and
+  /// gathers matched rows back per probe; a sort always runs in memory.
+  /// Results are bit-identical to the in-memory path, only scratch
+  /// residency changes. Spill temp files live for exactly one run: they
+  /// are deleted when the run returns, is cancelled, or its cursor is
+  /// closed early. Purely a resource knob, NOT part of the plan-cache key.
   int64_t memory_budget_bytes = 0;
 
   /// Capacity (in chunks) of a `ResultCursor`'s bounded hand-off queue;

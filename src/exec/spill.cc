@@ -1,5 +1,6 @@
 #include "src/exec/spill.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/tensor/dtype.h"
@@ -143,6 +144,13 @@ StatusOr<Column> ParseColumn(BufReader& r) {
 SpillWriter::SpillWriter(const std::string& path)
     : path_(path), out_(path, std::ios::binary | std::ios::trunc) {}
 
+Status SpillWriter::Write(const void* data, size_t size) {
+  out_.write(reinterpret_cast<const char*>(data),
+             static_cast<std::streamsize>(size));
+  bytes_written_ += static_cast<int64_t>(size);
+  return CheckStream();
+}
+
 Status SpillWriter::CheckStream() {
   if (!out_.good()) {
     return Status::ExecutionError("spill: write failed on " + path_ +
@@ -151,31 +159,13 @@ Status SpillWriter::CheckStream() {
   return Status::OK();
 }
 
-Status SpillWriter::WriteBytes(const void* data, size_t size) {
-  out_.write(reinterpret_cast<const char*>(data),
-             static_cast<std::streamsize>(size));
-  bytes_written_ += static_cast<int64_t>(size);
-  return CheckStream();
-}
-
-Status SpillWriter::WriteInt64(int64_t v) { return WriteBytes(&v, sizeof(v)); }
-
-Status SpillWriter::WriteInt64Span(const int64_t* data, size_t count) {
-  return WriteBytes(data, count * sizeof(int64_t));
-}
-
-Status SpillWriter::WriteTensor(const Tensor& t) {
-  std::string buf;
-  AppendTensor(buf, t);
-  TDP_RETURN_NOT_OK(WriteInt64(static_cast<int64_t>(buf.size())));
-  return WriteBytes(buf.data(), buf.size());
-}
+Status SpillWriter::WriteInt64(int64_t v) { return Write(&v, sizeof(v)); }
 
 Status SpillWriter::WriteColumn(const Column& c) {
   std::string buf;
   AppendColumn(buf, c);
   TDP_RETURN_NOT_OK(WriteInt64(static_cast<int64_t>(buf.size())));
-  return WriteBytes(buf.data(), buf.size());
+  return Write(buf.data(), buf.size());
 }
 
 Status SpillWriter::Close() {
@@ -188,13 +178,7 @@ Status SpillWriter::Close() {
 SpillReader::SpillReader(const std::string& path)
     : path_(path), in_(path, std::ios::binary) {}
 
-StatusOr<int64_t> SpillReader::ReadInt64() {
-  int64_t v = 0;
-  TDP_RETURN_NOT_OK(ReadBytes(&v, sizeof(v)));
-  return v;
-}
-
-Status SpillReader::ReadBytes(void* data, size_t size) {
+Status SpillReader::Read(void* data, size_t size) {
   in_.read(reinterpret_cast<char*>(data), static_cast<std::streamsize>(size));
   if (!in_.good()) {
     return Status::ExecutionError("spill: read failed on " + path_);
@@ -202,24 +186,17 @@ Status SpillReader::ReadBytes(void* data, size_t size) {
   return Status::OK();
 }
 
-Status SpillReader::ReadInt64Span(int64_t* data, size_t count) {
-  return ReadBytes(data, count * sizeof(int64_t));
-}
-
-StatusOr<Tensor> SpillReader::ReadTensor() {
-  TDP_ASSIGN_OR_RETURN(int64_t len, ReadInt64());
-  if (len < 0) return Status::ExecutionError("spill: corrupt tensor length");
-  std::string buf(static_cast<size_t>(len), '\0');
-  TDP_RETURN_NOT_OK(ReadBytes(buf.data(), buf.size()));
-  BufReader r{buf.data(), buf.data() + buf.size()};
-  return ParseTensor(r);
+StatusOr<int64_t> SpillReader::ReadInt64() {
+  int64_t v = 0;
+  TDP_RETURN_NOT_OK(Read(&v, sizeof(v)));
+  return v;
 }
 
 StatusOr<Column> SpillReader::ReadColumn() {
   TDP_ASSIGN_OR_RETURN(int64_t len, ReadInt64());
   if (len < 0) return Status::ExecutionError("spill: corrupt column length");
   std::string buf(static_cast<size_t>(len), '\0');
-  TDP_RETURN_NOT_OK(ReadBytes(buf.data(), buf.size()));
+  TDP_RETURN_NOT_OK(Read(buf.data(), buf.size()));
   BufReader r{buf.data(), buf.data() + buf.size()};
   return ParseColumn(r);
 }
@@ -227,15 +204,108 @@ StatusOr<Column> SpillReader::ReadColumn() {
 Status SpillReader::SkipColumn() {
   TDP_ASSIGN_OR_RETURN(int64_t len, ReadInt64());
   if (len < 0) return Status::ExecutionError("spill: corrupt column length");
-  return Skip(len);
-}
-
-Status SpillReader::Skip(int64_t bytes) {
-  in_.seekg(bytes, std::ios::cur);
+  in_.seekg(len, std::ios::cur);
   if (!in_.good()) {
     return Status::ExecutionError("spill: seek failed on " + path_);
   }
   return Status::OK();
+}
+
+// ---- Paged chunk files ------------------------------------------------------
+
+StatusOr<int64_t> WritePages(const std::string& path, const Chunk& chunk) {
+  SpillWriter w(path);
+  const int64_t rows = chunk.num_rows();
+  for (int64_t lo = 0; lo < rows; lo += kSpillPageRows) {
+    const Chunk page = chunk.SliceRows(lo, std::min(kSpillPageRows, rows - lo));
+    // Payload bytes only: the reader's prototype carries the encodings,
+    // dictionaries and domains, so no page repeats them.
+    for (const Column& c : page.columns) {
+      TDP_RETURN_NOT_OK(w.WriteColumn(Column::Plain(c.data())));
+    }
+  }
+  TDP_RETURN_NOT_OK(w.Close());
+  return w.bytes_written();
+}
+
+StatusOr<std::vector<Column>> GatherPages(const std::string& path,
+                                          const Chunk& prototype,
+                                          const std::vector<int64_t>& rows) {
+  const int64_t n = static_cast<int64_t>(rows.size());
+  std::vector<Tensor> payloads;
+  payloads.reserve(prototype.columns.size());
+  for (const Column& c : prototype.columns) {
+    std::vector<int64_t> shape = c.data().shape();
+    shape[0] = n;
+    payloads.push_back(
+        Tensor::Empty(shape, c.data().dtype(), c.data().device()));
+  }
+
+  // Output positions grouped by the page their row lives on (a counting
+  // sort), so one ordered pass over the pages serves every position.
+  const int64_t pages =
+      n == 0 ? 0 : *std::max_element(rows.begin(), rows.end()) /
+                           kSpillPageRows + 1;
+  std::vector<int64_t> page_begin(static_cast<size_t>(pages) + 1, 0);
+  for (int64_t r : rows) {
+    ++page_begin[static_cast<size_t>(r / kSpillPageRows) + 1];
+  }
+  for (size_t p = 1; p < page_begin.size(); ++p) {
+    page_begin[p] += page_begin[p - 1];
+  }
+  std::vector<int64_t> next(page_begin.begin(), page_begin.end() - 1);
+  std::vector<int64_t> by_page(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t p = static_cast<size_t>(rows[static_cast<size_t>(i)] /
+                                         kSpillPageRows);
+    by_page[static_cast<size_t>(next[p]++)] = i;
+  }
+
+  SpillReader reader(path);
+  for (int64_t p = 0; p < pages; ++p) {
+    const int64_t begin = page_begin[static_cast<size_t>(p)];
+    const int64_t end = page_begin[static_cast<size_t>(p) + 1];
+    for (Tensor& payload : payloads) {
+      if (begin == end) {
+        TDP_RETURN_NOT_OK(reader.SkipColumn());
+        continue;
+      }
+      TDP_ASSIGN_OR_RETURN(Column page, reader.ReadColumn());
+      const Tensor src = page.data().Contiguous();
+      const int64_t row_bytes =
+          src.numel() / src.size(0) * DTypeSize(src.dtype());
+      const uint8_t* sp = TensorRawBytes(src);
+      uint8_t* dp = TensorRawBytesMutable(payload);
+      for (int64_t e = begin; e < end; ++e) {
+        const int64_t i = by_page[static_cast<size_t>(e)];
+        const int64_t local =
+            rows[static_cast<size_t>(i)] - p * kSpillPageRows;
+        std::memcpy(dp + i * row_bytes, sp + local * row_bytes,
+                    static_cast<size_t>(row_bytes));
+      }
+    }
+  }
+
+  // Same encoding, same dictionary or domain as the rows written.
+  std::vector<Column> out;
+  out.reserve(payloads.size());
+  for (size_t c = 0; c < payloads.size(); ++c) {
+    const Column& proto = prototype.columns[c];
+    switch (proto.encoding()) {
+      case Encoding::kPlain:
+        out.push_back(Column::Plain(std::move(payloads[c])));
+        break;
+      case Encoding::kDictionary:
+        out.push_back(
+            Column::Dictionary(std::move(payloads[c]), proto.dictionary()));
+        break;
+      case Encoding::kProbability:
+        out.push_back(
+            Column::Probability(std::move(payloads[c]), proto.domain()));
+        break;
+    }
+  }
+  return out;
 }
 
 }  // namespace exec

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/statusor.h"
+#include "src/exec/chunk.h"
 #include "src/storage/column.h"
 #include "src/tensor/buffer.h"
 #include "src/tensor/dtype.h"
@@ -24,17 +25,18 @@ inline uint8_t* TensorRawBytesMutable(Tensor& t) {
   return t.impl()->buffer->data() + t.offset() * DTypeSize(t.dtype());
 }
 
-// Binary spill-file serialization for the breaker spill paths (external
-// merge sort, grace hash join, paged aggregation). The format is exact:
-// tensors round-trip their raw contiguous bytes (no float formatting, no
-// re-encoding), dictionary strings and PE domains travel verbatim, so a
-// value read back from disk is bit-identical to the value written. Files
-// are private to one run (created via `QueryMemory::NewSpillFile`) and
-// never outlive it — there is no versioning or cross-process contract.
+// Binary spill-file serialization for the one breaker that spills: a hash
+// join whose build side exceeds the run's memory budget writes the build
+// payload once, as pages of columns, and each probe gathers its matched
+// rows back. The format is exact: tensors round-trip their raw contiguous
+// bytes (no float formatting, no re-encoding), dictionary strings and PE
+// domains travel verbatim, so a value read back from disk is bit-identical
+// to the value written. Files are private to one run (created via
+// `QueryMemory::NewSpillFile`) and never outlive it — there is no
+// versioning or cross-process contract.
 //
-// Columns are written with a leading byte length so a reader scanning for
-// one column of a page can `SkipColumn` past the others without parsing
-// (the per-column assembly passes of the external sort rely on this).
+// Columns are written with a leading byte length, so a reader can
+// `SkipColumn` past a page it takes no row from without parsing it.
 
 class SpillWriter {
  public:
@@ -42,11 +44,6 @@ class SpillWriter {
   explicit SpillWriter(const std::string& path);
 
   Status WriteInt64(int64_t v);
-  Status WriteBytes(const void* data, size_t size);
-  Status WriteInt64Span(const int64_t* data, size_t count);
-
-  /// dtype + shape + raw contiguous payload bytes.
-  Status WriteTensor(const Tensor& t);
 
   /// [byte length][encoding][tensor][dictionary | domain].
   Status WriteColumn(const Column& c);
@@ -57,6 +54,7 @@ class SpillWriter {
   Status Close();
 
  private:
+  Status Write(const void* data, size_t size);
   Status CheckStream();
 
   std::string path_;
@@ -68,21 +66,37 @@ class SpillReader {
  public:
   explicit SpillReader(const std::string& path);
 
-  bool ok() const { return in_.good(); }
-
   StatusOr<int64_t> ReadInt64();
-  Status ReadBytes(void* data, size_t size);
-  Status ReadInt64Span(int64_t* data, size_t count);
-  StatusOr<Tensor> ReadTensor();
   StatusOr<Column> ReadColumn();
   /// Skips one serialized column without materializing it.
   Status SkipColumn();
-  Status Skip(int64_t bytes);
 
  private:
+  Status Read(void* data, size_t size);
+
   std::string path_;
   std::ifstream in_;
 };
+
+// ---- Paged chunk files ------------------------------------------------------
+
+/// Rows per page of a paged chunk file.
+constexpr int64_t kSpillPageRows = 4096;
+
+/// Writes `chunk`'s rows to a fresh file at `path` in row order, in
+/// `kSpillPageRows`-row pages, each page its columns' payloads in order
+/// (encodings, dictionaries and domains are left to the reader's
+/// prototype). Returns the bytes written.
+StatusOr<int64_t> WritePages(const std::string& path, const Chunk& chunk);
+
+/// Gathers rows of the paged file at `path` (written by `WritePages` from
+/// a chunk shaped like `prototype`): output row i is file row `rows[i]`,
+/// in `prototype`'s encodings. One ordered pass over the pages up to the
+/// last one needed: a page no row is taken from is skipped unread, and a
+/// row taken many times is copied to each of its positions.
+StatusOr<std::vector<Column>> GatherPages(const std::string& path,
+                                          const Chunk& prototype,
+                                          const std::vector<int64_t>& rows);
 
 }  // namespace exec
 }  // namespace tdp

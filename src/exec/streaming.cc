@@ -539,7 +539,7 @@ StatusOr<std::shared_ptr<const JoinHashTable>> BuildOrReuseJoin(
   TDP_ASSIGN_OR_RETURN(JoinHashTable built,
                        BuildJoinHashTable(join, std::move(produced), ctx));
   auto ht = std::make_shared<const JoinHashTable>(std::move(built));
-  if (table != nullptr && ht->spilled == nullptr) {
+  if (table != nullptr && ht->spill_file.empty()) {
     ctx.primitive_cache->StoreJoin(p.sink, std::move(table), ctx.device, ht);
   }
   return ht;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/plan/footprint.h"
-
 namespace tdp {
 namespace server {
 
@@ -82,24 +80,6 @@ StatusOr<std::shared_ptr<Table>> Engine::Sql(const Request& req) {
   // must fail fast without holding — or even waiting for — a slot.
   TDP_ASSIGN_OR_RETURN(std::shared_ptr<exec::CompiledQuery> query,
                        session.Prepare(req.sql, req.query));
-
-  // Footprint pre-rejection: refuse queries that could not possibly run
-  // inside the admission ceiling while the information is cheap. The
-  // estimate is pessimistic by design (see plan/footprint.h) — the real
-  // enforcement is the per-query MemoryBudget below.
-  if (options_.max_estimated_footprint_bytes > 0) {
-    const plan::FootprintEstimate est = plan::EstimatePlanFootprint(
-        query->plan(), *session.catalog().Snapshot());
-    if (est.peak_breaker_bytes > options_.max_estimated_footprint_bytes) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rejected_footprint;
-      return Status::ResourceExhausted(
-          "estimated breaker footprint " +
-          std::to_string(est.peak_breaker_bytes) + " bytes exceeds the " +
-          std::to_string(options_.max_estimated_footprint_bytes) +
-          "-byte admission ceiling");
-    }
-  }
 
   exec::RunOptions run = req.run;
   if (run.memory_budget_bytes == 0) {

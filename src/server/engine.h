@@ -40,18 +40,12 @@ struct EngineOptions {
   /// budget is the engine's real memory backstop: admission caps how many
   /// queries run, the budget caps what each one may hold.
   int64_t default_memory_budget_bytes = 0;
-  /// When > 0, a request whose plan's estimated peak breaker scratch
-  /// (`plan::EstimatePlanFootprint`) exceeds this is rejected with
-  /// `kResourceExhausted` BEFORE queueing — a query that would only spill
-  /// its whole runtime away can be refused while the information is cheap.
-  int64_t max_estimated_footprint_bytes = 0;
 };
 
 /// Cumulative serving counters plus point-in-time gauges (`stats()`).
 struct EngineStats {
   uint64_t admitted = 0;   // requests that received an execution slot
   uint64_t shed = 0;       // rejected: queue full
-  uint64_t rejected_footprint = 0;  // rejected: estimated footprint too big
   uint64_t cancelled_while_queued = 0;
   uint64_t completed = 0;  // admitted runs that returned OK
   uint64_t failed = 0;     // admitted runs that returned an error
@@ -67,7 +61,7 @@ struct EngineStats {
 /// while all execution shares the single process-wide `ThreadPool`.
 /// What the engine adds over bare Sessions is the resource envelope:
 ///
-///   request -> [footprint pre-reject] -> bounded FIFO admission queue
+///   request -> bounded FIFO admission queue
 ///           -> (global + per-tenant concurrency caps) -> Session::Sql
 ///              with a per-query MemoryBudget -> release + promote next
 ///
@@ -92,8 +86,7 @@ class Engine {
   };
 
   /// Compile (through the tenant's plan cache) + admit + run + release.
-  /// Compilation failures and footprint rejections return without ever
-  /// occupying a queue slot.
+  /// Compilation failures return without ever occupying a queue slot.
   StatusOr<std::shared_ptr<Table>> Sql(const Request& req);
 
   /// The tenant's private session (created on first use): the registration

@@ -444,6 +444,10 @@ Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   // out = cond * a + (1 - cond) * b computed via masks; autograd flows
   // through the Mul/Add composition automatically.
   const DType dtype = PromoteTypes(a.dtype(), b.dtype());
+  if (dtype == DType::kBool) {
+    // Bools take no arithmetic: select through the logical ops.
+    return LogicalOr(LogicalAnd(cond, a), LogicalAnd(LogicalNot(cond), b));
+  }
   const Tensor condf = cond.To(dtype);
   return Add(Mul(condf, a), Mul(RSubScalar(1.0, condf), b));
 }

@@ -112,8 +112,9 @@ std::vector<std::string> BaselineRows(const baseline::BaselineTable& table) {
   return rows;
 }
 
-void ExpectAgree(Engines& engines, const std::string& sql) {
-  auto tdp_result = engines.tdp.Sql(sql);
+void ExpectAgree(Engines& engines, const std::string& sql,
+                 const QueryOptions& options = {}) {
+  auto tdp_result = engines.tdp.Sql(sql, options);
   auto base_result = engines.base.Sql(sql);
   ASSERT_TRUE(tdp_result.ok()) << sql << "\n" << tdp_result.status().ToString();
   ASSERT_TRUE(base_result.ok()) << sql << "\n"
@@ -185,6 +186,52 @@ TEST_P(DifferentialTest, BoolComparisonsAgree) {
   ExpectAgree(engines, "SELECT k FROM bt WHERE b <> FALSE");
   ExpectAgree(engines, "SELECT k FROM bt WHERE b = b");
   ExpectAgree(engines, "SELECT k FROM bt WHERE b < TRUE");
+}
+
+// Bools used as numbers are 0 and 1 (computed in doubles, so -FALSE is
+// -0), a CASE may yield bools, and AND/OR refuse non-bool operands — on
+// the reference and the accel backend alike.
+TEST_P(DifferentialTest, BoolOperandsAgree) {
+  Rng rng(GetParam());
+  Engines engines;
+  std::vector<int64_t> keys;
+  std::vector<bool> flags;
+  baseline::BaselineTable bt;
+  bt.column_names = {"k", "b"};
+  for (int64_t i = 0; i < 20 + static_cast<int64_t>(GetParam()); ++i) {
+    keys.push_back(i);
+    flags.push_back(rng.UniformInt(0, 1) == 1);
+    bt.rows.push_back({keys.back(), static_cast<bool>(flags.back())});
+  }
+  auto table =
+      TableBuilder("bt").AddInt64("k", keys).AddBool("b", flags).Build();
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(engines.tdp.RegisterTable("bt", table.value()).ok());
+  ASSERT_TRUE(engines.base.RegisterTable("bt", std::move(bt)).ok());
+
+  for (const Device device : {Device::kCpu, Device::kAccel}) {
+    QueryOptions options;
+    options.device = device;
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    ExpectAgree(engines, "SELECT k, b + b FROM bt", options);
+    ExpectAgree(engines, "SELECT k, -b FROM bt", options);
+    ExpectAgree(engines,
+                "SELECT k, CASE WHEN k > 1 THEN TRUE ELSE FALSE END FROM bt",
+                options);
+    for (const char* sql : {"SELECT k FROM bt WHERE k AND b",
+                            "SELECT k FROM bt WHERE b OR k",
+                            "SELECT k FROM bt WHERE k AND k"}) {
+      auto tdp_result = engines.tdp.Sql(sql, options);
+      auto base_result = engines.base.Sql(sql);
+      ASSERT_FALSE(tdp_result.ok()) << sql;
+      ASSERT_FALSE(base_result.ok()) << sql;
+      EXPECT_EQ(tdp_result.status().code(), StatusCode::kTypeError)
+          << sql << ": " << tdp_result.status().ToString();
+      EXPECT_EQ(tdp_result.status().ToString(),
+                base_result.status().ToString())
+          << sql;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,

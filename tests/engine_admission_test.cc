@@ -1,11 +1,11 @@
 // The serving front end's contracts: tenant isolation (private catalogs
 // and plan caches over one shared runtime), bounded-queue admission with
 // load shedding, per-tenant concurrency caps that keep one hot tenant
-// from starving the rest, cancellation while queued, and footprint
-// pre-rejection. The final test is a race storm — many client threads
-// against a small engine with shed/admit/cancel all in flight — whose
-// status accounting must balance exactly; it is the suite's reason to
-// ride in the TSan CI job.
+// from starving the rest, cancellation while queued, and the engine's
+// default memory budget. The final test is a race storm — many client
+// threads against a small engine with shed/admit/cancel all in flight —
+// whose status accounting must balance exactly; it is the suite's reason
+// to ride in the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -254,30 +254,6 @@ TEST(EngineTest, CancelWhileQueued) {
   runner.join();
 }
 
-TEST(EngineTest, FootprintPreRejection) {
-  EngineOptions options;
-  options.max_estimated_footprint_bytes = 1024;
-  Engine engine(options);
-
-  std::vector<int64_t> values(1000);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<int64_t>(i * 37 % 1001);
-  }
-  RegisterSmallTable(engine, "alice", values);
-
-  // A 1000-row sort estimates far above the 1 KB ceiling -> pre-rejected
-  // without occupying a queue seat.
-  auto big = engine.Sql({"alice", "SELECT x FROM t ORDER BY x", {}, {}});
-  ASSERT_FALSE(big.ok());
-  EXPECT_EQ(big.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(engine.stats().rejected_footprint, 1u);
-  EXPECT_EQ(engine.stats().admitted, 0u);
-
-  // A breaker-free scan estimates no breaker scratch and sails through.
-  auto small = engine.Sql({"alice", "SELECT x FROM t WHERE x < 10", {}, {}});
-  EXPECT_TRUE(small.ok()) << small.status().ToString();
-}
-
 TEST(EngineTest, DefaultMemoryBudgetMakesBreakersSpill) {
   EngineOptions options;
   options.default_memory_budget_bytes = 1;
@@ -289,16 +265,19 @@ TEST(EngineTest, DefaultMemoryBudgetMakesBreakersSpill) {
   }
   RegisterSmallTable(engine, "alice", values);
 
+  // A hash join is the breaker that spills: its build payload goes to
+  // disk once the build side is over budget.
+  const std::string join = "SELECT a.x FROM t a JOIN t b ON a.x = b.x";
   const int64_t spilled_before = exec::QueryMemory::TotalBytesSpilled();
   const int64_t live_before = exec::QueryMemory::LiveSpillFiles();
-  auto sorted = engine.Sql({"alice", "SELECT x FROM t ORDER BY x", {}, {}});
-  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  auto joined = engine.Sql({"alice", join, {}, {}});
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
   EXPECT_GT(exec::QueryMemory::TotalBytesSpilled(), spilled_before)
       << "the engine's default budget was not applied to the run";
   EXPECT_EQ(exec::QueryMemory::LiveSpillFiles(), live_before);
 
   // A request carrying its own budget keeps it (no default override).
-  Engine::Request unlimited{"alice", "SELECT x FROM t ORDER BY x", {}, {}};
+  Engine::Request unlimited{"alice", join, {}, {}};
   unlimited.run.memory_budget_bytes = 1 << 30;
   const int64_t spilled_mid = exec::QueryMemory::TotalBytesSpilled();
   ASSERT_TRUE(engine.Sql(unlimited).ok());

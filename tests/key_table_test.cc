@@ -146,7 +146,7 @@ TEST(KeyTableTest, JoinMatchesComeInAscendingBuildRowOrder) {
   JoinIndex index(1);
   // Row 4 is left out (as a NaN-keyed build row is).
   for (int64_t r = 0; r < static_cast<int64_t>(build.size()); ++r) {
-    if (r != 4) index.Add(build_cols, r, r);
+    if (r != 4) index.Add(build_cols, r);
   }
   index.Finish();
   EXPECT_EQ(index.num_keys(), 2);
@@ -167,7 +167,7 @@ TEST(KeyTableTest, ConcurrentProbesOfAFinishedIndex) {
   std::vector<int64_t> build(kBuild);
   for (int64_t i = 0; i < kBuild; ++i) build[static_cast<size_t>(i)] = i % 997;
   JoinIndex index(1);
-  for (int64_t r = 0; r < kBuild; ++r) index.Add({build.data()}, r, r);
+  for (int64_t r = 0; r < kBuild; ++r) index.Add({build.data()}, r);
   index.Finish();
   std::vector<int64_t> totals(4, 0);
   std::vector<std::thread> threads;
@@ -284,23 +284,14 @@ TEST(SortRowsTest, MatchesStablePerKeyArgSorts) {
                    std::to_string(limit));
       const std::vector<int64_t> expected =
           StableArgSortOracle(columns, descending, n, limit);
-      EXPECT_EQ(SortRows(keys, 0, n, limit), expected);
+      EXPECT_EQ(SortRows(keys, n, limit), expected);
     }
-    // A sub-range sorts as the full order restricted to its rows (the
-    // external sort's runs).
-    const int64_t lo = rng.UniformInt(0, n - 1);
-    const int64_t count = rng.UniformInt(0, n - lo);
-    std::vector<int64_t> restricted;
-    for (int64_t row : StableArgSortOracle(columns, descending, n, -1)) {
-      if (row >= lo && row < lo + count) restricted.push_back(row);
-    }
-    EXPECT_EQ(SortRows(keys, lo, count, -1), restricted);
   }
 }
 
 TEST(SortRowsTest, NoKeysKeepRowOrderAndTensorKeysAreTypeErrors) {
-  EXPECT_EQ(SortRows({}, 3, 4, -1), (std::vector<int64_t>{3, 4, 5, 6}));
-  EXPECT_EQ(SortRows({}, 3, 4, 2), (std::vector<int64_t>{3, 4}));
+  EXPECT_EQ(SortRows({}, 4, -1), (std::vector<int64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(SortRows({}, 4, 2), (std::vector<int64_t>{0, 1}));
   auto key = MakeSortKey(Column::Plain(Tensor::Zeros({3, 2})), false);
   EXPECT_FALSE(key.ok());
   EXPECT_EQ(key.status().code(), StatusCode::kTypeError);

@@ -1,21 +1,23 @@
-// The larger-than-memory differential harness (this PR's tentpole proof).
+// The larger-than-memory differential harness.
 //
 // A seeded driver builds tables whose columns exercise every key-code
-// equivalence the spill paths must preserve — shuffled duplicate ints,
-// doubles with NaN / -0 / +0 / dense duplicates, low-cardinality strings —
-// then runs a fixed query battery (multi-key ORDER BY, fused-limit sort,
-// hash joins, GROUP BY with every aggregate kind plus COUNT(DISTINCT),
-// join+aggregate+sort compositions) under a budget sweep:
+// equivalence the budgeted breakers must preserve — shuffled duplicate
+// ints, doubles with NaN / -0 / +0 / dense duplicates, low-cardinality
+// strings — then runs a fixed query battery (multi-key ORDER BY,
+// fused-limit sort, hash joins, GROUP BY with every aggregate kind plus
+// COUNT(DISTINCT), join+aggregate+sort compositions) under a budget sweep:
 //
 //     {unlimited, tight, pathological-1-byte}
 //   x {morsels 7 / 4096 / default}
 //
 // Every budgeted result must be BYTE-identical (NaN payloads and -0 signs
 // included — stricter than value equality) to the unlimited in-memory
-// reference. A 1-byte budget forces EVERY breaker through its external
-// path, so sort runs, grace-join partitions, and aggregation pages all
-// degenerate to their smallest shapes; tight budgets exercise the mixed
-// regime where some breakers spill and others stay resident.
+// reference. Over budget a hash join writes its build payload to disk and
+// gathers matched rows back, and GROUP BY computes page by page from its
+// resident inputs; ORDER BY and DISTINCT run in memory at every budget. A
+// 1-byte budget puts every join build on disk and pages every aggregate;
+// tight budgets exercise the mixed regime where some breakers stay
+// resident.
 //
 // The same suite pins the spill-file lifetime contract: after every run —
 // completed, drained through a cursor, cancelled mid-flight, or abandoned
@@ -44,6 +46,7 @@
 #include "src/exec/spill.h"
 #include "src/runtime/session.h"
 #include "src/storage/table.h"
+#include "src/tensor/ops.h"
 
 namespace tdp {
 namespace {
@@ -139,7 +142,7 @@ const std::vector<std::string>& Queries() {
       // Multi-key sort: string key, float key with NaN/-0 ties, int
       // tiebreak; stability across equal full keys.
       "SELECT id, score, tag FROM rows ORDER BY tag, score DESC, id",
-      // Fused-limit sort: the external merge must truncate identically.
+      // Fused-limit sort: the partial sort must truncate identically.
       "SELECT id, score FROM rows ORDER BY score, id DESC LIMIT 123",
       // Ascending float sort, no tiebreak: ties resolved by stability.
       "SELECT score FROM rows ORDER BY score",
@@ -153,11 +156,10 @@ const std::vector<std::string>& Queries() {
       "FROM rows GROUP BY grp ORDER BY grp",
       // Global (keyless) aggregate: a single group spanning every page.
       "SELECT COUNT(*), SUM(val), AVG(val), COUNT(DISTINCT grp) FROM rows",
-      // Join + aggregate + sort: all three breakers spill in one plan.
+      // Join + aggregate + sort: all three breakers in one plan.
       "SELECT d.bonus, COUNT(*) AS n, SUM(r.score) AS s FROM rows r "
       "JOIN dims d ON r.grp = d.name GROUP BY d.bonus ORDER BY d.bonus",
-      // DISTINCT rides the same breaker infrastructure downstream of a
-      // budgeted sort.
+      // DISTINCT downstream of a budgeted sort.
       "SELECT DISTINCT tag, grp FROM rows ORDER BY tag, grp",
   };
   return queries;
@@ -166,8 +168,9 @@ const std::vector<std::string>& Queries() {
 // Morsel sizes: 0 = the default (one morsel for these tables).
 const std::vector<int64_t> kMorselSizes = {0, 7, 4096};
 
-// Budgets: 0 = unlimited reference; 32 KB spills the large breakers while
-// small ones stay resident; 1 byte forces every breaker external.
+// Budgets: 0 = unlimited reference; 32 KB pages or spills the large
+// breakers while small ones stay resident; 1 byte pages every aggregate
+// and spills every join build.
 const std::vector<int64_t> kBudgets = {0, 32 * 1024, 1};
 
 class SpillDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -283,8 +286,8 @@ TEST_P(SpillDifferentialTest, PathologicalBudgetOnPathologicalShapes) {
   Session session;
   RegisterTables(session, GetParam());
 
-  // Shapes that stress the externals' edges: single-row output, empty
-  // input, one giant group, all-NaN key pages.
+  // Shapes that stress the budgeted breakers' edges: single-row output,
+  // empty input, one giant group, all-NaN key pages.
   const std::vector<std::string> edge_queries = {
       "SELECT id FROM rows WHERE val > 2000 ORDER BY id",      // empty input
       "SELECT COUNT(*) FROM rows WHERE val > 2000",            // empty agg
@@ -363,7 +366,9 @@ TEST_P(SpillDifferentialTest, EarlyCursorCloseReleasesSpillFiles) {
     run.memory_budget_bytes = 1;
     run.morsel_rows = 7;  // many result chunks: the drain stays early
     auto cursor = session.Execute(
-        "SELECT id, score FROM rows ORDER BY score, id", {}, run);
+        "SELECT r.id, r.score, d.bonus FROM rows r JOIN dims d "
+        "ON r.grp = d.name",
+        {}, run);
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
     auto first = cursor.value()->Next();
     ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -373,7 +378,7 @@ TEST_P(SpillDifferentialTest, EarlyCursorCloseReleasesSpillFiles) {
   EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before)
       << "early cursor close leaked spill files";
   EXPECT_GT(QueryMemory::TotalBytesSpilled(), spilled_before)
-      << "the budgeted sort never actually spilled";
+      << "the budgeted join never actually spilled";
 }
 
 TEST_P(SpillDifferentialTest, CancellationMidSpillReleasesSpillFiles) {
@@ -407,11 +412,166 @@ TEST_P(SpillDifferentialTest, CancellationMidSpillReleasesSpillFiles) {
   }
 }
 
+// ---- Breakers that never spill ----------------------------------------------
+//
+// ORDER BY and DISTINCT hold their whole input and output in memory for
+// the whole call, and a paged GROUP BY recomputes each page from its
+// resident inputs, so none of them writes a file at any budget: only a
+// hash join's build payload goes to disk.
+
+TEST_P(SpillDifferentialTest, SortGroupByAndDistinctNeverSpill) {
+  Session session;
+  RegisterTables(session, GetParam());
+  RegisterMultiBlockTable(session, GetParam());
+
+  const std::vector<std::string> queries = {
+      "SELECT id, score, tag FROM rows ORDER BY tag, score DESC, id",
+      "SELECT id, score FROM rows ORDER BY score, id DESC LIMIT 123",
+      "SELECT grp, COUNT(*) AS n, SUM(score) AS s, COUNT(DISTINCT tag) AS dt "
+      "FROM rows GROUP BY grp ORDER BY grp",
+      "SELECT hi, COUNT(*) AS n, SUM(x) AS sx, MIN(x) AS mn, "
+      "COUNT(DISTINCT x) AS dx FROM wide GROUP BY hi",
+      "SELECT DISTINCT tag, grp FROM rows",
+  };
+  for (const std::string& sql : queries) {
+    auto reference = session.Sql(sql);
+    ASSERT_TRUE(reference.ok()) << sql << "\n"
+                                << reference.status().ToString();
+    for (int64_t morsel : kMorselSizes) {
+      for (int64_t budget : {int64_t{32 * 1024}, int64_t{1}}) {
+        RunOptions run;
+        run.morsel_rows = morsel;
+        run.memory_budget_bytes = budget;
+        const std::string what = sql + " [morsel=" + std::to_string(morsel) +
+                                 " budget=" + std::to_string(budget) + "]";
+        const int64_t live_before = QueryMemory::LiveSpillFiles();
+        const int64_t spilled_before = QueryMemory::TotalBytesSpilled();
+        auto result = session.Sql(sql, {}, run);
+        ASSERT_TRUE(result.ok()) << what << "\n"
+                                 << result.status().ToString();
+        EXPECT_EQ(QueryMemory::TotalBytesSpilled(), spilled_before) << what;
+        EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before) << what;
+        ExpectTablesByteIdentical(*reference.value(), *result.value(), what);
+      }
+    }
+  }
+}
+
+// ---- Multi-page join build --------------------------------------------------
+//
+// The battery's only build side is the 7-row `dims` table: one page. Here
+// the build side is a filtered subquery of about 11K rows, three 4096-row
+// pages, so the page-ordered gather of a spilled build must cross page
+// boundaries, skip pages no probe row matches, and copy one build row to
+// many probe rows:
+//   * build keys `k`: the first page holds about 4500 table rows over 500
+//     values (duplicates, +0 and -0 mixed); the second page, and the
+//     start of the third, unique values no probe row holds; the rest of
+//     the third page 300 values again; every 97th row's key is NaN;
+//   * probe keys `pk`: a third of the probe rows hit the first page, a
+//     third the last, the rest hold NaN or a value no build row has.
+// The payload carries an int, a string and a 4-wide float tensor column,
+// so rows of several widths are gathered.
+
+constexpr int64_t kJoinRows = 3 * 4096 + 100;
+
+void RegisterJoinPagesTable(Session& session, uint64_t seed) {
+  Rng rng(seed * 31 + 17);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::string> names = {"ant", "bee", "cat", "dog"};
+  std::vector<double> k(kJoinRows), pk(kJoinRows);
+  std::vector<int64_t> keep(kJoinRows), pay(kJoinRows);
+  std::vector<std::string> s(kJoinRows);
+  for (int64_t i = 0; i < kJoinRows; ++i) {
+    if (i % 97 == 0) {
+      k[i] = nan;
+    } else if (i < 4500) {
+      const int64_t base = i % 500;
+      k[i] = base == 0 ? (rng.Bernoulli(0.5) ? -0.0 : 0.0)
+                       : static_cast<double>(base);
+    } else if (i < 9400) {
+      k[i] = static_cast<double>(100000 + i);
+    } else {
+      k[i] = static_cast<double>(1000 + i % 300);
+    }
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+      case 1:
+        pk[i] = static_cast<double>(rng.UniformInt(0, 39));
+        break;
+      case 2:
+      case 3:
+        pk[i] = static_cast<double>(1000 + rng.UniformInt(0, 299));
+        break;
+      case 4:
+        pk[i] = nan;
+        break;
+      default:
+        pk[i] = -1.0;
+    }
+    keep[i] = i % 11 == 0 ? 3 : rng.UniformInt(0, 2);
+    pay[i] = rng.UniformInt(-1000000, 1000000);
+    s[i] = names[static_cast<size_t>(rng.UniformInt(0, 3))];
+  }
+  auto big = TableBuilder("big")
+                 .AddFloat64("k", k)
+                 .AddFloat64("pk", pk)
+                 .AddInt64("keep", keep)
+                 .AddInt64("pay", pay)
+                 .AddStrings("s", s)
+                 .AddTensor("emb", RandNormal({kJoinRows, 4}, 0, 1, rng))
+                 .Build();
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  ASSERT_TRUE(session.RegisterTable("big", big.value()).ok());
+}
+
+TEST_P(SpillDifferentialTest, MultiPageJoinBuildIsByteIdentical) {
+  Session session;
+  RegisterJoinPagesTable(session, GetParam());
+  const int64_t live_before = QueryMemory::LiveSpillFiles();
+
+  // The unfiltered probe side is estimated larger, so the filtered
+  // subquery is the build side.
+  const std::string sql =
+      "SELECT p.pk, p.pay, b.k, b.pay AS bpay, b.s, b.emb FROM big p JOIN "
+      "(SELECT k, pay, s, emb FROM big WHERE keep <> 3) b ON p.pk = b.k";
+  auto plan = session.Explain(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan.value().find("build=left"), std::string::npos)
+      << plan.value();
+
+  auto reference = session.Sql(sql);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_GT(reference.value()->num_rows(), 2 * kJoinRows);
+  for (int64_t morsel : kMorselSizes) {
+    for (int64_t budget : kBudgets) {
+      RunOptions run;
+      run.morsel_rows = morsel;
+      run.memory_budget_bytes = budget;
+      const std::string what = "multi-page join [morsel=" +
+                               std::to_string(morsel) +
+                               " budget=" + std::to_string(budget) + "]";
+      const int64_t spilled_before = QueryMemory::TotalBytesSpilled();
+      auto result = session.Sql(sql, {}, run);
+      ASSERT_TRUE(result.ok()) << what << "\n"
+                               << result.status().ToString();
+      if (budget > 0) {
+        // Over 4096 build rows of payload went to disk.
+        EXPECT_GT(QueryMemory::TotalBytesSpilled() - spilled_before,
+                  4096 * 32)
+            << what;
+      }
+      ExpectTablesByteIdentical(*reference.value(), *result.value(), what);
+    }
+  }
+  EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));
 
-// A bool sort key (here a comparison) orders false before true, in memory
-// and through the external sort alike.
+// A bool sort key (here a comparison) orders false before true, at every
+// budget.
 TEST(SpillSortKeyTest, BoolKeySortsTheSameInMemoryAndSpilled) {
   Session session;
   auto t = TableBuilder("t").AddInt64("k", {3, 1, 4, 1, 5, 9, 2, 6}).Build();

@@ -1,10 +1,11 @@
-// Unit coverage for the spill-to-disk breaker machinery: the per-query
-// memory accounting (`QueryMemory`), the exact binary spill serialization
-// (`SpillWriter`/`SpillReader`), and the order-preserving key codes the
-// external sort merges on. The end-to-end bit-identity proof — budgeted
-// runs vs unlimited references across executors and morsel sizes — lives
-// in spill_differential_test.cc; this suite pins the pieces in isolation
-// so a differential failure there localizes quickly.
+// Unit coverage for the budgeted-breaker machinery: the per-query memory
+// accounting (`QueryMemory`), the exact binary spill serialization
+// (`SpillWriter`/`SpillReader`) a spilled join build is written in, and
+// the order-preserving key codes sorting and grouping rank rows by. The
+// end-to-end bit-identity proof — budgeted runs vs unlimited references
+// across morsel sizes — lives in spill_differential_test.cc; this suite
+// pins the pieces in isolation so a differential failure there localizes
+// quickly.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "src/exec/memory_budget.h"
 #include "src/exec/run_options.h"
 #include "src/exec/spill.h"
-#include "src/exec/spill_kernels.h"
 #include "src/runtime/session.h"
 #include "src/storage/column.h"
 #include "src/storage/table.h"
@@ -207,9 +207,8 @@ TEST(SpillSerializationTest, SkipColumnLandsOnNext) {
 }
 
 TEST(SpillSerializationTest, UndefinedColumnRoundTrips) {
-  // COUNT(*) aggregates carry undefined argument columns; the join spill
-  // serializes chunks whose columns must all be defined, but the column
-  // codec itself supports the undefined sentinel.
+  // The join spill serializes chunks whose columns are all defined, but
+  // the column codec itself supports the undefined sentinel.
   Column undefined;
   QueryMemory memory(1);
   auto path = memory.NewSpillFile("undef");
@@ -223,6 +222,50 @@ TEST(SpillSerializationTest, UndefinedColumnRoundTrips) {
   auto back = r.ReadColumn();
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_FALSE(back.value().defined());
+}
+
+// ---- Paged chunk files ------------------------------------------------------
+
+TEST(SpillPagesTest, GatherMatchesSelectAcrossPages) {
+  // Three pages (the last one 5 rows) of a plain int, a string and a
+  // rank-2 float column.
+  const int64_t n = 2 * kSpillPageRows + 5;
+  std::vector<int64_t> ints(static_cast<size_t>(n));
+  std::vector<std::string> strings(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    ints[static_cast<size_t>(i)] = i * 7 - 3;
+    strings[static_cast<size_t>(i)] = i % 3 == 0 ? "x" : "yy";
+  }
+  Rng rng(5);
+  Chunk chunk;
+  chunk.names = {"i", "s", "t"};
+  chunk.columns = {Column::Plain(Tensor::FromVector(ints, {})),
+                   Column::FromStrings(strings),
+                   Column::Plain(RandNormal({n, 3}, 0, 1, rng))};
+
+  QueryMemory memory(1);
+  auto path = memory.NewSpillFile("pages");
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  auto bytes = WritePages(path.value(), chunk);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_GT(bytes.value(), n * 8);
+  const Chunk prototype =
+      chunk.Select(Tensor::Empty({0}, DType::kInt64, Device::kCpu));
+
+  // Rows out of order, one row many times, the middle page skipped, and
+  // the last page's last row; then no rows at all.
+  const std::vector<std::vector<int64_t>> cases = {
+      {n - 1, 3, 3, 3, 0, 2 * kSpillPageRows, kSpillPageRows - 1, 3},
+      {}};
+  for (const std::vector<int64_t>& rows : cases) {
+    auto gathered = GatherPages(path.value(), prototype, rows);
+    ASSERT_TRUE(gathered.ok()) << gathered.status().ToString();
+    const Chunk expected = chunk.Select(Tensor::FromVector(rows, {}));
+    ASSERT_EQ(gathered.value().size(), expected.columns.size());
+    for (size_t c = 0; c < expected.columns.size(); ++c) {
+      ExpectColumnsBitIdentical(expected.columns[c], gathered.value()[c]);
+    }
+  }
 }
 
 // ---- Order-preserving key codes ---------------------------------------------
@@ -324,23 +367,28 @@ TEST(SpillRunTest, TightBudgetSpillsAndCleansUp) {
   const int64_t live_before = QueryMemory::LiveSpillFiles();
   const int64_t spilled_before = QueryMemory::TotalBytesSpilled();
 
+  const std::string sql =
+      "SELECT a.x, b.x AS y FROM t a JOIN t b ON a.x = b.x";
   RunOptions unlimited;
-  auto reference = session.Sql("SELECT x FROM t ORDER BY x", {}, unlimited);
+  auto reference = session.Sql(sql, {}, unlimited);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   RunOptions tight;
-  tight.memory_budget_bytes = 4096;  // far under the ~32 KB sort scratch
-  auto budgeted = session.Sql("SELECT x FROM t ORDER BY x", {}, tight);
+  tight.memory_budget_bytes = 4096;  // far under the ~32 KB build payload
+  auto budgeted = session.Sql(sql, {}, tight);
   ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
 
-  // The run actually took the external path...
+  // The run actually spilled its build side...
   EXPECT_GT(QueryMemory::TotalBytesSpilled(), spilled_before);
   // ...left no temp files behind...
   EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before);
   // ...and produced the identical result.
   ASSERT_EQ(budgeted.value()->num_rows(), reference.value()->num_rows());
-  EXPECT_TRUE(TensorEqual(budgeted.value()->column(0).data().Contiguous(),
-                          reference.value()->column(0).data().Contiguous()));
+  for (int64_t c = 0; c < 2; ++c) {
+    EXPECT_TRUE(
+        TensorEqual(budgeted.value()->column(c).data().Contiguous(),
+                    reference.value()->column(c).data().Contiguous()));
+  }
 }
 
 }  // namespace
