@@ -1,5 +1,7 @@
 #include "src/exec/bound_expr.h"
 
+#include <cmath>
+
 #include "src/tensor/ops.h"
 
 namespace tdp {
@@ -37,6 +39,12 @@ StatusOr<Tensor> NumericPayload(const Column& c) {
     return Status::TypeError("a string column cannot be used as a number");
   }
   return c.DecodeValues();
+}
+
+// True when any element of `t` is zero (of either sign).
+bool HoldsZero(const Tensor& t) {
+  const Tensor zero = Tensor::Zeros({1}, t.dtype(), t.device());
+  return CountNonzero(Eq(t, zero)).item<int64_t>() > 0;
 }
 
 // A bool operand of arithmetic is the number 0 or 1, computed in doubles
@@ -162,10 +170,9 @@ StatusOr<ScalarValue> FoldScalarBinary(BinaryOp op, const ScalarValue& a,
       if (y == 0) return Status::ExecutionError("division by zero");
       return ScalarValue::Float(x / y);
     case BinaryOp::kMod:
-      if (b.int_value() == 0) {
-        return Status::ExecutionError("modulo by zero");
-      }
-      return ScalarValue::Int(a.int_value() % b.int_value());
+      if (y == 0) return Status::ExecutionError("modulo by zero");
+      return both_int ? ScalarValue::Int(a.int_value() % b.int_value())
+                      : ScalarValue::Float(std::fmod(x, y));
     case BinaryOp::kEq:
       return ScalarValue::Bool(x == y);
     case BinaryOp::kNe:
@@ -192,16 +199,18 @@ StatusOr<Column> TensorBinary(BinaryOp op, const Tensor& a, const Tensor& b) {
     case BinaryOp::kMul:
       return Column::Plain(Mul(ArithmeticOperand(a), ArithmeticOperand(b)));
     case BinaryOp::kDiv: {
-      // SQL semantics: division yields float.
+      // SQL semantics: division yields float. A zero divisor is an error,
+      // as in the constant fold and BaselineDB.
+      if (HoldsZero(b)) return Status::ExecutionError("division by zero");
       const Tensor af = IsFloatingPoint(a.dtype()) ? a : a.To(DType::kFloat32);
       const Tensor bf = IsFloatingPoint(b.dtype()) ? b : b.To(DType::kFloat32);
       return Column::Plain(Div(af, bf));
     }
     case BinaryOp::kMod: {
-      // a - floor(a/b) * b (float path; exact for moderate integers).
-      const Tensor af = a.To(DType::kFloat64);
-      const Tensor bf = b.To(DType::kFloat64);
-      Tensor m = Sub(af, Mul(Floor(Div(af, bf)), bf));
+      // Truncated toward zero, like C++ `%` in the constant fold and
+      // BaselineDB (float path; exact for integers below 2^53).
+      if (HoldsZero(b)) return Status::ExecutionError("modulo by zero");
+      Tensor m = Fmod(a.To(DType::kFloat64), b.To(DType::kFloat64));
       if (IsInteger(a.dtype()) && IsInteger(b.dtype())) {
         return Column::Plain(m.To(DType::kInt64));
       }

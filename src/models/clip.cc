@@ -33,18 +33,17 @@ const std::vector<Concept> kLogoConcepts = {
 
 SimClip::SimClip(uint64_t seed) {
   Rng rng(seed);
-  w1_ = RandNormal({kFeatureDim, kHiddenDim}, 0.0,
-                   1.0 / std::sqrt(static_cast<double>(kFeatureDim)), rng);
-  b1_ = RandNormal({kHiddenDim}, 0.0, 0.1, rng);
-  w2_ = RandNormal({kHiddenDim, kEmbeddingDim}, 0.0,
-                   1.0 / std::sqrt(static_cast<double>(kHiddenDim)), rng);
+  DeviceParams& cpu = params_[static_cast<size_t>(Device::kCpu)];
+  cpu.w1 = RandNormal({kFeatureDim, kHiddenDim}, 0.0,
+                      1.0 / std::sqrt(static_cast<double>(kFeatureDim)), rng);
+  cpu.b1 = RandNormal({kHiddenDim}, 0.0, 0.1, rng);
+  cpu.w2 = RandNormal({kHiddenDim, kEmbeddingDim}, 0.0,
+                      1.0 / std::sqrt(static_cast<double>(kHiddenDim)), rng);
 
   // Feature whitening statistics over a sample of every concept: without
   // centering, all-positive pixel statistics collapse every embedding into
   // a narrow cone and concepts stop being separable.
   {
-    feature_mean_ = Tensor::Zeros({1, kFeatureDim});
-    feature_scale_ = Tensor::Ones({1, kFeatureDim});
     std::vector<Tensor> sample;
     Rng stats_rng = rng.Split();
     for (int64_t ci = 0; ci < data::kNumConcepts; ++ci) {
@@ -55,10 +54,10 @@ SimClip::SimClip(uint64_t seed) {
       }
     }
     const Tensor features = ComputeFeatures(Cat(sample, 0));
-    feature_mean_ = Mean(features, 0, /*keepdim=*/true);
-    const Tensor centered = Sub(features, feature_mean_);
+    cpu.feature_mean = Mean(features, 0, /*keepdim=*/true);
+    const Tensor centered = Sub(features, cpu.feature_mean);
     const Tensor var = Mean(Mul(centered, centered), 0, /*keepdim=*/true);
-    feature_scale_ = RDivScalar(1.0, Sqrt(AddScalar(var, 1e-4)));
+    cpu.feature_scale = RDivScalar(1.0, Sqrt(AddScalar(var, 1e-4)));
   }
 
   // Build prototype (text-side) embeddings from freshly sampled concept
@@ -78,20 +77,31 @@ SimClip::SimClip(uint64_t seed) {
     return L2Normalize(Unsqueeze(centroid, 0), 1).Squeeze(0).Contiguous();
   };
 
-  text_embeddings_["dog"] = prototype({Concept::kDog});
-  text_embeddings_["cat"] = prototype({Concept::kCat});
-  text_embeddings_["beach"] = prototype({Concept::kBeach});
-  text_embeddings_["mountain"] = prototype({Concept::kMountain});
-  text_embeddings_["photo"] = prototype(kPhotoConcepts);
-  text_embeddings_["photograph"] = text_embeddings_["photo"];
-  text_embeddings_["receipt"] = prototype(kReceiptConcepts);
-  text_embeddings_["kfc receipt"] = prototype({Concept::kKfcReceipt});
-  text_embeddings_["store receipt"] = prototype({Concept::kStoreReceipt});
-  text_embeddings_["logo"] = prototype(kLogoConcepts);
-  text_embeddings_["company logo"] = text_embeddings_["logo"];
-  text_embeddings_["kfc logo"] = prototype({Concept::kKfcLogo});
-  text_embeddings_["acme logo"] = prototype({Concept::kAcmeLogo});
-  text_embeddings_["globex logo"] = prototype({Concept::kGlobexLogo});
+  std::map<std::string, Tensor>& text = cpu.text_embeddings;
+  text["dog"] = prototype({Concept::kDog});
+  text["cat"] = prototype({Concept::kCat});
+  text["beach"] = prototype({Concept::kBeach});
+  text["mountain"] = prototype({Concept::kMountain});
+  text["photo"] = prototype(kPhotoConcepts);
+  text["photograph"] = text["photo"];
+  text["receipt"] = prototype(kReceiptConcepts);
+  text["kfc receipt"] = prototype({Concept::kKfcReceipt});
+  text["store receipt"] = prototype({Concept::kStoreReceipt});
+  text["logo"] = prototype(kLogoConcepts);
+  text["company logo"] = text["logo"];
+  text["kfc logo"] = prototype({Concept::kKfcLogo});
+  text["acme logo"] = prototype({Concept::kAcmeLogo});
+  text["globex logo"] = prototype({Concept::kGlobexLogo});
+
+  DeviceParams& accel = params_[static_cast<size_t>(Device::kAccel)];
+  accel.w1 = cpu.w1.To(Device::kAccel);
+  accel.b1 = cpu.b1.To(Device::kAccel);
+  accel.w2 = cpu.w2.To(Device::kAccel);
+  accel.feature_mean = cpu.feature_mean.To(Device::kAccel);
+  accel.feature_scale = cpu.feature_scale.To(Device::kAccel);
+  for (const auto& [key, embedding] : text) {
+    accel.text_embeddings[key] = embedding.To(Device::kAccel);
+  }
 }
 
 Tensor SimClip::ComputeFeatures(const Tensor& images) const {
@@ -108,29 +118,30 @@ Tensor SimClip::ComputeFeatures(const Tensor& images) const {
   const Tensor flat =
       Reshape(images, {n, data::kImageChannels,
                        data::kImageSize * data::kImageSize});
-  const Tensor channel_mean = Mean(flat, 2, /*keepdim=*/false);
-  const Tensor centered = Sub(flat, Mean(flat, 2, /*keepdim=*/true));
+  const Tensor channel_mean = Mean(flat, 2, /*keepdim=*/true);
+  const Tensor centered = Sub(flat, channel_mean);
   const Tensor channel_var = Mean(Mul(centered, centered), 2, false);
 
-  return Cat({patches, channel_mean, channel_var}, 1);
+  return Cat({patches, Squeeze(channel_mean, 2), channel_var}, 1);
 }
 
 Tensor SimClip::EncodeImages(const Tensor& images) const {
-  const Device device = images.device();
+  const DeviceParams& params = ParamsOn(images.device());
   const Tensor features = ComputeFeatures(images);
-  const Tensor whitened = Mul(Sub(features, feature_mean_.To(device)),
-                              feature_scale_.To(device));
-  const Tensor h =
-      Tanh(Add(MatMul(whitened, w1_.To(device)), b1_.To(device)));
-  const Tensor e = MatMul(h, w2_.To(device));
+  const Tensor whitened = Mul(Sub(features, params.feature_mean),
+                              params.feature_scale);
+  const Tensor h = Tanh(Add(MatMul(whitened, params.w1), params.b1));
+  const Tensor e = MatMul(h, params.w2);
   return L2Normalize(e, 1);
 }
 
-StatusOr<Tensor> SimClip::EncodeText(const std::string& query) const {
+StatusOr<Tensor> SimClip::TextEmbedding(const std::string& query,
+                                        Device device) const {
+  const std::map<std::string, Tensor>& text = ParamsOn(device).text_embeddings;
   const std::string q = ToLower(query);
   // Longest matching concept phrase wins ("kfc receipt" beats "receipt").
   const std::string* best_key = nullptr;
-  for (const auto& [key, unused] : text_embeddings_) {
+  for (const auto& [key, unused] : text) {
     if (q.find(key) != std::string::npos) {
       if (best_key == nullptr || key.size() > best_key->size()) {
         best_key = &key;
@@ -141,22 +152,27 @@ StatusOr<Tensor> SimClip::EncodeText(const std::string& query) const {
     return Status::NotFound("SimCLIP has no concept matching query: '" +
                             query + "'");
   }
-  return text_embeddings_.at(*best_key);
+  return text.at(*best_key);
+}
+
+StatusOr<Tensor> SimClip::EncodeText(const std::string& query) const {
+  return TextEmbedding(query, Device::kCpu);
 }
 
 StatusOr<Tensor> SimClip::Similarity(const std::string& query,
                                      const Tensor& images) const {
-  TDP_ASSIGN_OR_RETURN(Tensor text, EncodeText(query));
+  TDP_ASSIGN_OR_RETURN(Tensor text, TextEmbedding(query, images.device()));
   const Tensor image_embeddings = EncodeImages(images);
   // [n, 64] @ [64, 1] -> [n]
-  const Tensor scores = MatMul(
-      image_embeddings, Unsqueeze(text.To(images.device()), 1));
+  const Tensor scores = MatMul(image_embeddings, Unsqueeze(text, 1));
   return Squeeze(scores, 1).Contiguous();
 }
 
 std::vector<std::string> SimClip::Vocabulary() const {
   std::vector<std::string> out;
-  for (const auto& [key, unused] : text_embeddings_) out.push_back(key);
+  for (const auto& [key, unused] : ParamsOn(Device::kCpu).text_embeddings) {
+    out.push_back(key);
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TDP_MODELS_CLIP_H_
 #define TDP_MODELS_CLIP_H_
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,13 +50,27 @@ class SimClip {
   std::vector<std::string> Vocabulary() const;
 
  private:
+  /// The model's fixed parameters on one device. Both devices' copies are
+  /// built at construction, so a forward on either device copies none.
+  struct DeviceParams {
+    Tensor w1, b1, w2;     // fixed random projection (not trainable)
+    Tensor feature_mean;   // centering statistics (prevents cone collapse)
+    Tensor feature_scale;  // per-feature inverse stddev
+    std::map<std::string, Tensor> text_embeddings;
+  };
+
+  const DeviceParams& ParamsOn(Device device) const {
+    return params_[static_cast<size_t>(device)];
+  }
+
   /// Raw pooled-patch feature vector per image, [n, feature_dim].
   Tensor ComputeFeatures(const Tensor& images) const;
 
-  Tensor w1_, b1_, w2_;   // fixed random projection (not trainable)
-  Tensor feature_mean_;   // centering statistics (prevents cone collapse)
-  Tensor feature_scale_;  // per-feature inverse stddev
-  std::map<std::string, Tensor> text_embeddings_;
+  /// The embedding of the concept `query` names, on `device`.
+  StatusOr<Tensor> TextEmbedding(const std::string& query,
+                                 Device device) const;
+
+  std::array<DeviceParams, 2> params_;  // indexed by Device
 };
 
 /// Registers the paper's `image_text_similarity(query, images)` scalar UDF

@@ -20,6 +20,9 @@ Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor Div(const Tensor& a, const Tensor& b);
+/// C `fmod`: the remainder of a / b truncated toward zero, exact. Float
+/// dtypes only; no grad.
+Tensor Fmod(const Tensor& a, const Tensor& b);
 /// Elementwise max/min. [diff] via subgradient (ties favor `a`).
 Tensor Maximum(const Tensor& a, const Tensor& b);
 Tensor Minimum(const Tensor& a, const Tensor& b);
@@ -61,7 +64,6 @@ Tensor Tanh(const Tensor& t);
 /// Clamps into [min_value, max_value]. [diff] (pass-through inside range).
 Tensor Clamp(const Tensor& t, double min_value, double max_value);
 Tensor PowScalar(const Tensor& t, double exponent);
-Tensor Floor(const Tensor& t);  // no grad
 Tensor Round(const Tensor& t);  // no grad
 
 // ---- Reductions --------------------------------------------------- [diff] -

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <functional>
+#include <type_traits>
 
 #include "src/autograd/node.h"
 #include "src/common/thread_pool.h"
@@ -31,6 +32,7 @@ Device CommonDevice(const std::vector<Tensor>& inputs) {
 namespace {
 
 using internal_ops::BroadcastStrides;
+using internal_ops::ForEachRowSegment;
 using internal_ops::OffsetIterator;
 
 enum class BinKind {
@@ -38,6 +40,7 @@ enum class BinKind {
   kSub,
   kMul,
   kDiv,
+  kFmod,
   kMax,
   kMin,
   kEq,
@@ -61,8 +64,10 @@ bool IsComparison(BinKind kind) {
 // take a branch-free tight loop, a single-element operand (scalar literal
 // against a column — every `col <op> constant` predicate and projection)
 // is hoisted out of a tight loop over the other side, and anything else
-// falls back to a strided odometer walk. All three paths apply the same
-// per-element `f`, so results are bit-identical regardless of which fires.
+// walks row segments: an odometer over the outer dims and a tight loop
+// along the innermost one, specialized where each operand's innermost
+// stride is 0 or 1 (row, column and bias broadcasts). All paths apply the
+// same per-element `f`, so results are bit-identical whichever fires.
 template <typename T, typename OutT, typename F>
 void AccelLoop(const Tensor& a, const Tensor& b, Tensor& out,
                const std::vector<int64_t>& out_shape, F f) {
@@ -108,16 +113,26 @@ void AccelLoop(const Tensor& a, const Tensor& b, Tensor& out,
   const std::vector<std::vector<int64_t>> strides = {
       BroadcastStrides(a.shape(), a.strides(), out_shape),
       BroadcastStrides(b.shape(), b.strides(), out_shape)};
-  // Each shard walks its own odometer, seeked to the shard's first element.
-  ParallelFor(0, n, GrainForCost(2),
-              [op, abase, bbase, &f, &out_shape, &strides](
-                  int64_t shard_begin, int64_t shard_end) {
-                OffsetIterator it(out_shape, strides);
-                it.Seek(shard_begin);
-                for (int64_t i = shard_begin; i < shard_end; ++i, it.Next()) {
-                  op[i] = f(abase[it.offset(0)], bbase[it.offset(1)]);
-                }
-              });
+  const int64_t len = out_shape.empty() ? 1 : out_shape.back();
+  const int64_t sa = out_shape.empty() ? 0 : strides[0].back();
+  const int64_t sb = out_shape.empty() ? 0 : strides[1].back();
+  auto segment = [&](int64_t row, const OffsetIterator& it) {
+    OutT* o = op + row * len;
+    const T* ap = abase + it.offset(0);
+    const T* bp = bbase + it.offset(1);
+    if (sa == 1 && sb == 1) {
+      for (int64_t j = 0; j < len; ++j) o[j] = f(ap[j], bp[j]);
+    } else if (sa == 1 && sb == 0) {
+      const T bv = *bp;
+      for (int64_t j = 0; j < len; ++j) o[j] = f(ap[j], bv);
+    } else if (sa == 0 && sb == 1) {
+      const T av = *ap;
+      for (int64_t j = 0; j < len; ++j) o[j] = f(av, bp[j]);
+    } else {
+      for (int64_t j = 0; j < len; ++j) o[j] = f(ap[j * sa], bp[j * sb]);
+    }
+  };
+  ForEachRowSegment(out_shape, strides, segment);
 }
 
 // The op kind is hoisted out of the loop here: each case hands AccelLoop a
@@ -146,6 +161,12 @@ void AccelArithLoop(BinKind kind, const Tensor& a, const Tensor& b,
     case BinKind::kMin:
       return AccelLoop<T, T>(a, b, out, out_shape,
                              [](T x, T y) { return x <= y ? x : y; });
+    case BinKind::kFmod:
+      if constexpr (std::is_floating_point_v<T>) {
+        return AccelLoop<T, T>(a, b, out, out_shape,
+                               [](T x, T y) { return std::fmod(x, y); });
+      }
+      [[fallthrough]];
     default:
       TDP_LOG(Fatal) << "not an arithmetic kind";
   }
@@ -219,6 +240,8 @@ std::function<double(double, double)> ReferenceFn(BinKind kind) {
       return [](double a, double b) { return a * b; };
     case BinKind::kDiv:
       return [](double a, double b) { return a / b; };
+    case BinKind::kFmod:
+      return [](double a, double b) { return std::fmod(a, b); };
     case BinKind::kMax:
       return [](double a, double b) { return a >= b ? a : b; };
     case BinKind::kMin:
@@ -265,6 +288,8 @@ Tensor BinaryEval(BinKind kind, const Tensor& a0, const Tensor& b0) {
     compute_dtype = PromoteTypes(a0.dtype(), b0.dtype());
     TDP_CHECK(compute_dtype != DType::kBool)
         << "arithmetic on bool tensors is not supported";
+    TDP_CHECK(kind != BinKind::kFmod || IsFloatingPoint(compute_dtype))
+        << "Fmod requires float tensors";
     out_dtype = compute_dtype;
   }
 
@@ -367,6 +392,10 @@ Tensor Div(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+Tensor Fmod(const Tensor& a, const Tensor& b) {
+  return BinaryEval(BinKind::kFmod, a, b);
+}
+
 Tensor Maximum(const Tensor& a, const Tensor& b) {
   Tensor out = BinaryEval(BinKind::kMax, a, b);
   autograd::RecordOp("Maximum", {a, b}, out, [a, b](const Tensor& g) {
@@ -440,16 +469,52 @@ Tensor LogicalOr(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Where(const Tensor& cond, const Tensor& a, const Tensor& b) {
+  TDP_CHECK(cond.defined() && a.defined() && b.defined());
   TDP_CHECK(cond.dtype() == DType::kBool) << "Where condition must be bool";
-  // out = cond * a + (1 - cond) * b computed via masks; autograd flows
-  // through the Mul/Add composition automatically.
+  const Device device = internal_ops::CommonDevice({cond, a, b});
   const DType dtype = PromoteTypes(a.dtype(), b.dtype());
-  if (dtype == DType::kBool) {
-    // Bools take no arithmetic: select through the logical ops.
-    return LogicalOr(LogicalAnd(cond, a), LogicalAnd(LogicalNot(cond), b));
-  }
-  const Tensor condf = cond.To(dtype);
-  return Add(Mul(condf, a), Mul(RSubScalar(1.0, condf), b));
+  const std::vector<int64_t> out_shape =
+      BroadcastShapes(cond.shape(), BroadcastShapes(a.shape(), b.shape()));
+  const Tensor ac = a.To(dtype);
+  const Tensor bc = b.To(dtype);
+  Tensor out = Tensor::Empty(out_shape, dtype, device);
+
+  // One select kernel for every dtype and both backends: each element is
+  // copied from the taken branch, so the other branch's NaN or inf never
+  // reaches it.
+  const std::vector<std::vector<int64_t>> strides = {
+      BroadcastStrides(cond.shape(), cond.strides(), out_shape),
+      BroadcastStrides(ac.shape(), ac.strides(), out_shape),
+      BroadcastStrides(bc.shape(), bc.strides(), out_shape)};
+  const int64_t len = out_shape.empty() ? 1 : out_shape.back();
+  const int64_t sc = out_shape.empty() ? 0 : strides[0].back();
+  const int64_t sa = out_shape.empty() ? 0 : strides[1].back();
+  const int64_t sb = out_shape.empty() ? 0 : strides[2].back();
+  TDP_DISPATCH_ALL(dtype, {
+    const bool* cbase = cond.data<bool>();
+    const scalar_t* abase = ac.data<scalar_t>();
+    const scalar_t* bbase = bc.data<scalar_t>();
+    scalar_t* op = out.data<scalar_t>();
+    auto segment = [&](int64_t row, const OffsetIterator& it) {
+      const bool* c = cbase + it.offset(0);
+      const scalar_t* x = abase + it.offset(1);
+      const scalar_t* y = bbase + it.offset(2);
+      scalar_t* o = op + row * len;
+      for (int64_t j = 0; j < len; ++j) {
+        o[j] = c[j * sc] ? x[j * sa] : y[j * sb];
+      }
+    };
+    ForEachRowSegment(out_shape, strides, segment);
+  });
+
+  // The gradient flows to the taken branch only.
+  autograd::RecordOp("Where", {a, b}, out, [cond, a, b](const Tensor& g) {
+    const Tensor zero = Tensor::Scalar(0.0, g.dtype(), g.device());
+    return std::vector<Tensor>{
+        ReduceGradToShape(Where(cond, g, zero), a.shape()),
+        ReduceGradToShape(Where(cond, zero, g), b.shape())};
+  });
+  return out;
 }
 
 }  // namespace tdp

@@ -5,6 +5,7 @@
 #include "src/autograd/node.h"
 #include "src/common/thread_pool.h"
 #include "src/tensor/dispatch.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/scratch.h"
 
@@ -90,26 +91,6 @@ void Col2Im(const T* cols, const ConvGeometry& g, T* img) {
   }
 }
 
-// Dense row-major GEMM for the im2col path. Like `MatMulAccel`, every
-// a-element participates unconditionally: skipping zero multiplicands
-// would break both vectorization and IEEE non-finite propagation
-// (0 * inf = NaN must survive the accelerated path).
-template <typename T>
-void GemmRowMajor(const T* __restrict a, const T* __restrict b,
-                  T* __restrict c, int64_t m, int64_t k, int64_t n,
-                  bool accumulate) {
-  if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(T));
-  for (int64_t i = 0; i < m; ++i) {
-    const T* __restrict arow = a + i * k;
-    T* __restrict crow = c + i * n;
-    for (int64_t p = 0; p < k; ++p) {
-      const T av = arow[p];
-      const T* __restrict brow = b + p * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 }  // namespace
 
 Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
@@ -156,8 +137,7 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
         if (accel) {
           // im2col + GEMM: the accelerated path.
           Im2Col(img, g, cols);
-          GemmRowMajor(wp, cols, dst, g.out_channels, cols_rows, cols_cols,
-                       /*accumulate=*/false);
+          Gemm(wp, cols, dst, g.out_channels, cols_rows, cols_cols);
         } else {
           // Direct convolution with nested bounds checks: the reference path.
           for (int64_t o = 0; o < g.out_channels; ++o) {

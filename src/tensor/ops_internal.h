@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/tensor/tensor.h"
 
 namespace tdp {
@@ -84,6 +85,39 @@ class OffsetIterator {
   std::vector<int64_t> index_;
   std::vector<int64_t> offsets_;
 };
+
+/// Walks the broadcast index space `out_shape` one row segment at a time:
+/// an odometer over every dim but the innermost, sharded across the pool
+/// in whole rows. Calls `segment(row, it)` once per row, where output
+/// elements [row * row_length, (row + 1) * row_length) form the row and
+/// `it.offset(k)` is operand k's element offset at the row's start. Along
+/// the row, operand k advances by `strides[k].back()` (0 when broadcast),
+/// so `segment` can run a tight loop over the innermost dim.
+template <typename Segment>
+void ForEachRowSegment(const std::vector<int64_t>& out_shape,
+                       const std::vector<std::vector<int64_t>>& strides,
+                       const Segment& segment) {
+  const size_t outer_rank = out_shape.empty() ? 0 : out_shape.size() - 1;
+  const int64_t row_length = out_shape.empty() ? 1 : out_shape.back();
+  const std::vector<int64_t> outer_shape(out_shape.begin(),
+                                         out_shape.begin() + outer_rank);
+  std::vector<std::vector<int64_t>> outer_strides;
+  for (const std::vector<int64_t>& s : strides) {
+    outer_strides.emplace_back(s.begin(), s.begin() + outer_rank);
+  }
+  int64_t rows = 1;
+  for (int64_t d : outer_shape) rows *= d;
+  if (rows == 0 || row_length == 0) return;
+  ParallelFor(0, rows, GrainForCost(row_length),
+              [&](int64_t row_begin, int64_t row_end) {
+                OffsetIterator it(outer_shape, outer_strides);
+                it.Seek(row_begin);
+                for (int64_t row = row_begin; row < row_end;
+                     ++row, it.Next()) {
+                  segment(row, it);
+                }
+              });
+}
 
 /// Checks all defined inputs share one device and returns it.
 Device CommonDevice(const std::vector<Tensor>& inputs);

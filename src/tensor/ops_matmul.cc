@@ -1,8 +1,7 @@
-#include <cstring>
-
 #include "src/autograd/node.h"
 #include "src/common/thread_pool.h"
 #include "src/tensor/dispatch.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 
 namespace tdp {
@@ -15,9 +14,10 @@ double ReferenceFma(double acc, double x, double y) { return acc + x * y; }
 // per-value indirection of an interpreted engine (and it keeps the
 // compiler from auto-vectorizing the reference path, which would erase
 // the backend contrast the device axis models).
-// Rows of the output are independent, so both backends shard the i loop
-// across the pool. Each output element's accumulation order is unchanged,
-// making results bit-for-bit identical for every TDP_NUM_THREADS.
+// Rows of the output are independent, so the i loop is sharded across the
+// pool. Each output element's accumulation order is unchanged, making
+// results bit-for-bit identical for every TDP_NUM_THREADS. The accelerated
+// backend runs `Gemm` (gemm.h), which keeps the same per-row guarantee.
 template <typename T>
 void MatMulReference(const T* a, int64_t ras, int64_t cas, const T* b,
                      int64_t rbs, int64_t cbs, T* c, int64_t m, int64_t k,
@@ -36,32 +36,6 @@ void MatMulReference(const T* a, int64_t ras, int64_t cas, const T* b,
                   }
                 }
               });
-}
-
-// Accelerated backend: i-k-j ordering with contiguous rows; the inner loop
-// is a saxpy the compiler vectorizes (tools/check_vectorization.sh keeps
-// it honest in CI). Every a-element participates unconditionally — a
-// data-dependent skip of zero multiplicands would both break SIMD and drop
-// IEEE non-finite propagation (0 * inf must yield NaN, exactly as the
-// reference backend computes it).
-template <typename T>
-void MatMulAccel(const T* __restrict a, const T* __restrict b, T* __restrict c,
-                 int64_t m, int64_t k, int64_t n) {
-  ParallelFor(
-      0, m, GrainForCost(SaturatingCostProduct(k, n)),
-      [=](int64_t row_begin, int64_t row_end) {
-        std::memset(c + row_begin * n, 0,
-                    static_cast<size_t>((row_end - row_begin) * n) * sizeof(T));
-        for (int64_t i = row_begin; i < row_end; ++i) {
-          const T* __restrict arow = a + i * k;
-          T* __restrict crow = c + i * n;
-          for (int64_t p = 0; p < k; ++p) {
-            const T av = arow[p];
-            const T* __restrict brow = b + p * n;
-            for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
-      });
 }
 
 Tensor MatMulEval(const Tensor& a, const Tensor& b) {
@@ -99,8 +73,8 @@ Tensor MatMulEval(const Tensor& a, const Tensor& b) {
   const Tensor ac = a.RowMajor();
   const Tensor bc = b.RowMajor();
   TDP_DISPATCH_FLOAT(a.dtype(), {
-    MatMulAccel(ac.data<scalar_t>(), bc.data<scalar_t>(),
-                out.data<scalar_t>(), m, k, n);
+    Gemm(ac.data<scalar_t>(), bc.data<scalar_t>(), out.data<scalar_t>(), m,
+         k, n);
   });
   return out;
 }
@@ -147,8 +121,8 @@ Tensor BMM(const Tensor& a, const Tensor& b) {
                                       bp + bi * k * n, n, int64_t{1},
                                       op + bi * m * n, m, k, n);
                     } else {
-                      MatMulAccel(ap + bi * m * k, bp + bi * k * n,
-                                  op + bi * m * n, m, k, n);
+                      Gemm(ap + bi * m * k, bp + bi * k * n, op + bi * m * n,
+                           m, k, n);
                     }
                   }
                 });

@@ -22,7 +22,6 @@ enum class UnKind {
   kRelu,
   kSigmoid,
   kTanh,
-  kFloor,
   kRound,
 };
 
@@ -46,8 +45,6 @@ double ApplyUnary(UnKind kind, double x) {
       return 1.0 / (1.0 + std::exp(-x));
     case UnKind::kTanh:
       return std::tanh(x);
-    case UnKind::kFloor:
-      return std::floor(x);
     case UnKind::kRound:
       return std::nearbyint(x);
   }
@@ -147,11 +144,6 @@ Tensor UnaryEval(UnKind kind, const Tensor& t0) {
         case UnKind::kTanh:
           for (int64_t i = b; i < e; ++i)
             op[i] = static_cast<scalar_t>(std::tanh(sp[i]));
-          break;
-        case UnKind::kFloor:
-          for (int64_t i = b; i < e; ++i)
-            op[i] = static_cast<scalar_t>(
-                std::floor(static_cast<double>(sp[i])));
           break;
         case UnKind::kRound:
           for (int64_t i = b; i < e; ++i)
@@ -272,7 +264,6 @@ Tensor PowScalar(const Tensor& t, double exponent) {
   return out;
 }
 
-Tensor Floor(const Tensor& t) { return UnaryEval(UnKind::kFloor, t); }
 Tensor Round(const Tensor& t) { return UnaryEval(UnKind::kRound, t); }
 
 Tensor LogicalNot(const Tensor& t) {

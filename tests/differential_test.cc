@@ -433,5 +433,72 @@ TEST(DifferentialJoinTest, FloatKeysWithNanAndSignedZerosAgree) {
               "GROUP BY fr.id");
 }
 
+// Registers table `t(k int, v double)` with the same rows in both engines.
+void RegisterKv(Engines& engines, const std::vector<int64_t>& ks,
+                const std::vector<double>& vs) {
+  baseline::BaselineTable bt;
+  bt.column_names = {"k", "v"};
+  for (size_t i = 0; i < ks.size(); ++i) bt.rows.push_back({ks[i], vs[i]});
+  auto table = TableBuilder("t").AddInt64("k", ks).AddFloat64("v", vs).Build();
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(engines.tdp.RegisterTable("t", table.value()).ok());
+  ASSERT_TRUE(engines.base.RegisterTable("t", std::move(bt)).ok());
+}
+
+// Both engines refuse `sql` with the same status.
+void ExpectSameError(Engines& engines, const std::string& sql,
+                     const QueryOptions& options) {
+  auto tdp_result = engines.tdp.Sql(sql, options);
+  auto base_result = engines.base.Sql(sql);
+  ASSERT_FALSE(tdp_result.ok()) << sql;
+  ASSERT_FALSE(base_result.ok()) << sql;
+  EXPECT_EQ(tdp_result.status().ToString(), base_result.status().ToString())
+      << sql;
+}
+
+// A CASE copies its taken branch: a NaN or inf in the branch not taken
+// never reaches the result, on either backend.
+TEST(DifferentialNonFiniteTest, CaseSelectsTheTakenBranch) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Engines engines;
+  RegisterKv(engines, {1, 2, 3},
+             {2.0, std::numeric_limits<double>::quiet_NaN(), inf});
+  for (const Device device : {Device::kCpu, Device::kAccel}) {
+    QueryOptions options;
+    options.device = device;
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    ExpectAgree(engines, "SELECT k, CASE WHEN k = 1 THEN v ELSE 0.5 END FROM t",
+                options);
+    ExpectAgree(engines,
+                "SELECT k, CASE WHEN k > 1 THEN 7 WHEN k = 1 THEN v ELSE v "
+                "END FROM t",
+                options);
+  }
+}
+
+// Column `/` and `%` answer as the engine's fold of two literals and
+// BaselineDB do: a zero divisor is an error, and `%` truncates toward
+// zero (-7 % 3 = -1).
+TEST(DifferentialArithmeticTest, DivisionAndModuloAgree) {
+  Engines engines;
+  RegisterKv(engines, {-7, 0, 3, 5, 8, -4}, {1.5, -2.0, 0.0, 4.0, -0.0, 3.0});
+  for (const Device device : {Device::kCpu, Device::kAccel}) {
+    QueryOptions options;
+    options.device = device;
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    ExpectAgree(engines, "SELECT k, k % 3, k % -3, -k % 3 FROM t", options);
+    ExpectAgree(engines, "SELECT k, k / 2, k / -4 FROM t", options);
+    ExpectAgree(engines, "SELECT k, 10 % k, 12 / k FROM t WHERE k <> 0",
+                options);
+    ExpectAgree(engines, "SELECT k, v / k FROM t WHERE k > 0", options);
+    for (const char* sql : {"SELECT k / 0 FROM t", "SELECT k / k FROM t",
+                            "SELECT k / v FROM t", "SELECT k % 0 FROM t",
+                            "SELECT 5 % k FROM t", "SELECT 1 / 0"}) {
+      SCOPED_TRACE(sql);
+      ExpectSameError(engines, sql, options);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tdp

@@ -95,12 +95,29 @@ TEST_F(ExecEdgeTest, StringAggregationLimits) {
   EXPECT_EQ((*r)->column(0).data().At({0}), 3.0);
 }
 
-TEST_F(ExecEdgeTest, DivisionByZeroColumnProducesInf) {
-  // Tensor semantics (like the paper's runtime): elementwise division by
-  // a zero value yields inf, not an engine error.
+TEST_F(ExecEdgeTest, DivisionByZeroColumnIsAnError) {
+  // A zero divisor in a column is the same error the engine's own fold of
+  // two literals (`SELECT 1 / 0`) and BaselineDB return.
   auto r = session_.Sql("SELECT k / v FROM t WHERE k = 3");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), "ExecutionError: division by zero");
+  r = session_.Sql("SELECT k % v FROM t");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(), "ExecutionError: modulo by zero");
+  // Rows the WHERE clause removes are never divided.
+  r = session_.Sql("SELECT k / v FROM t WHERE k < 3");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(std::isinf((*r)->column(0).data().At({0})));
+  EXPECT_EQ((*r)->num_rows(), 2);
+}
+
+TEST_F(ExecEdgeTest, ModuloOfFloatLiteralsFolds) {
+  // A float operand of a folded `%` used to abort the process; it folds
+  // as the column path computes it (fmod, truncated toward zero).
+  auto r = session_.Sql("SELECT 5 % 2.5, -7.5 % 2");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ((*r)->column(0).data().At({0}), 0.0);
+  EXPECT_EQ((*r)->column(1).data().At({0}), -1.5);
+  EXPECT_FALSE(session_.Sql("SELECT 5 % 0.0").ok());
 }
 
 TEST_F(ExecEdgeTest, SingleRowTable) {

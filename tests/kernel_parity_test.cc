@@ -19,6 +19,12 @@
 //     build subtree.
 //   - Scratch reuse: a warm accelerated Conv2d forward allocates exactly
 //     one buffer (the output) and never grows the scratch arena.
+//   - GEMM versions: every ISA version of the accelerated GEMM the host
+//     supports gives the portable one's bits (NaN outputs compared as
+//     NaN), directly and through MatMul, BMM and Conv2d; skipped versions
+//     are printed.
+//   - Row-segment broadcasts: broadcast binary ops and Where give the same
+//     bits as on operands materialized to the output shape.
 //
 // Runs under ASan/UBSan and TSan in CI (see TDP_SANITIZER_TESTS).
 
@@ -27,6 +33,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -39,6 +47,7 @@
 #include "src/nn/optim.h"
 #include "src/runtime/session.h"
 #include "src/tensor/buffer.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/scratch.h"
 #include "tests/vector_test_util.h"
@@ -294,6 +303,215 @@ TEST(ConvScratchTest, WarmAccelForwardAllocatesOnlyTheOutput) {
   EXPECT_EQ(ScratchArena::growth_count() - growth_before, 0)
       << "a warm Conv2d forward must reuse the sized im2col scratch slot";
   EXPECT_EQ(out.shape(), (std::vector<int64_t>{2, 4, 16, 16}));
+}
+
+// ---- GEMM versions ---------------------------------------------------------
+
+// Element bits of a float tensor, for memcmp-style comparison. Every NaN
+// maps to one pattern: when two NaNs meet in an add or multiply, the
+// result carries the payload and sign of whichever operand the compiler
+// placed first (IEEE 754 leaves the choice open, and the ISA versions'
+// code differs there), so NaN outputs are compared as NaN and every other
+// output bit for bit, -0 included.
+std::vector<uint32_t> FloatBits(const Tensor& t) {
+  const Tensor c = t.To(Device::kCpu).Contiguous();
+  std::vector<uint32_t> bits(static_cast<size_t>(c.numel()));
+  const float* v = c.data<float>();
+  for (size_t i = 0; i < bits.size(); ++i) {
+    if (std::isnan(v[i])) {
+      bits[i] = 0x7FC00000u;
+    } else {
+      std::memcpy(&bits[i], &v[i], sizeof(float));
+    }
+  }
+  return bits;
+}
+
+// A [rows, cols] float32 matrix of normal values salted with what the
+// summation contract must carry through unchanged: zeros (which meet the
+// other operand's infs as 0 * inf), -0, NaN, +-inf and magnitudes whose
+// products overflow.
+Tensor SaltedMatrix(int64_t rows, int64_t cols, Rng& rng) {
+  std::vector<float> v(static_cast<size_t>(rows * cols));
+  for (float& x : v) {
+    const double u = rng.UniformDouble();
+    if (u < 0.03) {
+      x = 0.0f;
+    } else if (u < 0.05) {
+      x = -0.0f;
+    } else if (u < 0.053) {
+      x = std::numeric_limits<float>::quiet_NaN();
+    } else if (u < 0.056) {
+      x = rng.Bernoulli(0.5) ? static_cast<float>(kInf)
+                             : -static_cast<float>(kInf);
+    } else if (u < 0.07) {
+      x = static_cast<float>(rng.Normal(0, 1) * 1e25);
+    } else {
+      x = static_cast<float>(rng.Normal(0, 1));
+    }
+  }
+  return Tensor::FromVector(v, {rows, cols}, Device::kAccel);
+}
+
+// Every version the CPU supports gives the portable one's bits on ragged
+// shapes, narrow and empty ones, and non-finite inputs, at one and four
+// threads.
+TEST(GemmVersionTest, EveryVersionMatchesPortable) {
+  struct Shape {
+    int64_t m, k, n;
+  };
+  // Ragged m and n, n below the 16- and 32-wide tiles, n = 1, k = 0,
+  // m = 0, n = 0, and a long k.
+  const Shape shapes[] = {{37, 129, 70}, {128, 64, 512}, {9, 33, 31},
+                          {8, 16, 32},   {17, 5, 15},    {13, 40, 16},
+                          {11, 7, 17},   {64, 32, 1},    {5, 9, 1},
+                          {6, 0, 19},    {0, 12, 10},    {7, 12, 0},
+                          {1, 774, 48}};
+  std::vector<GemmVersion> checked;
+  for (GemmVersion version : {GemmVersion::kAvx2, GemmVersion::kAvx512}) {
+    if (GemmVersionSupported(version)) {
+      checked.push_back(version);
+    } else {
+      std::cout << "[ SKIPPED  ] GEMM version " << GemmVersionName(version)
+                << ": not supported by this CPU\n";
+    }
+  }
+  std::cout << "[   INFO   ] Gemm dispatches to "
+            << GemmVersionName(DispatchedGemmVersion()) << "\n";
+
+  Rng rng(17);
+  std::vector<int> classes(3, 0);  // finite, +-inf, NaN outputs seen
+  for (const Shape& s : shapes) {
+    const Tensor a = SaltedMatrix(s.m, s.k, rng);
+    const Tensor b = SaltedMatrix(s.k, s.n, rng);
+    Tensor expected =
+        Tensor::Empty({s.m, s.n}, DType::kFloat32, Device::kAccel);
+    {
+      ScopedNumThreads guard(1);
+      GemmWithVersion(GemmVersion::kPortable, a.data<float>(),
+                      b.data<float>(), expected.data<float>(), s.m, s.k, s.n);
+    }
+    for (int c : ClassifyTensor(expected)) ++classes[static_cast<size_t>(c)];
+    for (int threads : kThreadCounts) {
+      ScopedNumThreads guard(threads);
+      for (GemmVersion version : checked) {
+        SCOPED_TRACE(std::string(GemmVersionName(version)) + " " +
+                     std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                     std::to_string(s.n) +
+                     " threads=" + std::to_string(threads));
+        Tensor got =
+            Tensor::Empty({s.m, s.n}, DType::kFloat32, Device::kAccel);
+        GemmWithVersion(version, a.data<float>(), b.data<float>(),
+                        got.data<float>(), s.m, s.k, s.n);
+        EXPECT_EQ(FloatBits(got), FloatBits(expected));
+      }
+    }
+  }
+  // The salting reaches every class of output.
+  EXPECT_GT(classes[0], 0);
+  EXPECT_GT(classes[1], 0);
+  EXPECT_GT(classes[2], 0);
+}
+
+// The public ops that run the GEMM give the portable version's bits at
+// one and four threads: MatMul, BMM per batch item, and Conv2d as
+// im2col followed by the GEMM.
+TEST(GemmVersionTest, PublicOpsMatchPortable) {
+  Rng rng(18);
+  const Tensor a = SaltedMatrix(37, 129, rng);
+  const Tensor b = SaltedMatrix(129, 70, rng);
+  Tensor expected = Tensor::Empty({37, 70}, DType::kFloat32, Device::kAccel);
+  GemmWithVersion(GemmVersion::kPortable, a.data<float>(), b.data<float>(),
+                  expected.data<float>(), 37, 129, 70);
+
+  const Tensor a3 = Reshape(SaltedMatrix(3 * 9, 20, rng), {3, 9, 20});
+  const Tensor b3 = Reshape(SaltedMatrix(3 * 20, 33, rng), {3, 20, 33});
+  Tensor expected3 = Tensor::Empty({3, 9, 33}, DType::kFloat32, Device::kAccel);
+  for (int64_t i = 0; i < 3; ++i) {
+    GemmWithVersion(GemmVersion::kPortable, a3.data<float>() + i * 9 * 20,
+                    b3.data<float>() + i * 20 * 33,
+                    expected3.data<float>() + i * 9 * 33, 9, 20, 33);
+  }
+
+  // A 1x1 convolution's im2col columns are the image itself, so Conv2d
+  // over [1, 24, 6, 7] with 5 filters is the GEMM [5, 24] x [24, 42].
+  const Tensor image = Reshape(SaltedMatrix(24, 42, rng), {1, 24, 6, 7});
+  const Tensor weight = Reshape(SaltedMatrix(5, 24, rng), {5, 24, 1, 1});
+  Tensor expected_conv =
+      Tensor::Empty({1, 5, 6, 7}, DType::kFloat32, Device::kAccel);
+  GemmWithVersion(GemmVersion::kPortable, weight.data<float>(),
+                  image.data<float>(), expected_conv.data<float>(), 5, 24,
+                  42);
+
+  for (int threads : kThreadCounts) {
+    ScopedNumThreads guard(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(FloatBits(MatMul(a, b)), FloatBits(expected));
+    EXPECT_EQ(FloatBits(BMM(a3, b3)), FloatBits(expected3));
+    EXPECT_EQ(FloatBits(Conv2d(image, weight, Tensor(), 1, 0)),
+              FloatBits(expected_conv));
+  }
+}
+
+// ---- Row-segment broadcasts ------------------------------------------------
+
+// A broadcast binary op walks row segments; the same op on operands first
+// materialized to the output shape takes the dense same-shape loop. Both
+// must give the same bits for row, column, scalar, outer-product and
+// transposed operands, at one and four threads.
+TEST(RowSegmentTest, BroadcastsMatchMaterializedOperands) {
+  Rng rng(19);
+  auto salted = [&](std::vector<int64_t> shape) {
+    int64_t n = 1;
+    for (int64_t d : shape) n *= d;
+    return Reshape(SaltedMatrix(1, n, rng), shape);
+  };
+  const Tensor wide = salted({70, 33});
+  struct Case {
+    const char* name;
+    Tensor a, b;
+  };
+  const std::vector<Case> cases = {
+      {"row [n,d] - [1,d]", salted({70, 33}), salted({1, 33})},
+      {"bias [n,d] + [d]", salted({70, 33}), salted({33})},
+      {"column [n,d] / [n,1]", salted({70, 33}), salted({70, 1})},
+      {"column [n,c,l] - [n,c,1]", salted({9, 3, 40}), salted({9, 3, 1})},
+      {"scalar [1,1] * [n,d]^T", salted({1, 1}), Transpose(wide, 0, 1)},
+      {"outer [n,1] * [1,d]", salted({70, 1}), salted({1, 33})},
+      {"transposed [d,n]^T + [1,d]", Transpose(salted({33, 70}), 0, 1),
+       salted({1, 33})},
+      {"middle [n,1,d] - [n,c,d]", salted({4, 1, 17}), salted({4, 5, 17})},
+  };
+  using BinaryOp = Tensor (*)(const Tensor&, const Tensor&);
+  const std::pair<const char*, BinaryOp> ops[] = {
+      {"Add", &Add},         {"Sub", &Sub},         {"Mul", &Mul},
+      {"Div", &Div},         {"Maximum", &Maximum}, {"Lt", &Lt}};
+  for (int threads : kThreadCounts) {
+    ScopedNumThreads guard(threads);
+    for (const Case& c : cases) {
+      const std::vector<int64_t> shape =
+          BroadcastShapes(c.a.shape(), c.b.shape());
+      const Tensor a_full = Expand(c.a, shape).Contiguous();
+      const Tensor b_full = Expand(c.b, shape).Contiguous();
+      for (const auto& [op_name, op] : ops) {
+        SCOPED_TRACE(std::string(c.name) + " " + op_name +
+                     " threads=" + std::to_string(threads));
+        const Tensor got = op(c.a, c.b);
+        const Tensor expected = op(a_full, b_full);
+        ASSERT_EQ(got.shape(), expected.shape());
+        if (got.dtype() == DType::kBool) {
+          EXPECT_EQ(got.ToVector<bool>(), expected.ToVector<bool>());
+        } else {
+          EXPECT_EQ(FloatBits(got), FloatBits(expected));
+        }
+      }
+      SCOPED_TRACE(std::string(c.name) + " Where threads=" +
+                   std::to_string(threads));
+      const Tensor cond = Gt(c.a, c.b);
+      EXPECT_EQ(FloatBits(Where(cond, c.a, c.b)),
+                FloatBits(Where(cond.Contiguous(), a_full, b_full)));
+    }
+  }
 }
 
 // ---- CacheableExpr unit tests ---------------------------------------------

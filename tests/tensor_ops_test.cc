@@ -148,6 +148,34 @@ TEST(OpsTest, WhereSelects) {
   Tensor b = Tensor::Full({3}, 20);
   EXPECT_EQ(Where(cond, a, b).ToVector<float>(),
             (std::vector<float>{10, 20, 10}));
+
+  // Only the taken branch reaches the output, so a NaN or inf in the other
+  // one stays out; the gradient likewise flows to the taken branch only.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (Device device : {Device::kCpu, Device::kAccel}) {
+    SCOPED_TRACE(DeviceName(device));
+    Tensor v = Tensor::FromVector(
+        std::vector<float>{2, std::numeric_limits<float>::quiet_NaN(), inf},
+        {}, device);
+    v.set_requires_grad(true);
+    Tensor other = Tensor::Full({3}, 0.5, DType::kFloat32, device);
+    other.set_requires_grad(true);
+    const Tensor first = Tensor::FromVector(
+        std::vector<bool>{true, false, false}, {}, device);
+    const Tensor picked = Where(first, v, other);
+    EXPECT_EQ(picked.ToVector<float>(), (std::vector<float>{2, 0.5, 0.5}));
+    // d/dv and d/dother of sum(picked * [inf, 1, 1]).
+    const Tensor scale =
+        Tensor::FromVector(std::vector<float>{inf, 1, 1}, {}, device);
+    Sum(Mul(picked, scale)).Backward();
+    EXPECT_EQ(v.grad().ToVector<float>(), (std::vector<float>{inf, 0, 0}));
+    EXPECT_EQ(other.grad().ToVector<float>(), (std::vector<float>{0, 1, 1}));
+    const Tensor flags =
+        Tensor::FromVector(std::vector<bool>{false, true, true}, {}, device);
+    EXPECT_EQ(Where(first, flags, Tensor::Full({1}, 1, DType::kBool, device))
+                  .ToVector<bool>(),
+              (std::vector<bool>{false, true, true}));
+  }
 }
 
 TEST(OpsTest, IndexSelectAndGather) {

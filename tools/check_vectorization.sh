@@ -7,6 +7,11 @@
 # skip, a per-element `switch (kind)` dispatch, or an opaque function call in
 # an inner loop — which no correctness test can see, only the timings.
 #
+# It also disassembles the GEMM object and fails on any fused multiply-add:
+# the GEMM's summation-order contract (src/tensor/gemm.h) needs each
+# product rounded before its add, and the memcmp test that guards it can
+# only run the AVX-512 version on a host that has AVX-512.
+#
 # Usage: tools/check_vectorization.sh   (from the repo root)
 
 set -euo pipefail
@@ -19,9 +24,9 @@ FLAGS=(-std=c++20 -O3 -Wall -I. -c -o /dev/null -fopt-info-vec-optimized)
 # Requirement: at least one "loop vectorized" report attributed to the file
 # itself (not an STL header it pulls in).
 HOT_TUS=(
-  src/tensor/ops_matmul.cc # MatMulAccel saxpy inner loop
-  src/tensor/ops_conv.cc   # GemmRowMajor inner loop (im2col GEMM)
-  src/tensor/ops_binary.cc # AccelLoop fast/scalar-broadcast paths
+  src/tensor/gemm.cc       # Gemm's row-saxpy inner loop (portable, AVX2)
+  src/tensor/ops_conv.cc   # Conv2d backward's column-gradient saxpy
+  src/tensor/ops_binary.cc # AccelLoop dense, scalar and row-segment loops
 )
 
 status=0
@@ -38,5 +43,18 @@ for tu in "${HOT_TUS[@]}"; do
     echo "ok: $tu ($vectorized vectorized-loop reports)"
   fi
 done
+
+GEMM_TU=src/tensor/gemm.cc
+obj=$(mktemp --suffix=.o)
+trap 'rm -f "$obj"' EXIT
+"$CXX" -std=c++20 -O3 -Wall -I. -c -o "$obj" "$GEMM_TU"
+fused=$(objdump -d "$obj" | grep -cE '\svfn?m(add|sub)' || true)
+if [[ "$fused" -ne 0 ]]; then
+  echo "FAIL: $fused fused multiply-add instructions in $GEMM_TU" >&2
+  objdump -d "$obj" | grep -E '\svfn?m(add|sub)' | head -5 >&2 || true
+  status=1
+else
+  echo "ok: $GEMM_TU (no fused multiply-add)"
+fi
 
 exit $status
