@@ -4,15 +4,13 @@
 //   ./model_serving --benchmark_counters_tabular=true
 //
 // The interesting comparisons:
-//   - BM_ModelServeBatched vs BM_ModelServeUnbatched at 4 and 8 threads:
-//     the batched UDF routes through the shared InferenceScheduler, so
-//     concurrent clients' forwards coalesce into shared batches (one
-//     [32, d] matmul instead of four [8, d] ones); the unbatched control
-//     is the same weights invoked directly per query.
-//   - items_per_second scaling across ->Threads(1/4/8) on the batched
-//     path: aggregate QPS at 4 and 8 clients must beat the solo client
-//     (the PR 7 acceptance line) — cross-query batching turns concurrency
-//     into larger forwards instead of contention.
+//   - BM_ModelServeBatched vs BM_ModelServeUnbatched: the batched arm's
+//     UDF is batchable, so each query calls the model directly from a
+//     ModelEval stage streamed with the scan; the unbatched control is
+//     the same weights registered non-batchable, so each query runs
+//     them behind a pipeline breaker.
+//   - items_per_second scaling across ->Threads(1/4/8): concurrent
+//     clients each run their own forwards on the shared kernel pool.
 //
 // Both UDFs share one set of weights, and the per-query result is
 // CHECK'd bit-identical across the two paths at setup (row-local model,
@@ -25,15 +23,14 @@
 
 #include "bench/bench_util.h"
 #include "src/nn/layers.h"
-#include "src/runtime/inference_scheduler.h"
 #include "src/runtime/session.h"
 #include "src/tensor/ops.h"
 
 namespace tdp {
 namespace {
 
-// Each query scores kRowsPerQuery embeddings; the scheduler may merge up
-// to kBatchTarget rows (= 4 clients' worth) into one forward.
+// Each query scores kRowsPerQuery embeddings, one ModelEval batch of up
+// to kBatchTarget rows.
 constexpr int64_t kRowsPerQuery = 8;
 constexpr int64_t kDim = 128;
 constexpr int64_t kHidden = 256;
@@ -45,9 +42,9 @@ constexpr const char* kUnbatchedQuery =
     "SELECT SUM(mlp_unbatched(e)) FROM embs";
 
 /// One process-wide Session shared by all client threads, serving one
-/// two-layer MLP registered twice: `mlp_batched` (batchable — eligible
-/// for ModelEval streaming and cross-query coalescing) and
-/// `mlp_unbatched` (the direct-call control). Built on first use.
+/// two-layer MLP registered twice: `mlp_batched` (batchable — streamed
+/// through ModelEval) and `mlp_unbatched` (the breaker control). Built on
+/// first use.
 Session& ServingSession() {
   static Session* session = [] {
     auto* s = new Session();
@@ -91,8 +88,8 @@ Session& ServingSession() {
   return *session;
 }
 
-/// Batchable path: concurrent clients' micro-batches coalesce in the
-/// shared InferenceScheduler into larger forwards.
+/// Batchable path: each query calls the model directly from a ModelEval
+/// stage streamed with the scan.
 void BM_ModelServeBatched(benchmark::State& state) {
   Session& session = ServingSession();
   for (auto _ : state) {
@@ -101,15 +98,6 @@ void BM_ModelServeBatched(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    // Process-cumulative coalescing evidence (includes warm-up): how many
-    // scheduler calls were served by a shared forward.
-    const auto stats = runtime::InferenceScheduler::Global().stats();
-    state.counters["global_coalesced_share"] =
-        stats.calls > 0 ? static_cast<double>(stats.coalesced_requests) /
-                              static_cast<double>(stats.calls)
-                        : 0.0;
-  }
 }
 BENCHMARK(BM_ModelServeBatched)
     ->Threads(1)
@@ -117,8 +105,8 @@ BENCHMARK(BM_ModelServeBatched)
     ->Threads(8)
     ->UseRealTime();
 
-/// Direct-call control: same weights, same query shape, no coalescing —
-/// every client pays its own forward.
+/// Breaker control: same weights, same query shape, registered
+/// non-batchable, so the call runs behind a pipeline breaker.
 void BM_ModelServeUnbatched(benchmark::State& state) {
   Session& session = ServingSession();
   for (auto _ : state) {

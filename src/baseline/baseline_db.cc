@@ -86,8 +86,8 @@ bool IsComparison(BinaryOp op) {
 }
 
 /// `lhs op rhs`. AND/OR take bools, and strings only compare with
-/// strings. Two integers add, subtract and multiply exactly; everything
-/// else computes in doubles.
+/// strings. Two integers add, subtract, multiply and take `%` exactly;
+/// everything else computes in doubles (`%` as `std::fmod`).
 StatusOr<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
   if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
     if (!std::holds_alternative<bool>(lhs) ||
@@ -136,9 +136,11 @@ StatusOr<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
       if (y == 0) return Status::ExecutionError("division by zero");
       return Value(x / y);
     case BinaryOp::kMod: {
-      const int64_t yi = static_cast<int64_t>(y);
-      if (yi == 0) return Status::ExecutionError("modulo by zero");
-      return Value(static_cast<int64_t>(x) % yi);
+      if (y == 0) return Status::ExecutionError("modulo by zero");
+      if (!both_int) return Value(std::fmod(x, y));
+      // INT64_MIN % -1 overflows in C++; every integer % -1 is 0.
+      const int64_t yi = std::get<int64_t>(rhs);
+      return Value(yi == -1 ? int64_t{0} : std::get<int64_t>(lhs) % yi);
     }
     default:
       return Status::Internal("bad binary op");
@@ -156,6 +158,15 @@ StatusOr<Value> ApplyUnary(UnaryOp op, const Value& v) {
   if (!IsNumeric(v)) return Status::TypeError("cannot negate a string");
   if (std::holds_alternative<int64_t>(v)) return Value(-std::get<int64_t>(v));
   return Value(-AsDouble(v));
+}
+
+/// Whether a WHEN, ON, WHERE or HAVING predicate holds; a non-boolean one
+/// fails with the engine's error.
+StatusOr<bool> Holds(const Value& v) {
+  if (!std::holds_alternative<bool>(v)) {
+    return Status::TypeError("predicate did not evaluate to a boolean column");
+  }
+  return std::get<bool>(v);
 }
 
 // Row scope during evaluation: column name -> value index, with optional
@@ -315,7 +326,8 @@ StatusOr<Value> Executor::Eval(const Expr& e, const RowScope& scope,
       const auto& c = static_cast<const CaseExpr&>(e);
       for (const auto& [when, then] : c.branches) {
         TDP_ASSIGN_OR_RETURN(Value cond, Eval(*when, scope, row));
-        if (std::get<bool>(cond)) return Eval(*then, scope, row);
+        TDP_ASSIGN_OR_RETURN(bool taken, Holds(cond));
+        if (taken) return Eval(*then, scope, row);
       }
       if (c.else_expr) return Eval(*c.else_expr, scope, row);
       return Value(static_cast<int64_t>(0));
@@ -375,9 +387,10 @@ StatusOr<Executor::Relation> Executor::ExecuteFrom(const TableRef& ref) {
         for (const auto& rrow : right.rows) {
           std::vector<Value> combined = lrow;
           combined.insert(combined.end(), rrow.begin(), rrow.end());
-          TDP_ASSIGN_OR_RETURN(Value keep,
+          TDP_ASSIGN_OR_RETURN(Value on,
                                Eval(*join.condition, out.scope, combined));
-          if (std::get<bool>(keep)) out.rows.push_back(std::move(combined));
+          TDP_ASSIGN_OR_RETURN(bool keep, Holds(on));
+          if (keep) out.rows.push_back(std::move(combined));
         }
       }
       return out;
@@ -401,8 +414,9 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
   if (stmt.where) {
     std::vector<std::vector<Value>> kept;
     for (auto& row : input.rows) {
-      TDP_ASSIGN_OR_RETURN(Value keep, Eval(*stmt.where, input.scope, row));
-      if (std::get<bool>(keep)) kept.push_back(std::move(row));
+      TDP_ASSIGN_OR_RETURN(Value where, Eval(*stmt.where, input.scope, row));
+      TDP_ASSIGN_OR_RETURN(bool keep, Holds(where));
+      if (keep) kept.push_back(std::move(row));
     }
     input.rows = std::move(kept);
   }
@@ -540,9 +554,10 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
     if (stmt.having) {
       std::vector<std::vector<Value>> kept;
       for (auto& grow : group_table) {
-        TDP_ASSIGN_OR_RETURN(Value keep,
+        TDP_ASSIGN_OR_RETURN(Value having,
                              EvalPostAgg(*stmt.having, group_scope, grow));
-        if (std::get<bool>(keep)) kept.push_back(std::move(grow));
+        TDP_ASSIGN_OR_RETURN(bool keep, Holds(having));
+        if (keep) kept.push_back(std::move(grow));
       }
       group_table = std::move(kept);
     }

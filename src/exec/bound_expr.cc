@@ -170,9 +170,13 @@ StatusOr<ScalarValue> FoldScalarBinary(BinaryOp op, const ScalarValue& a,
       if (y == 0) return Status::ExecutionError("division by zero");
       return ScalarValue::Float(x / y);
     case BinaryOp::kMod:
+      // INT64_MIN % -1 overflows in C++; every integer % -1 is 0.
       if (y == 0) return Status::ExecutionError("modulo by zero");
-      return both_int ? ScalarValue::Int(a.int_value() % b.int_value())
-                      : ScalarValue::Float(std::fmod(x, y));
+      if (both_int) {
+        return ScalarValue::Int(
+            b.int_value() == -1 ? 0 : a.int_value() % b.int_value());
+      }
+      return ScalarValue::Float(std::fmod(x, y));
     case BinaryOp::kEq:
       return ScalarValue::Bool(x == y);
     case BinaryOp::kNe:
@@ -310,44 +314,74 @@ StatusOr<EvalResult> EvaluateBinary(const BoundBinary& expr,
   return EvalResult{false, {}, std::move(c)};
 }
 
+// The rows of `input` at `ids` (ascending kInt64 row ids), or `input`
+// itself when they are all of its `num_rows` rows.
+Chunk RowsAt(const Chunk& input, const Tensor& ids, int64_t num_rows) {
+  return ids.numel() == num_rows ? input : input.Select(ids);
+}
+
+// Spreads `values`, one per row id in `ids`, over all `num_rows` rows: row
+// ids[j] reads values[j], and every other row reads values[0], which the
+// caller masks out.
+Tensor SpreadRows(const Tensor& values, const Tensor& ids, int64_t num_rows) {
+  if (ids.numel() == num_rows) return values;
+  Tensor pos = Tensor::Zeros({num_rows}, DType::kInt64, values.device());
+  const int64_t* id = ids.data<int64_t>();
+  int64_t* p = pos.data<int64_t>();
+  for (int64_t j = 0; j < ids.numel(); ++j) p[id[j]] = j;
+  return IndexSelect(values, 0, pos);
+}
+
 StatusOr<EvalResult> EvaluateCase(const BoundCase& expr, const Chunk& input,
                                   const EvalOptions& opts) {
+  // A branch guards the expressions after it, as in BaselineDB: each WHEN
+  // sees only the rows no earlier branch took, and each THEN or ELSE only
+  // the rows its branch takes, so `CASE WHEN k <> 0 THEN 10 / k ELSE 0
+  // END` never divides by zero. Where places each branch's values: it
+  // copies the taken rows and routes their gradient to that branch alone.
+  // A branch that takes no rows is still evaluated over none, so the
+  // result's dtype does not depend on the data.
   const Device device = opts.device;
-  // Lower to nested Where(cond, then, else) — differentiable in the
-  // then/else values.
-  Tensor result;
-  bool have_result = false;
-  // Build from the last branch backwards.
-  Tensor else_tensor;
-  if (expr.else_expr) {
-    TDP_ASSIGN_OR_RETURN(Column c,
-                         EvaluateExprToColumn(*expr.else_expr, input, opts));
-    TDP_ASSIGN_OR_RETURN(else_tensor, NumericPayload(c));
-  }
-  for (auto it = expr.branches.rbegin(); it != expr.branches.rend(); ++it) {
-    TDP_ASSIGN_OR_RETURN(Tensor cond,
-                         EvaluatePredicate(*it->first, input, opts));
-    TDP_ASSIGN_OR_RETURN(Column then_col,
-                         EvaluateExprToColumn(*it->second, input, opts));
-    TDP_ASSIGN_OR_RETURN(Tensor then_tensor, NumericPayload(then_col));
-    if (!have_result) {
-      result = else_tensor.defined()
-                   ? Where(cond, then_tensor, else_tensor)
-                   : Where(cond, then_tensor,
-                           Tensor::Zeros(then_tensor.shape(),
-                                         then_tensor.dtype(), device));
-      have_result = true;
-    } else {
-      result = Where(cond, then_tensor, result);
+  // A chunk without columns (SELECT without FROM) is one row.
+  const int64_t num_rows = input.columns.empty() ? 1 : input.num_rows();
+  Tensor open = Tensor::Ones({num_rows}, DType::kBool, device);
+  // Rows no branch takes are 0 in the promoted dtype of the branches.
+  Tensor result = Tensor::Zeros({num_rows}, DType::kBool, device);
+  const auto place = [&](const BoundExpr& value,
+                         const Tensor& taken) -> Status {
+    const Tensor ids = NonZero(taken);
+    TDP_ASSIGN_OR_RETURN(
+        Column column,
+        EvaluateExprToColumn(value, RowsAt(input, ids, num_rows), opts));
+    TDP_ASSIGN_OR_RETURN(Tensor values, NumericPayload(column));
+    if (values.dim() != 1) {
+      return Status::TypeError("a CASE branch must give one value per row");
     }
+    result = Where(taken,
+                   ids.numel() == 0
+                       ? Tensor::Zeros({1}, values.dtype(), device)
+                       : SpreadRows(values, ids, num_rows),
+                   result);
+    return Status::OK();
+  };
+  for (const auto& [when, then] : expr.branches) {
+    Tensor taken = Tensor::Zeros({num_rows}, DType::kBool, device);
+    const Tensor ids = NonZero(open);
+    if (ids.numel() > 0) {
+      TDP_ASSIGN_OR_RETURN(
+          Tensor cond,
+          EvaluatePredicate(*when, RowsAt(input, ids, num_rows), opts));
+      taken = LogicalAnd(open, SpreadRows(cond, ids, num_rows));
+      open = LogicalAnd(open, LogicalNot(taken));
+    }
+    TDP_RETURN_NOT_OK(place(*then, taken));
   }
-  TDP_CHECK(have_result);
+  if (expr.else_expr) TDP_RETURN_NOT_OK(place(*expr.else_expr, open));
   return EvalResult{false, {}, Column::Plain(result)};
 }
 
 StatusOr<EvalResult> EvaluateUdf(const BoundUdfCall& expr, const Chunk& input,
                                  const EvalOptions& opts) {
-  const Device device = opts.device;
   std::vector<udf::Argument> args;
   args.reserve(expr.args.size());
   for (const BoundExprPtr& arg_expr : expr.args) {
@@ -361,18 +395,8 @@ StatusOr<EvalResult> EvaluateUdf(const BoundUdfCall& expr, const Chunk& input,
     }
     args.push_back(std::move(arg));
   }
-  // Batchable calls route through the dispatcher when one is installed:
-  // the runtime's InferenceScheduler may coalesce concurrent calls for the
-  // same model into a single forward pass. Row-locality (the batchable
-  // contract) makes the coalesced result bit-identical to a direct call.
-  Column out;
-  if (expr.fn->batchable && opts.udf_dispatch != nullptr) {
-    TDP_ASSIGN_OR_RETURN(
-        out, opts.udf_dispatch->CallScalar(*expr.fn, args, input.num_rows(),
-                                           device, opts.cancel));
-  } else {
-    TDP_ASSIGN_OR_RETURN(out, expr.fn->fn(args, input.num_rows(), device));
-  }
+  TDP_ASSIGN_OR_RETURN(Column out,
+                       expr.fn->fn(args, input.num_rows(), opts.device));
   if (out.length() != input.num_rows()) {
     return Status::ExecutionError(
         "scalar UDF " + expr.fn->name + " returned " +

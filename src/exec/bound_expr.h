@@ -122,34 +122,12 @@ struct EvalResult {
   Column column;
 };
 
-class CancellationToken;
-
-/// Routing seam for batchable scalar-UDF calls. The evaluator stays
-/// runtime-agnostic: when a dispatcher is present and the called function
-/// is batchable, the call goes through the dispatcher — in production the
-/// runtime's InferenceScheduler, which may coalesce concurrent calls for
-/// the same model into one forward pass. Implementations must be
-/// thread-safe and must return bytes identical to calling `fn.fn` directly
-/// (the batchable row-local contract makes coalescing exact).
-class UdfDispatcher {
- public:
-  virtual ~UdfDispatcher() = default;
-  virtual StatusOr<Column> CallScalar(const udf::ScalarFunction& fn,
-                                      const std::vector<udf::Argument>& args,
-                                      int64_t num_rows, Device device,
-                                      const CancellationToken* cancel) = 0;
-};
-
 /// Per-evaluation context for expression trees. One value object instead
-/// of a growing parameter list: the device to run tensor math on, the
-/// per-run `?` parameter bindings, and the optional batchable-UDF
-/// dispatcher with the run's cancellation token (so a coalesced call
-/// waiting in the scheduler can be abandoned cooperatively).
+/// of a growing parameter list: the device to run tensor math on and the
+/// per-run `?` parameter bindings.
 struct EvalOptions {
   Device device = Device::kCpu;
   const std::vector<ScalarValue>* params = nullptr;
-  UdfDispatcher* udf_dispatch = nullptr;
-  const CancellationToken* cancel = nullptr;
 };
 
 /// Evaluates `expr` over `input` per `opts`. All column math runs as

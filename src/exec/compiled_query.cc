@@ -123,14 +123,12 @@ void CollectPlanModules(
 
 CompiledQuery::CompiledQuery(plan::LogicalNodePtr plan,
                              std::shared_ptr<SharedCatalog> catalog,
-                             Device device, bool trainable,
-                             UdfDispatcher* udf_dispatch)
+                             Device device, bool trainable)
     : plan_(std::move(plan)),
       pipelines_(plan::BuildPipelines(*plan_)),
       catalog_(std::move(catalog)),
       device_(device),
       trainable_(trainable),
-      udf_dispatch_(trainable ? nullptr : udf_dispatch),
       num_params_(MaxPlanParamOrdinal(*plan_) + 1) {
   std::vector<std::shared_ptr<nn::Module>> raw;
   CollectPlanModules(*plan_, raw);
@@ -200,11 +198,6 @@ ExecContext CompiledQuery::MakeContext(const RunOptions& options,
   ctx.cancel = cancel;
   ctx.morsel_fault =
       options.inject_morsel_fault ? &options.inject_morsel_fault : nullptr;
-  // Soft (training) runs must evaluate UDFs directly: the dispatcher
-  // executes forwards outside this run's autograd scope (and possibly
-  // batched with other queries' rows). trainable_ already forced the
-  // member to null, but guard soft_mode explicitly for clarity.
-  ctx.udf_dispatch = ctx.soft_mode ? nullptr : udf_dispatch_;
   // The plan-lifetime primitive cache (reusable join build sides, scan
   // device transfers). Internally synchronized, so concurrent runs of one
   // shared CompiledQuery stay safe.

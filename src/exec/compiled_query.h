@@ -45,15 +45,9 @@ class CompiledQuery : public std::enable_shared_from_this<CompiledQuery> {
   /// `catalog` is non-const: every run snapshots it for reads, and DML
   /// plans additionally install their write through it (the ExecContext
   /// `writer` handle). Read-only statements never touch the writer.
-  ///
-  /// `udf_dispatch` (optional, must outlive the query — Session passes the
-  /// process-wide InferenceScheduler) routes batchable scalar-UDF calls
-  /// through a shared dispatcher so concurrent queries over the same model
-  /// coalesce forward passes. Trainable queries never use it, even when
-  /// set: cross-query batching would entangle autograd graphs.
   CompiledQuery(plan::LogicalNodePtr plan,
                 std::shared_ptr<SharedCatalog> catalog, Device device,
-                bool trainable, UdfDispatcher* udf_dispatch = nullptr);
+                bool trainable);
 
   CompiledQuery(const CompiledQuery&) = delete;
   CompiledQuery& operator=(const CompiledQuery&) = delete;
@@ -131,7 +125,6 @@ class CompiledQuery : public std::enable_shared_from_this<CompiledQuery> {
   std::shared_ptr<SharedCatalog> catalog_;
   Device device_;
   bool trainable_;
-  UdfDispatcher* udf_dispatch_ = nullptr;
   int64_t num_params_ = 0;
   std::vector<std::shared_ptr<nn::Module>> modules_;
   /// Mutable run-shared state behind the otherwise-immutable query object;

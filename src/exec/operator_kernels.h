@@ -13,14 +13,12 @@
 namespace tdp {
 namespace exec {
 
-/// Expression-evaluation options for one run: the device, the `?`
-/// bindings, the batchable-UDF dispatch seam and the cancellation token.
+/// Expression-evaluation options for one run: the device and the `?`
+/// bindings.
 inline EvalOptions EvalOpts(const ExecContext& ctx) {
   EvalOptions opts;
   opts.device = ctx.device;
   opts.params = ctx.params;
-  opts.udf_dispatch = ctx.udf_dispatch;
-  opts.cancel = ctx.cancel;
   return opts;
 }
 

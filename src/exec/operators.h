@@ -71,12 +71,6 @@ struct ExecContext {
   /// installed through here (`SharedCatalog::ApplyDmlWrite`). Null for
   /// execution APIs with no writable catalog — DML then fails cleanly.
   SharedCatalog* writer = nullptr;
-  /// Batchable-UDF dispatcher (the runtime's InferenceScheduler when the
-  /// query runs under a Session): batchable scalar-UDF calls route through
-  /// it so concurrent queries over the same model share forward passes.
-  /// Null (direct calls) for trainable runs — coalescing would entangle
-  /// autograd graphs across queries — and for bare CompiledQuery users.
-  UdfDispatcher* udf_dispatch = nullptr;
   /// Per-query memory accounting + spill-file registry, owned by the run
   /// (`RunOptions::memory_budget_bytes > 0`); null means unlimited. The
   /// breaker kernels (Sort, hash-join build, Aggregate finalize) account

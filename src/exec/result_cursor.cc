@@ -20,11 +20,8 @@ ResultCursor::ResultCursor(std::shared_ptr<const CompiledQuery> query,
       options_(std::move(options)),
       snapshot_(std::move(snapshot)),
       run_cancel_(options_.cancel),
-      capacity_(options_.cursor_queue_chunks > 0
-                    ? options_.cursor_queue_chunks
-                    : std::max<size_t>(2, static_cast<size_t>(
-                                              ThreadPool::Global()
-                                                  .num_threads()))) {}
+      capacity_(std::max<size_t>(
+          2, static_cast<size_t>(ThreadPool::Global().num_threads()))) {}
 
 ResultCursor::~ResultCursor() { Close(); }
 

@@ -28,8 +28,8 @@ class CompiledQuery;
 /// `Run()`, then the final pipeline's chunks are pushed — in morsel order —
 /// into a bounded queue that `Next()` drains. Backpressure is built in:
 /// once the queue is full the producer blocks, so a slow consumer bounds
-/// the run's buffered memory at `RunOptions::cursor_queue_chunks` chunks
-/// instead of materializing the whole result. The concatenation of all
+/// the run's buffered memory at max(2, pool threads) chunks instead of
+/// materializing the whole result. The concatenation of all
 /// chunks yielded by `Next()` is bit-identical to what `Run()` returns for
 /// the same options.
 ///
@@ -89,7 +89,7 @@ class ResultCursor {
   /// `options_.cancel` so either cancels the run, while `Close()` never
   /// cancels the caller's (possibly shared) token.
   CancellationToken run_cancel_;
-  const size_t capacity_;
+  const size_t capacity_;  ///< queue bound: max(2, pool threads) chunks
 
   std::mutex mu_;
   std::mutex close_mu_;  // serializes Close() (see result_cursor.cc)

@@ -98,13 +98,6 @@ struct RunOptions {
   /// closed early. Purely a resource knob, NOT part of the plan-cache key.
   int64_t memory_budget_bytes = 0;
 
-  /// Capacity (in chunks) of a `ResultCursor`'s bounded hand-off queue;
-  /// 0 resolves to max(2, pool threads). The producer blocks once the
-  /// queue is full (backpressure), so an abandoned or slow consumer
-  /// bounds the run's buffered memory instead of materializing the
-  /// whole result.
-  size_t cursor_queue_chunks = 0;
-
   /// Test-only fault injection: when set, the streaming executor invokes
   /// this with each result-pipeline morsel index before processing it and
   /// fails the run with any non-OK status returned. Lets tests prove that

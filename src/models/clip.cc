@@ -182,7 +182,7 @@ Status RegisterImageTextSimilarityUdf(
   fn.name = "image_text_similarity";
   fn.return_type = udf::DeclaredType::kFloat;
   // Row-local: each image's score depends only on that image and the query
-  // string, so micro-batching and cross-query coalescing are exact.
+  // string, so micro-batching is exact.
   fn.batchable = true;
   fn.preferred_batch_rows = 128;
   fn.fn = [clip](const std::vector<udf::Argument>& args, int64_t num_rows,

@@ -1,142 +1,30 @@
 #ifndef TDP_RUNTIME_INFERENCE_SCHEDULER_H_
 #define TDP_RUNTIME_INFERENCE_SCHEDULER_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "src/common/statusor.h"
-#include "src/exec/bound_expr.h"
-#include "src/exec/run_options.h"
-#include "src/storage/column.h"
-#include "src/udf/registry.h"
 
 namespace tdp {
 namespace runtime {
 
-/// Process-wide cross-query inference batching (the serving half of the
-/// ModelEval refactor). Every batchable scalar-UDF call issued by a
-/// Session-compiled query routes through here instead of invoking the
-/// model body directly; calls for the SAME model with the SAME constant
-/// arguments that arrive close together — e.g. eight concurrent embed()
-/// clients, each slicing its morsels into ModelEval micro-batches — are
-/// coalesced into one forward pass, then the output column is split back
-/// per caller with zero-copy row slices.
-///
-/// Exactness: coalescing is only attempted for batchable (row-local)
-/// functions, so the bytes each caller receives are identical to a direct
-/// call — the same contract that lets ModelEval micro-batch a morsel. TVF
-/// outputs are never coalesced across queries (their row counts may vary
-/// per input row, so per-request result splitting is not well defined);
-/// TVFs gain streaming only through the per-query ModelEval stage.
-///
-/// Scheduling: callers enqueue into a FIFO group keyed by (model identity,
-/// constant args, device). The first caller to find the group leaderless
-/// becomes the leader: it waits up to `Options::coalescing_window` for
-/// co-arrivals (only when other calls are in flight — a solo client pays
-/// zero added latency), claims the longest compatible FIFO prefix up to
-/// the model's preferred batch rows, runs ONE forward, and distributes the
-/// slices. Leadership then passes to the next queued caller, so the queue
-/// drains without a dedicated scheduler thread. The queue is bounded:
-/// callers finding it full fall back to a direct call (backpressure
-/// degrades to solo latency, never blocks unboundedly).
-///
-/// Deadlock freedom: followers block on a condition variable holding no
-/// locks, and the leader runs the forward outside the scheduler mutex.
-/// The forward's internal ParallelFor self-completes even when every pool
-/// worker is parked here as a follower, because ParallelFor's caller runs
-/// its own shards (help-first scheduling in common/thread_pool.cc).
-///
-/// Cancellation: a follower whose run is cancelled (cursor closed, client
-/// disconnect) withdraws its request if no leader has claimed it yet and
-/// returns kCancelled immediately; once claimed, it waits out the shared
-/// forward (bounded by one batch) and then reports kCancelled.
-class InferenceScheduler : public exec::UdfDispatcher {
+/// Kept only for the `inference.*` metrics of perfbench's `multimodal`
+/// workload, which reads these counters. Queries call model bodies
+/// directly, and ModelEval is the only batching mechanism, so every
+/// counter stays zero.
+class InferenceScheduler {
  public:
-  struct Options {
-    /// How long a leader lingers for co-arrivals before launching the
-    /// forward. Only paid when another CallScalar is concurrently in
-    /// flight; solo callers launch immediately.
-    std::chrono::microseconds coalescing_window{200};
-    /// Bound on queued requests per model group; arrivals beyond it take
-    /// the direct-call path instead of queueing (backpressure).
-    size_t max_pending_requests = 64;
-  };
-
-  /// Cumulative counters (monotonic; read via `stats()`).
   struct Stats {
-    int64_t calls = 0;            ///< CallScalar invocations
-    int64_t rows = 0;             ///< total input rows across calls
-    int64_t direct_calls = 0;     ///< bypassed the queue (non-coalescable,
-                                  ///< oversized, or backpressure)
-    int64_t forwards = 0;         ///< model forward passes executed
-    int64_t coalesced_forwards = 0;  ///< forwards serving >= 2 requests
-    int64_t coalesced_requests = 0;  ///< requests served by a shared forward
-    int64_t withdrawn = 0;  ///< requests cancelled before a leader claimed them
+    int64_t calls = 0;
+    int64_t direct_calls = 0;
+    int64_t forwards = 0;
+    int64_t coalesced_requests = 0;
   };
 
-  InferenceScheduler();  // default Options
-  explicit InferenceScheduler(Options options);
+  static InferenceScheduler& Global() {
+    static InferenceScheduler scheduler;
+    return scheduler;
+  }
 
-  InferenceScheduler(const InferenceScheduler&) = delete;
-  InferenceScheduler& operator=(const InferenceScheduler&) = delete;
-
-  /// The process-wide scheduler every `Session` hands its compiled queries
-  /// (mirroring `ThreadPool::Global()`): sessions are how concurrent
-  /// clients reach the same models, so sharing one scheduler across them
-  /// is precisely what lets their forward passes coalesce.
-  static InferenceScheduler& Global();
-
-  /// exec::UdfDispatcher: called by the expression evaluator for batchable
-  /// scalar UDFs. Thread-safe; returns bytes identical to `fn.fn(args,
-  /// num_rows, device)`.
-  StatusOr<Column> CallScalar(const udf::ScalarFunction& fn,
-                              const std::vector<udf::Argument>& args,
-                              int64_t num_rows, Device device,
-                              const exec::CancellationToken* cancel) override;
-
-  Stats stats() const;
-  void ResetStats();
-
- private:
-  struct Request {
-    const std::vector<udf::Argument>* args = nullptr;
-    int64_t rows = 0;
-    const exec::CancellationToken* cancel = nullptr;
-    bool claimed = false;  ///< a leader owns it; withdrawal no longer possible
-    bool done = false;
-    Status status;
-    Column result;
-  };
-
-  /// One model group: FIFO queue + leader flag. Groups are never erased —
-  /// the map is bounded by the number of distinct (model, constant-args,
-  /// device) combinations the process serves.
-  struct Group {
-    std::deque<Request*> queue;
-    bool has_leader = false;
-    std::condition_variable cv;
-  };
-
-  /// Claims a FIFO-prefix batch for `group` (caller holds `mu_`), runs the
-  /// forward with `mu_` released, fulfills every claimed request, and
-  /// releases leadership. `target_rows` caps the coalesced batch.
-  void LeadBatch(Group& group, const udf::ScalarFunction& fn, Device device,
-                 int64_t target_rows, std::unique_lock<std::mutex>& lock);
-
-  const Options options_;
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, Group> groups_;
-  /// CallScalar invocations currently in flight (coalescable path): > 1
-  /// means co-arrivals are possible and a leader should pay the window.
-  int64_t active_calls_ = 0;
-  Stats stats_;
+  Stats stats() const { return {}; }
 };
 
 }  // namespace runtime

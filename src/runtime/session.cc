@@ -5,7 +5,6 @@
 
 #include "src/common/string_util.h"
 #include "src/plan/optimizer.h"
-#include "src/runtime/inference_scheduler.h"
 #include "src/sql/binder.h"
 #include "src/sql/parser.h"
 
@@ -173,13 +172,8 @@ StatusOr<std::shared_ptr<exec::CompiledQuery>> Session::Query(
   TDP_ASSIGN_OR_RETURN(plan::LogicalNodePtr logical_plan,
                        binder.Bind(*statement));
   logical_plan = plan::Optimize(std::move(logical_plan), snapshot.get());
-  // Session-compiled queries share the process-wide inference scheduler:
-  // batchable model calls from concurrent cursors coalesce into shared
-  // forward passes. (Trainable queries ignore the dispatcher — the
-  // CompiledQuery drops it to keep autograd graphs per-query.)
   return std::make_shared<exec::CompiledQuery>(
-      std::move(logical_plan), catalog_, options.device, options.trainable,
-      &runtime::InferenceScheduler::Global());
+      std::move(logical_plan), catalog_, options.device, options.trainable);
 }
 
 StatusOr<std::shared_ptr<exec::CompiledQuery>> Session::Prepare(

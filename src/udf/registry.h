@@ -71,11 +71,10 @@ struct ScalarFunction {
   /// A batchable body is row-local: output row i depends only on input row
   /// i (and the scalar args), never on which other rows share the batch.
   /// The planner streams batchable calls through the ModelEval micro-batch
-  /// operator instead of a pipeline breaker, and the InferenceScheduler
-  /// may coalesce concurrent calls into one forward — both partitions are
-  /// bit-identical to a whole-relation call precisely because of
-  /// row-locality. Leave false (the default) for batch-dependent bodies
-  /// (e.g. batch normalization), which keep breaker semantics.
+  /// operator instead of a pipeline breaker; its slices are bit-identical
+  /// to a whole-relation call precisely because of row-locality. Leave
+  /// false (the default) for batch-dependent bodies (e.g. batch
+  /// normalization), which keep breaker semantics.
   bool batchable = false;
   /// Preferred rows per forward pass; 0 means kDefaultModelBatchRows.
   int64_t preferred_batch_rows = 0;
@@ -98,9 +97,7 @@ struct TableFunction {
   /// Row-local contract for TVFs: the output rows produced for input row i
   /// depend only on input row i (their count included). Batchable TVFs
   /// stream through the ModelEval micro-batch operator; non-batchable ones
-  /// keep today's whole-input breaker semantics. TVF outputs are never
-  /// coalesced across queries (row counts may change, so per-request
-  /// result splitting is not well defined).
+  /// keep today's whole-input breaker semantics.
   bool batchable = false;
   int64_t preferred_batch_rows = 0;
 };

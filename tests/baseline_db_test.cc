@@ -99,7 +99,12 @@ TEST(BaselineDbTest, MistypedOperandsAreTypeErrors) {
         "SELECT region, -region FROM sales GROUP BY region",
         "SELECT region + 1 FROM sales GROUP BY region",
         "SELECT id FROM sales WHERE NOT id",
-        "SELECT id FROM sales WHERE id AND TRUE"}) {
+        "SELECT id FROM sales WHERE id AND TRUE",
+        // A predicate that is not boolean.
+        "SELECT CASE WHEN id THEN 1 ELSE 0 END FROM sales",
+        "SELECT a.id FROM sales a JOIN sales b ON a.id",
+        "SELECT id FROM sales WHERE id",
+        "SELECT region FROM sales GROUP BY region HAVING COUNT(*)"}) {
     SCOPED_TRACE(sql);
     auto r = db.Sql(sql);
     ASSERT_FALSE(r.ok());

@@ -477,11 +477,17 @@ TEST(DifferentialNonFiniteTest, CaseSelectsTheTakenBranch) {
 }
 
 // Column `/` and `%` answer as the engine's fold of two literals and
-// BaselineDB do: a zero divisor is an error, and `%` truncates toward
-// zero (-7 % 3 = -1).
+// BaselineDB do: a zero divisor is an error, `%` of two integers
+// truncates toward zero (-7 % 3 = -1) and is 0 for a divisor of -1, and
+// any other `%` is fmod (7.25 % 2 = 1.25). A CASE branch guards the
+// expressions after it, so a guarded division never sees a zero.
 TEST(DifferentialArithmeticTest, DivisionAndModuloAgree) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   Engines engines;
   RegisterKv(engines, {-7, 0, 3, 5, 8, -4}, {1.5, -2.0, 0.0, 4.0, -0.0, 3.0});
+  Engines extremes;
+  RegisterKv(extremes, {std::numeric_limits<int64_t>::min(), 7, -9},
+             {nan, 7.25, -2.5});
   for (const Device device : {Device::kCpu, Device::kAccel}) {
     QueryOptions options;
     options.device = device;
@@ -491,9 +497,53 @@ TEST(DifferentialArithmeticTest, DivisionAndModuloAgree) {
     ExpectAgree(engines, "SELECT k, 10 % k, 12 / k FROM t WHERE k <> 0",
                 options);
     ExpectAgree(engines, "SELECT k, v / k FROM t WHERE k > 0", options);
+    ExpectAgree(engines,
+                "SELECT k, k % 0.5, k % 2.5, v % 2, v % -1.5, k % -1 FROM t",
+                options);
+    ExpectAgree(engines,
+                "SELECT 5 % 2.5, 7.25 % 2, -7 % 2.5, 7 % -1, "
+                "(-4611686018427387904 * 2) % -1",
+                options);
+    ExpectAgree(extremes, "SELECT k, k % -1, k % 2, v % 2, k % v FROM t",
+                options);
+    ExpectAgree(engines,
+                "SELECT k, CASE WHEN k <> 0 THEN 10 / k ELSE 0 END, "
+                "CASE WHEN k = 0 THEN -1 ELSE 10 % k END FROM t",
+                options);
+    ExpectAgree(engines,
+                "SELECT k, CASE WHEN k = 0 THEN -1 WHEN 12 / k > 2 THEN 1 "
+                "ELSE 0 END FROM t",
+                options);
+    ExpectAgree(engines,
+                "SELECT k, CASE WHEN v <> 0 THEN k / v WHEN k = 0 THEN 7 END "
+                "FROM t",
+                options);
     for (const char* sql : {"SELECT k / 0 FROM t", "SELECT k / k FROM t",
                             "SELECT k / v FROM t", "SELECT k % 0 FROM t",
-                            "SELECT 5 % k FROM t", "SELECT 1 / 0"}) {
+                            "SELECT 5 % k FROM t", "SELECT 1 / 0",
+                            "SELECT k % v FROM t", "SELECT 5 % 0.0",
+                            "SELECT CASE WHEN k > 0 THEN 1 ELSE 10 / k END "
+                            "FROM t"}) {
+      SCOPED_TRACE(sql);
+      ExpectSameError(engines, sql, options);
+    }
+  }
+}
+
+// A WHEN, ON, WHERE or HAVING predicate that is not boolean is a
+// TypeError in both engines, never an abort.
+TEST(DifferentialPredicateTest, NonBooleanPredicatesAreTypeErrors) {
+  Engines engines;
+  RegisterKv(engines, {-7, 0, 3, 5}, {1.5, -2.0, 0.0, 4.0});
+  for (const Device device : {Device::kCpu, Device::kAccel}) {
+    QueryOptions options;
+    options.device = device;
+    SCOPED_TRACE(device == Device::kCpu ? "cpu" : "accel");
+    for (const char* sql :
+         {"SELECT CASE WHEN k THEN 1 ELSE 0 END FROM t",
+          "SELECT a.k FROM t a JOIN t b ON a.k",
+          "SELECT k FROM t WHERE k",
+          "SELECT k, COUNT(*) FROM t GROUP BY k HAVING COUNT(*)"}) {
       SCOPED_TRACE(sql);
       ExpectSameError(engines, sql, options);
     }

@@ -86,6 +86,13 @@ TEST_F(ExecEdgeTest, TensorColumnCannotBeGroupKey) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST_F(ExecEdgeTest, TensorColumnCannotBeCaseBranch) {
+  auto r =
+      session_.Sql("SELECT CASE WHEN k > 1 THEN vecs ELSE vecs END FROM t");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kTypeError);
+}
+
 TEST_F(ExecEdgeTest, StringAggregationLimits) {
   // MIN/MAX/SUM over strings is a type error; COUNT works.
   EXPECT_FALSE(session_.Sql("SELECT SUM(s) FROM t").ok());

@@ -1,399 +1,204 @@
-// Unit tests for the cross-query inference batching scheduler: coalescing
-// correctness (bytes identical to direct calls, per caller), group
-// partitioning by constant args and model identity, FIFO leader/follower
-// hand-off, direct-call fallbacks (non-batchable, oversized,
-// backpressure), cooperative cancellation withdrawal, and error fan-out.
-// This suite runs under TSan and ASan/UBSan in CI.
-
-#include "src/runtime/inference_scheduler.h"
+// Concurrent model serving through Session: every query calls its
+// batchable model body directly, from its own ModelEval stage, and no
+// layer batches calls across queries. Checks that concurrent clients get
+// their solo results bit for bit, that every body call holds one query's
+// rows in slices of at most `preferred_batch_rows`, and that a failing
+// body's Status reaches every client. This suite runs under TSan and
+// ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <future>
-#include <mutex>
+#include <cmath>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/common/rng.h"
-#include "src/nn/layers.h"
+#include "src/runtime/session.h"
 #include "src/tensor/ops.h"
 
 namespace tdp {
 namespace {
 
-using runtime::InferenceScheduler;
+using exec::ScalarValue;
 
-/// A batchable row-local scalar function: out[i] = 2 * in[i] + bias, where
-/// `bias` comes from an optional constant argument. `forward_rows` records
-/// the batch sizes the body actually saw — the coalescing observable.
-udf::ScalarFunction MakeDoubler(std::shared_ptr<std::vector<int64_t>> seen,
-                                std::shared_ptr<std::mutex> seen_mu,
-                                int64_t preferred_batch_rows = 32) {
+constexpr int kClients = 8;
+constexpr int kQueriesPerClient = 25;
+constexpr int64_t kBatchRows = 16;
+// Client c owns kBaseRows + c rows, so each of its queries spans two
+// ModelEval batches.
+constexpr int64_t kBaseRows = 20;
+// Row i of client c holds x = c * kOwnerStride + i, so a body can tell
+// whose rows it was given.
+constexpr float kOwnerStride = 1000;
+
+constexpr const char* kQuery =
+    "SELECT affine(x) AS y FROM vals WHERE owner = ?";
+
+/// What one call of the model body saw.
+struct BodyCall {
+  int64_t rows = 0;
+  int64_t first_owner = 0;
+  int64_t last_owner = 0;
+};
+
+/// `vals(owner, x)`: kBaseRows + c rows per client c.
+std::shared_ptr<Table> MakeVals() {
+  std::vector<int64_t> owners;
+  std::vector<float> xs;
+  for (int c = 0; c < kClients; ++c) {
+    for (int64_t i = 0; i < kBaseRows + c; ++i) {
+      owners.push_back(c);
+      xs.push_back(static_cast<float>(c) * kOwnerStride +
+                   static_cast<float>(i));
+    }
+  }
+  auto table = TableBuilder("vals")
+                   .AddInt64("owner", owners)
+                   .AddFloat32("x", xs)
+                   .Build();
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  return table.value();
+}
+
+exec::RunOptions ForClient(int c) {
+  exec::RunOptions run;
+  run.params = {ScalarValue::Int(c)};
+  return run;
+}
+
+/// The result column's float32 bits.
+std::vector<float> Values(const Table& table) {
+  const Tensor y = table.column(0).data().Contiguous();
+  EXPECT_EQ(y.dtype(), DType::kFloat32);
+  return std::vector<float>(y.data<float>(), y.data<float>() + y.numel());
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(ModelServingTest, ConcurrentClientsCallTheModelPerQuery) {
+  auto calls = std::make_shared<std::vector<BodyCall>>();
+  auto calls_mu = std::make_shared<std::mutex>();
   udf::ScalarFunction fn;
-  fn.name = "doubler";
+  fn.name = "affine";
   fn.return_type = udf::DeclaredType::kFloat;
   fn.batchable = true;
-  fn.preferred_batch_rows = preferred_batch_rows;
-  fn.fn = [seen, seen_mu](const std::vector<udf::Argument>& args,
-                          int64_t num_rows,
-                          Device device) -> StatusOr<Column> {
-    (void)device;
+  fn.preferred_batch_rows = kBatchRows;
+  fn.fn = [calls, calls_mu](const std::vector<udf::Argument>& args,
+                            int64_t num_rows,
+                            Device) -> StatusOr<Column> {
+    const Tensor x = args[0].column.DecodeValues().Contiguous();
+    BodyCall call;
+    call.rows = num_rows;
+    if (num_rows > 0) {
+      const float* p = x.data<float>();
+      call.first_owner = static_cast<int64_t>(std::floor(p[0] / kOwnerStride));
+      call.last_owner =
+          static_cast<int64_t>(std::floor(p[num_rows - 1] / kOwnerStride));
+    }
     {
-      std::lock_guard<std::mutex> lock(*seen_mu);
-      seen->push_back(num_rows);
+      std::lock_guard<std::mutex> lock(*calls_mu);
+      calls->push_back(call);
     }
-    double bias = 0;
-    if (args.size() > 1 && args[1].is_scalar) {
-      bias = args[1].scalar.AsDouble();
-    }
-    const Tensor x = args[0].column.data();
-    return Column::Plain(AddScalar(MulScalar(x, 2.0), bias));
-  };
-  return fn;
-}
-
-std::vector<udf::Argument> MakeArgs(const std::vector<float>& values) {
-  std::vector<udf::Argument> args(1);
-  args[0].is_scalar = false;
-  args[0].column = Column::Plain(Tensor::FromVector<float>(values));
-  return args;
-}
-
-void ExpectDoubled(const Column& out, const std::vector<float>& in,
-                   double bias = 0) {
-  ASSERT_EQ(out.length(), static_cast<int64_t>(in.size()));
-  const Tensor t = out.data().Contiguous();
-  const float* p = t.data<float>();
-  for (size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(p[i], static_cast<float>(2.0f * in[i] + bias)) << "row " << i;
-  }
-}
-
-TEST(InferenceSchedulerTest, SoloCallIsExactWithNoWindowLatency) {
-  auto seen = std::make_shared<std::vector<int64_t>>();
-  auto mu = std::make_shared<std::mutex>();
-  const udf::ScalarFunction fn = MakeDoubler(seen, mu);
-  InferenceScheduler sched;
-  const std::vector<float> in = {1, 2, 3};
-  auto args = MakeArgs(in);
-  auto out = sched.CallScalar(fn, args, 3, Device::kCpu, nullptr);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ExpectDoubled(*out, in);
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.calls, 1);
-  EXPECT_EQ(stats.rows, 3);
-  EXPECT_EQ(stats.forwards, 1);
-  EXPECT_EQ(stats.coalesced_forwards, 0);
-  ASSERT_EQ(seen->size(), 1u);
-  EXPECT_EQ((*seen)[0], 3);
-}
-
-// Eight concurrent callers of the same function coalesce into ONE shared
-// forward pass, and every caller still gets exactly its own doubled rows.
-// Made deterministic by a blocker call that holds leadership inside its
-// forward (gated on a promise) while the clients pile into the queue;
-// once the gate opens, the next leader finds the queue already holding
-// the full batch target and claims it all without racing the window.
-TEST(InferenceSchedulerTest, ConcurrentCallersShareForwards) {
-  constexpr int kClients = 8;
-  constexpr int64_t kRowsEach = 4;
-  auto seen = std::make_shared<std::vector<int64_t>>();
-  auto mu = std::make_shared<std::mutex>();
-  auto gate = std::make_shared<std::promise<void>>();
-  auto gate_open = std::make_shared<std::shared_future<void>>(
-      gate->get_future().share());
-  auto first_forward = std::make_shared<std::atomic<bool>>(true);
-
-  udf::ScalarFunction fn;
-  fn.name = "doubler";
-  fn.return_type = udf::DeclaredType::kFloat;
-  fn.batchable = true;
-  fn.preferred_batch_rows = kClients * kRowsEach;
-  fn.fn = [seen, mu, gate_open, first_forward](
-              const std::vector<udf::Argument>& args, int64_t num_rows,
-              Device) -> StatusOr<Column> {
-    {
-      std::lock_guard<std::mutex> lock(*mu);
-      seen->push_back(num_rows);
-    }
-    if (first_forward->exchange(false)) gate_open->wait();
-    return Column::Plain(MulScalar(args[0].column.data(), 2.0));
+    return Column::Plain(AddScalar(MulScalar(x, 0.37), 1.5));
   };
 
-  InferenceScheduler::Options options;
-  options.coalescing_window = std::chrono::milliseconds(100);
-  InferenceScheduler sched(options);
+  Session session;
+  ASSERT_TRUE(session.functions().RegisterScalar(std::move(fn)).ok());
+  ASSERT_TRUE(session.RegisterTable("vals", MakeVals()).ok());
 
-  std::thread blocker([&] {
-    auto args = MakeArgs({-1.0f});
-    auto out = sched.CallScalar(fn, args, 1, Device::kCpu, nullptr);
-    EXPECT_TRUE(out.ok());
-  });
-  // Wait until the blocker is inside its forward (it records num_rows
-  // before parking on the gate) — from here leadership is occupied.
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(*mu);
-      if (!seen->empty()) break;
-    }
-    std::this_thread::yield();
-  }
-
-  std::vector<std::vector<float>> inputs(kClients);
+  std::vector<std::vector<float>> solo(kClients);
   for (int c = 0; c < kClients; ++c) {
-    for (int64_t r = 0; r < kRowsEach; ++r) {
-      inputs[c].push_back(static_cast<float>(c * 100 + r));
-    }
+    auto r = session.Sql(kQuery, {}, ForClient(c));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ((*r)->num_rows(), kBaseRows + c);
+    solo[c] = Values(**r);
   }
+
+  std::atomic<int> failures{0};
   std::vector<std::thread> clients;
-  std::vector<StatusOr<Column>> results(kClients, Status::Internal("unset"));
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      auto args = MakeArgs(inputs[c]);
-      results[c] = sched.CallScalar(fn, args, kRowsEach, Device::kCpu,
-                                    nullptr);
-    });
-  }
-  // stats_.calls and the enqueue happen under one lock hold, so once all
-  // clients are counted they are all queued behind the blocked leader.
-  while (sched.stats().calls < 1 + kClients) std::this_thread::yield();
-  gate->set_value();
-  blocker.join();
-  for (auto& t : clients) t.join();
-
-  for (int c = 0; c < kClients; ++c) {
-    SCOPED_TRACE("client " + std::to_string(c));
-    ASSERT_TRUE(results[c].ok()) << results[c].status().ToString();
-    ExpectDoubled(*results[c], inputs[c]);
-  }
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.calls, 1 + kClients);
-  EXPECT_EQ(stats.rows, 1 + kClients * kRowsEach);
-  // Exactly two forwards ran: the blocker's solo batch and ONE coalesced
-  // batch serving all eight clients.
-  EXPECT_EQ(stats.forwards, 2);
-  EXPECT_EQ(stats.coalesced_forwards, 1);
-  EXPECT_EQ(stats.coalesced_requests, kClients);
-  ASSERT_EQ(seen->size(), 2u);
-  EXPECT_EQ((*seen)[0], 1);
-  EXPECT_EQ((*seen)[1], kClients * kRowsEach);
-}
-
-// Different constant arguments land in different groups — a coalesced
-// forward never mixes embed('a') rows with embed('b') rows.
-TEST(InferenceSchedulerTest, ConstantArgsPartitionGroups) {
-  auto seen = std::make_shared<std::vector<int64_t>>();
-  auto mu = std::make_shared<std::mutex>();
-  udf::ScalarFunction fn = MakeDoubler(seen, mu, /*preferred_batch_rows=*/64);
-  InferenceScheduler::Options options;
-  options.coalescing_window = std::chrono::milliseconds(50);
-  InferenceScheduler sched(options);
-
-  constexpr int kClients = 6;
-  std::vector<std::thread> clients;
-  std::vector<StatusOr<Column>> results(kClients, Status::Internal("unset"));
-  const std::vector<float> in = {1, 2, 3};
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      const double bias = (c % 2 == 0) ? 0.0 : 1000.0;
-      std::vector<udf::Argument> args = MakeArgs(in);
-      args.emplace_back();
-      args[1].is_scalar = true;
-      args[1].scalar = exec::ScalarValue::Float(bias);
-      results[c] = sched.CallScalar(fn, args, 3, Device::kCpu, nullptr);
+      for (int q = 0; q < kQueriesPerClient; ++q) {
+        auto r = session.Sql(kQuery, {}, ForClient(c));
+        if (!r.ok() || !SameBits(Values(**r), solo[c])) ++failures;
+      }
     });
   }
   for (auto& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Every body call held rows of one client only, in one ModelEval slice,
+  // and the calls add up to exactly the rows the queries asked for.
+  int64_t rows = 0;
+  for (const BodyCall& call : *calls) {
+    EXPECT_GE(call.rows, 1);
+    EXPECT_LE(call.rows, kBatchRows);
+    EXPECT_EQ(call.first_owner, call.last_owner);
+    rows += call.rows;
+  }
+  int64_t expected = 0;
   for (int c = 0; c < kClients; ++c) {
-    SCOPED_TRACE("client " + std::to_string(c));
-    ASSERT_TRUE(results[c].ok()) << results[c].status().ToString();
-    ExpectDoubled(*results[c], in, (c % 2 == 0) ? 0.0 : 1000.0);
+    expected += (1 + kQueriesPerClient) * (kBaseRows + c);
   }
+  EXPECT_EQ(rows, expected);
 }
 
-// The SAME model registered in different sessions means different
-// ScalarFunction objects closing over the same nn::Module — those must
-// share a group (keyed on module identity), which is what makes
-// cross-session coalescing possible at all.
-TEST(InferenceSchedulerTest, CrossRegistrationCoalescingViaModuleIdentity) {
-  Rng rng(7);
-  auto model = std::make_shared<nn::Linear>(1, 1, rng, /*with_bias=*/false,
-                                            Device::kCpu);
-  auto make_fn = [&model]() {
-    udf::ScalarFunction fn;
-    fn.name = "linear1";
-    fn.batchable = true;
-    fn.preferred_batch_rows = 8;
-    fn.modules = {model};
-    fn.fn = [m = model](const std::vector<udf::Argument>& args, int64_t,
-                        Device) -> StatusOr<Column> {
-      const Tensor x = Unsqueeze(args[0].column.data(), 1);
-      return Column::Plain(Squeeze(m->Forward(x), 1).Contiguous());
-    };
-    return fn;
-  };
-  const udf::ScalarFunction fn_a = make_fn();  // "session A's registry"
-  const udf::ScalarFunction fn_b = make_fn();  // "session B's registry"
-
-  InferenceScheduler::Options options;
-  options.coalescing_window = std::chrono::milliseconds(100);
-  InferenceScheduler sched(options);
-  const std::vector<float> in_a = {1, 2, 3, 4};
-  const std::vector<float> in_b = {5, 6, 7, 8};
-  StatusOr<Column> out_a = Status::Internal("unset");
-  StatusOr<Column> out_b = Status::Internal("unset");
-  std::thread ta([&] {
-    auto args = MakeArgs(in_a);
-    out_a = sched.CallScalar(fn_a, args, 4, Device::kCpu, nullptr);
-  });
-  std::thread tb([&] {
-    auto args = MakeArgs(in_b);
-    out_b = sched.CallScalar(fn_b, args, 4, Device::kCpu, nullptr);
-  });
-  ta.join();
-  tb.join();
-  ASSERT_TRUE(out_a.ok()) << out_a.status().ToString();
-  ASSERT_TRUE(out_b.ok()) << out_b.status().ToString();
-  // Each caller's slice equals a direct (uncoalesced) forward, bit for
-  // bit — the row-local contract at work.
-  auto direct_a = fn_a.fn(MakeArgs(in_a), 4, Device::kCpu);
-  auto direct_b = fn_b.fn(MakeArgs(in_b), 4, Device::kCpu);
-  ASSERT_TRUE(direct_a.ok() && direct_b.ok());
-  for (int64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(out_a->data().Contiguous().data<float>()[i],
-              direct_a->data().Contiguous().data<float>()[i]);
-    EXPECT_EQ(out_b->data().Contiguous().data<float>()[i],
-              direct_b->data().Contiguous().data<float>()[i]);
-  }
-  // Both callers ran against one group: at most 2 forwards (2 only if the
-  // window raced), and if they shared, coalesced_requests == 2.
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.calls, 2);
-  EXPECT_LE(stats.forwards, 2);
-}
-
-TEST(InferenceSchedulerTest, NonBatchableAndOversizedGoDirect) {
-  auto seen = std::make_shared<std::vector<int64_t>>();
-  auto mu = std::make_shared<std::mutex>();
-  udf::ScalarFunction fn = MakeDoubler(seen, mu, /*preferred_batch_rows=*/4);
-  InferenceScheduler sched;
-
-  // Oversized: num_rows >= preferred batch -> one direct forward.
-  const std::vector<float> big = {1, 2, 3, 4, 5, 6};
-  auto args = MakeArgs(big);
-  auto out = sched.CallScalar(fn, args, 6, Device::kCpu, nullptr);
-  ASSERT_TRUE(out.ok());
-  ExpectDoubled(*out, big);
-  EXPECT_EQ(sched.stats().direct_calls, 1);
-
-  // Non-batchable: must never queue.
-  fn.batchable = false;
-  const std::vector<float> small = {9};
-  auto args2 = MakeArgs(small);
-  auto out2 = sched.CallScalar(fn, args2, 1, Device::kCpu, nullptr);
-  ASSERT_TRUE(out2.ok());
-  ExpectDoubled(*out2, small);
-  EXPECT_EQ(sched.stats().direct_calls, 2);
-}
-
-// A caller whose run is cancelled before any leader claims its request
-// withdraws immediately with kCancelled — it must not wait out a batch.
-TEST(InferenceSchedulerTest, CancelledCallerWithdraws) {
-  auto seen = std::make_shared<std::vector<int64_t>>();
-  auto mu = std::make_shared<std::mutex>();
-  const udf::ScalarFunction fn = MakeDoubler(seen, mu);
-  InferenceScheduler sched;
-  exec::CancellationToken token;
-  token.Cancel();
-  const std::vector<float> in = {1, 2};
-  auto args = MakeArgs(in);
-  auto out = sched.CallScalar(fn, args, 2, Device::kCpu, &token);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(sched.stats().withdrawn, 1);
-  EXPECT_EQ(sched.stats().forwards, 0);
-  EXPECT_TRUE(seen->empty()) << "cancelled request must not run a forward";
-}
-
-// A failing model body fans its error out to every caller sharing the
-// forward — nobody hangs, nobody gets a partial column.
-TEST(InferenceSchedulerTest, ErrorPropagatesToAllCoalescedCallers) {
+// A failing model body fails every concurrent query with its own Status,
+// whether the client drains Run() or a cursor; no client hangs.
+TEST(ModelServingTest, FailingModelReachesEveryClient) {
   udf::ScalarFunction fn;
-  fn.name = "failing";
+  fn.name = "affine";
+  fn.return_type = udf::DeclaredType::kFloat;
   fn.batchable = true;
   fn.preferred_batch_rows = 8;
   fn.fn = [](const std::vector<udf::Argument>&, int64_t,
              Device) -> StatusOr<Column> {
     return Status::ExecutionError("model weights not loaded");
   };
-  InferenceScheduler::Options options;
-  options.coalescing_window = std::chrono::milliseconds(50);
-  InferenceScheduler sched(options);
-  constexpr int kClients = 4;
+  Session session;
+  ASSERT_TRUE(session.functions().RegisterScalar(std::move(fn)).ok());
+  ASSERT_TRUE(session.RegisterTable("vals", MakeVals()).ok());
+
+  std::vector<Status> statuses(kClients * kQueriesPerClient, Status::OK());
   std::vector<std::thread> clients;
-  std::vector<Status> statuses(kClients, Status::OK());
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      auto args = MakeArgs({1, 2});
-      auto out = sched.CallScalar(fn, args, 2, Device::kCpu, nullptr);
-      statuses[c] = out.status();
-    });
-  }
-  for (auto& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_FALSE(statuses[c].ok()) << "client " << c;
-    EXPECT_NE(statuses[c].ToString().find("model weights not loaded"),
-              std::string::npos)
-        << statuses[c].ToString();
-  }
-}
-
-// Stress: many threads, many calls, tiny window — exercises the
-// leader/follower hand-off and withdrawal races under TSan. Every result
-// must stay exact.
-TEST(InferenceSchedulerTest, StressManyCallersStayExact) {
-  auto seen = std::make_shared<std::vector<int64_t>>();
-  auto mu = std::make_shared<std::mutex>();
-  const udf::ScalarFunction fn =
-      MakeDoubler(seen, mu, /*preferred_batch_rows=*/16);
-  InferenceScheduler::Options options;
-  options.coalescing_window = std::chrono::microseconds(100);
-  InferenceScheduler sched(options);
-  constexpr int kThreads = 8;
-  constexpr int kCallsPerThread = 25;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kCallsPerThread; ++i) {
-        std::vector<float> in;
-        const int64_t rows = 1 + (t + i) % 5;
-        for (int64_t r = 0; r < rows; ++r) {
-          in.push_back(static_cast<float>(t * 1000 + i * 10 + r));
-        }
-        auto args = MakeArgs(in);
-        auto out = sched.CallScalar(fn, args, rows, Device::kCpu, nullptr);
-        if (!out.ok() || out->length() != rows) {
-          ++failures;
+      for (int q = 0; q < kQueriesPerClient; ++q) {
+        Status& status = statuses[c * kQueriesPerClient + q];
+        if (c % 2 == 0) {
+          status = session.Sql(kQuery, {}, ForClient(c)).status();
           continue;
         }
-        const Tensor got = out->data().Contiguous();
-        for (int64_t r = 0; r < rows; ++r) {
-          if (got.data<float>()[r] != 2.0f * in[static_cast<size_t>(r)]) {
-            ++failures;
+        auto cursor = session.Execute(kQuery, {}, ForClient(c));
+        if (!cursor.ok()) {
+          status = cursor.status();
+          continue;
+        }
+        while (true) {
+          auto chunk = (*cursor)->Next();
+          if (!chunk.ok()) {
+            status = chunk.status();
+            break;
           }
+          if (!chunk->has_value()) break;
         }
       }
     });
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.calls, kThreads * kCallsPerThread);
+  for (auto& t : clients) t.join();
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kExecutionError) << status.ToString();
+    EXPECT_NE(status.ToString().find("model weights not loaded"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace

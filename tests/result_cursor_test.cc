@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -90,16 +91,17 @@ TEST_F(ResultCursorTest, BoundedQueueKeepsProductionIncremental) {
   auto query = Prepare("SELECT k, v FROM big WHERE v > -200");
   RunOptions run;
   run.morsel_rows = 8;  // ~1250 chunks
-  run.cursor_queue_chunks = 2;
   auto cursor = query->Open(std::move(run));
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   auto first = (*cursor)->Next();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(first->has_value());
-  // consumed(1) + queue capacity(2) + one wave in flight (pool width),
-  // plus slack for the wave that completes while we pop.
+  // consumed(1) + queue capacity (max(2, pool width)) + one wave in
+  // flight (pool width), plus slack for the wave that completes while we
+  // pop.
   const int64_t wave = ThreadPool::Global().num_threads();
-  EXPECT_LE((*cursor)->chunks_produced(), 1 + 2 + 2 * wave);
+  const int64_t capacity = std::max<int64_t>(2, wave);
+  EXPECT_LE((*cursor)->chunks_produced(), 1 + capacity + 2 * wave);
   EXPECT_LT((*cursor)->chunks_produced(), 100);
 }
 
@@ -138,7 +140,6 @@ TEST_F(ResultCursorTest, CallerTokenCancelsRunAndCursor) {
   // draining what was already queued), and production stops early.
   RunOptions streamed;
   streamed.morsel_rows = 8;
-  streamed.cursor_queue_chunks = 1;
   streamed.cancel = std::make_shared<exec::CancellationToken>();
   auto token = streamed.cancel;
   auto cursor = query->Open(std::move(streamed));

@@ -608,15 +608,15 @@ TEST(SessionConcurrencyTest, DmlRacesIndexBuildUnderServing) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// ---- Shared inference-scheduler races ---------------------------------------
+// ---- Shared-model serving races ---------------------------------------------
 
 // N sessions serve the SAME model (one nn::Linear shared by every
-// session's registered UDF — the scheduler groups on module identity, so
-// their forwards may coalesce across sessions) while one client keeps
-// opening a cursor and closing it after the first chunk. Every completed
-// query must equal its session's solo ground truth bit for bit, and the
-// early closes must only ever surface as clean kCancelled — never a
-// crash, a hang, or another session's rows. Runs under TSan in CI.
+// session's registered UDF, so their forwards read the same parameters
+// concurrently) while one client keeps opening a cursor and closing it
+// after the first chunk. Every completed query must equal its session's
+// solo ground truth bit for bit, and the early closes must only ever
+// surface as clean kCancelled — never a crash, a hang, or another
+// session's rows. Runs under TSan in CI.
 TEST(SessionConcurrencyTest, SharedModelServingRacesAcrossSessions) {
   constexpr int kSessions = 4;
   constexpr int64_t kRows = 24;
@@ -624,7 +624,7 @@ TEST(SessionConcurrencyTest, SharedModelServingRacesAcrossSessions) {
   auto model = std::make_shared<nn::Linear>(1, 1, rng);  // on kAccel, like
                                                          // the query device
   // in_features == 1 keeps the forward row-local at the arithmetic level
-  // too (one multiply + one add per row, no reduction), so any coalesced
+  // too (one multiply + one add per row, no reduction), so any ModelEval
   // batch partition is bit-identical to a solo run.
   auto make_udf = [&model]() {
     udf::ScalarFunction fn;
@@ -666,8 +666,8 @@ TEST(SessionConcurrencyTest, SharedModelServingRacesAcrossSessions) {
   std::atomic<int> failures{0};
 
   // The early-closer: streams session 0's query, takes one chunk, closes.
-  // Its withdrawn/cancelled inference requests must never perturb the
-  // other sessions' coalesced batches.
+  // Its cancelled runs must never perturb the other sessions' forwards
+  // through the shared model.
   std::thread closer([&] {
     exec::RunOptions run;
     run.morsel_rows = 4;  // several chunks, so Close() really lands early
