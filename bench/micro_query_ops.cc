@@ -165,6 +165,57 @@ void BM_ExecutorGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorGroupBy);
 
+// GROUP BY over 65,536 distinct keys in 2^18 rows, both sides of the
+// aggregate's choice between dense slots and the key table. Arm 0 keys
+// are 0 .. 65535, whose code range fits the row count, so each row's
+// group is its key's slot. Arm 1 multiplies the same keys by a large odd
+// constant: the range is far wider than the row count, so groups go
+// through the key table. The second argument is the thread count.
+void BM_GroupByHighCardinality(benchmark::State& state) {
+  const bool sparse = state.range(0) == 1;
+  ScopedNumThreads guard(static_cast<int>(state.range(1)));
+  constexpr int64_t kRows = int64_t{1} << 18;
+  constexpr int64_t kKeys = int64_t{1} << 16;
+  constexpr int64_t kSparseStride = 2654435761;
+  Rng rng(31);
+  std::vector<int64_t> keys(kRows);
+  std::vector<double> values(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    keys[static_cast<size_t>(i)] = i % kKeys;
+    values[static_cast<size_t>(i)] = rng.Uniform(-100, 100);
+  }
+  for (int64_t i = kRows - 1; i > 0; --i) {
+    std::swap(keys[static_cast<size_t>(i)],
+              keys[static_cast<size_t>(rng.UniformInt(0, i))]);
+  }
+  if (sparse) {
+    for (int64_t& k : keys) k *= kSparseStride;
+  }
+  Session session;
+  TDP_CHECK(session
+                .RegisterTable("t", TableBuilder("t")
+                                        .AddInt64("k", keys)
+                                        .AddFloat64("v", values)
+                                        .Build()
+                                        .value())
+                .ok());
+  QueryOptions options;
+  options.device = Device::kAccel;
+  auto query = session.Query("SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k",
+                             options);
+  TDP_CHECK(query.ok());
+  for (auto _ : state) {
+    auto result = (*query)->RunChunk();
+    TDP_CHECK(result.ok());
+    benchmark::DoNotOptimize(result->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_GroupByHighCardinality)
+    ->ArgNames({"sparse", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
+
 // Morsel-size sweep at a fixed thread count: the scheduling-granularity
 // knob (results are identical at every size; only throughput moves).
 void BM_MorselRows(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "src/baseline/baseline_db.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <set>
 
@@ -79,6 +80,27 @@ std::string ValueToString(const Value& v) {
 }
 
 namespace {
+
+/// The identity of `v` as a GROUP BY key, a COUNT(DISTINCT) argument or a
+/// DISTINCT row's cell: its type and its exact value. A double prints in
+/// its shortest round-trip form, with -0 folded into +0 and every NaN as
+/// one value, so two keys are equal exactly when the engine's order codes
+/// put their values in one group.
+std::string GroupKey(const Value& v) {
+  std::string key;
+  if (const double* d = std::get_if<double>(&v)) {
+    if (std::isnan(*d)) {
+      key = "nan";
+    } else {
+      char buf[32];
+      const double folded = *d == 0.0 ? 0.0 : *d;
+      key.assign(buf, std::to_chars(buf, buf + sizeof(buf), folded).ptr);
+    }
+  } else {
+    key = ValueToString(v);
+  }
+  return key + "|" + std::to_string(v.index());
+}
 
 bool IsComparison(BinaryOp op) {
   return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
@@ -441,8 +463,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
       std::vector<Value> key_values;
       for (const auto& g : stmt.group_by) {
         TDP_ASSIGN_OR_RETURN(Value v, Eval(*g, input.scope, input.rows[r]));
-        key.push_back(ValueToString(v) + "|" +
-                      std::to_string(v.index()));
+        key.push_back(GroupKey(v));
         key_values.push_back(std::move(v));
       }
       auto [it, inserted] = groups.emplace(key, std::vector<size_t>{});
@@ -522,10 +543,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
                                        " a string column");
             }
             if (agg->distinct &&
-                !distinct_seen
-                     .insert(ValueToString(v) + "|" +
-                             std::to_string(v.index()))
-                     .second) {
+                !distinct_seen.insert(GroupKey(v)).second) {
               continue;
             }
           }
@@ -674,9 +692,7 @@ StatusOr<BaselineTable> Executor::Execute(const SelectStatement& stmt) {
     for (auto& row : projected) {
       std::string key;
       for (const Value& v : row) {
-        key += ValueToString(v);
-        key += "|";
-        key += std::to_string(v.index());
+        key += GroupKey(v);
         key += ";";
       }
       if (seen.insert(key).second) unique_rows.push_back(std::move(row));

@@ -536,7 +536,9 @@ StatusOr<Column> EvaluateExprToColumn(const BoundExpr& expr,
                                       const EvalOptions& opts) {
   TDP_ASSIGN_OR_RETURN(EvalResult r, EvaluateExpr(expr, input, opts));
   if (!r.is_scalar) return r.column;
-  const int64_t rows = std::max<int64_t>(input.num_rows(), 1);
+  // A chunk without columns (SELECT without FROM) is one row; any other
+  // chunk, an empty one included, has the rows it holds.
+  const int64_t rows = input.columns.empty() ? 1 : input.num_rows();
   if (r.scalar.is_string()) {
     return Column::FromStrings(
         std::vector<std::string>(static_cast<size_t>(rows),

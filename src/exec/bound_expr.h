@@ -139,7 +139,9 @@ struct EvalOptions {
 StatusOr<EvalResult> EvaluateExpr(const BoundExpr& expr, const Chunk& input,
                                   const EvalOptions& opts);
 
-/// EvaluateExpr + broadcast scalars to `num_rows` and wrap as a column.
+/// EvaluateExpr + broadcast scalars to the input's rows (one row for a
+/// chunk without columns, as SELECT without FROM evaluates) and wrap as a
+/// column.
 StatusOr<Column> EvaluateExprToColumn(const BoundExpr& expr,
                                       const Chunk& input,
                                       const EvalOptions& opts);

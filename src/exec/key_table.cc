@@ -4,14 +4,18 @@
 #include <array>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/thread_pool.h"
+#include "src/tensor/dispatch.h"
 
 namespace tdp {
 namespace exec {
 namespace {
 
+// One pass over the values, sharded on the pool: a contiguous view (a
+// morsel or page slice included) is read in place, never copied first.
 StatusOr<std::vector<int64_t>> TensorOrderCodes(const Tensor& values,
                                                 bool* is_float) {
   if (values.dim() != 1) {
@@ -21,11 +25,22 @@ StatusOr<std::vector<int64_t>> TensorOrderCodes(const Tensor& values,
   const bool floating =
       values.dtype() == DType::kFloat32 || values.dtype() == DType::kFloat64;
   if (is_float != nullptr) *is_float = floating;
-  if (values.dtype() == DType::kInt64) return values.ToVector<int64_t>();
-  if (!floating) return values.To(DType::kInt64).ToVector<int64_t>();
-  const std::vector<double> d = values.To(DType::kFloat64).ToVector<double>();
-  std::vector<int64_t> codes(d.size());
-  for (size_t i = 0; i < d.size(); ++i) codes[i] = DoubleOrderCode(d[i]);
+  const Tensor src = values.is_contiguous() ? values : values.Contiguous();
+  std::vector<int64_t> codes(static_cast<size_t>(src.numel()));
+  int64_t* out = codes.data();
+  TDP_DISPATCH_ALL(src.dtype(), {
+    const scalar_t* in = src.data<scalar_t>();
+    ParallelFor(0, src.numel(), GrainForCost(2),
+                [out, in](int64_t begin, int64_t end) {
+                  for (int64_t i = begin; i < end; ++i) {
+                    if constexpr (std::is_floating_point_v<scalar_t>) {
+                      out[i] = DoubleOrderCode(static_cast<double>(in[i]));
+                    } else {
+                      out[i] = static_cast<int64_t>(in[i]);
+                    }
+                  }
+                });
+  });
   return codes;
 }
 
@@ -56,10 +71,7 @@ constexpr size_t kInitialSlots = 16;
 
 StatusOr<std::vector<int64_t>> OrderPreservingCodes(const Column& column,
                                                     bool* is_float) {
-  if (column.encoding() == Encoding::kDictionary) {
-    if (is_float != nullptr) *is_float = false;
-    return column.data().ToVector<int64_t>();
-  }
+  // Dictionary columns decode to their (int64) codes.
   return TensorOrderCodes(column.DecodeValues(), is_float);
 }
 

@@ -18,10 +18,12 @@ namespace exec {
 //
 // A key is a fixed number of int64 codes, one per key column, and every
 // kernel that groups or matches keys does it through one container: the
-// open-addressing `KeyTable` below. Every kernel that orders rows does it
-// through one comparator: `SortRows` below. Codes are ROW-LOCAL — a row's
-// code depends on that row's value alone, never on the rest of its
-// column — so codes computed per morsel or per aggregation page agree
+// open-addressing `KeyTable` below. (GROUP BY keys whose codes span no
+// more values than there are rows skip it, and group by their slot in
+// that range; see `FinalizeAggregate`.) Every kernel that orders rows
+// does it through one comparator: `SortRows` below. Codes are ROW-LOCAL
+// — a row's code depends on that row's value alone, never on the rest of
+// its column — so codes computed per morsel or per aggregation page agree
 // with codes computed over the whole relation. That is what lets the
 // in-memory and the paged aggregate share one notion of key identity and
 // key order, and stay byte-identical to each other.

@@ -123,9 +123,11 @@ AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts);
 /// output columns. Over the run's budget it computes the same result a
 /// 4096-row page at a time from the resident inputs, never materializing
 /// a whole-relation code, argument or group array. Groups come out in key
-/// order: a `KeyTable` over the keys' order-preserving codes numbers them
-/// by first occurrence (each group's first row is its representative),
-/// then ranking the distinct keys renumbers them into code order.
+/// order, each represented by its first row. Keys whose order codes span
+/// no more values than there are rows group by their slot in that dense
+/// range; other keys, and every key in the paged kernel, through a
+/// `KeyTable` whose distinct keys are then ranked. The two ways give the
+/// same bits.
 StatusOr<Chunk> FinalizeAggregate(const plan::AggregateNode& node,
                                   const AggInputs& inputs,
                                   const ExecContext& ctx);

@@ -70,11 +70,11 @@ struct PipelineOutputs {
 ///
 /// `stop_when_empty` (the streaming mode) drops a morsel as soon as it has
 /// no rows: the assembled stream is the concatenation of the survivors, so
-/// a morsel with nothing to contribute must not run further operators —
-/// a Project of a constant over an empty morsel would fabricate a row that
-/// the whole-relation path (which sees one nonempty relation) never sees.
-/// The empty-stream fallback runs with `stop_when_empty=false`, applying
-/// every operator to the empty relation exactly like the one-morsel run.
+/// a morsel with nothing to contribute skips the operators after the one
+/// that emptied it. The empty-stream fallback runs with
+/// `stop_when_empty=false`, applying every operator to the empty relation
+/// exactly like the one-morsel run, so an empty result still has the
+/// plan's columns and dtypes.
 StatusOr<Chunk> ApplyOps(const Pipeline& p, Chunk morsel,
                          const PipelineOutputs& outs, const ExecContext& ctx,
                          bool stop_when_empty) {
@@ -130,8 +130,8 @@ StatusOr<Chunk> SourceChunk(const Pipeline& p, const PipelineOutputs& outs,
 }
 
 /// The result of streaming an empty relation: every operator runs over
-/// zero rows (a constant Project still emits its single row, exactly as
-/// the one-morsel run does on an empty input).
+/// zero rows, exactly as the one-morsel run does on an empty input, and
+/// emits zero rows (a constant Project included).
 StatusOr<Chunk> EmptyStreamResult(const Pipeline& p, const Chunk& src,
                                   const PipelineOutputs& outs,
                                   const ExecContext& ctx) {
@@ -238,9 +238,9 @@ StatusOr<Chunk> RunPipeline(const Pipeline& p, const PipelineOutputs& outs,
 
   // Single-morsel (and empty-source) fast path: the morsel IS the whole
   // relation, so the operator chain runs on it directly — no slicing, no
-  // per-morsel bookkeeping, no empty-morsel drop rule (that rule exists
-  // only to keep partial morsels from fabricating constant-projection
-  // rows; with one batch the whole-relation semantics apply verbatim).
+  // per-morsel bookkeeping, no empty-morsel drop rule (that rule only
+  // spares empty morsels the rest of the chain; with one batch the
+  // whole-relation semantics apply verbatim).
   // This keeps point-query serving overhead low, and it is the path every
   // soft run takes, so the soft aggregate sees the whole relation.
   if (num_morsels <= 1) {
@@ -478,7 +478,7 @@ Status StreamResultPipeline(const Pipeline& p, const PipelineOutputs& outs,
 
   if (!sunk_any) {
     // Every morsel filtered away: reproduce the one-morsel empty-relation
-    // result (a constant Project still emits its single row).
+    // result, zero rows of the plan's columns.
     TDP_ASSIGN_OR_RETURN(Chunk empty, EmptyStreamResult(p, src, outs, ctx));
     return sink(std::move(empty));
   }

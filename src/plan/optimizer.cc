@@ -229,18 +229,23 @@ LogicalNodePtr PushFilterIntoJoin(LogicalNodePtr node) {
 
 // ---- Rule 3: scan projection pruning ----------------------------------------
 //
-// For a chain Project -> Filter* -> Scan, narrow the scan to the columns
-// the project and filters actually reference. Particularly valuable when
-// tables carry wide tensor columns (images) that the query never touches.
+// For a chain Project -> Filter* -> Scan or Aggregate -> Filter* -> Scan,
+// narrow the scan to the columns the head (projections, or group keys and
+// aggregate arguments) and the filters actually reference. Particularly
+// valuable when tables carry wide tensor columns (images) that the query
+// never touches, and for aggregates, whose filters otherwise gather every
+// column of every morsel.
 
 LogicalNodePtr PruneScanColumns(LogicalNodePtr node) {
   for (auto& child : node->children) {
     child = PruneScanColumns(std::move(child));
   }
-  if (node->kind != NodeKind::kProject || node->children.empty()) {
+  if ((node->kind != NodeKind::kProject &&
+       node->kind != NodeKind::kAggregate) ||
+      node->children.empty()) {
     return node;
   }
-  // Walk the chain below the project.
+  // Walk the chain below the head.
   std::vector<LogicalNode*> chain;
   LogicalNode* cursor = node->children[0].get();
   while (cursor->kind == NodeKind::kFilter) {
@@ -257,11 +262,12 @@ LogicalNodePtr PruneScanColumns(LogicalNodePtr node) {
     ForEachExpr(*f, [&](BoundExpr& e) { CollectColumnRefs(e, used); });
   }
   if (used.empty()) {
-    // Literal-only projections (`SELECT 1 FROM t`) reference no columns,
-    // but the scan must still produce the table's row count — a zero-column
-    // chunk reports 0 rows. Keep the cheapest column: any non-tensor
-    // column beats any tensor column (per-row widths are unknown at plan
-    // time, so among tensors only the element size can break ties).
+    // Literal-only projections (`SELECT 1 FROM t`) and `COUNT(*)`
+    // reference no columns, but the scan must still produce the table's
+    // row count — a zero-column chunk reports 0 rows. Keep the cheapest
+    // column: any non-tensor column beats any tensor column (per-row
+    // widths are unknown at plan time, so among tensors only the element
+    // size can break ties).
     int64_t keep = 0;
     int64_t best_cost = std::numeric_limits<int64_t>::max();
     constexpr int64_t kTensorPenalty = int64_t{1} << 32;

@@ -190,19 +190,31 @@ Tensor Cat(const std::vector<Tensor>& tensors, int64_t dim) {
   out_shape[static_cast<size_t>(d)] = total;
   Tensor out = Tensor::Empty(out_shape, tensors[0].dtype(),
                              tensors[0].device());
-  // Copy each input into its slice of the output.
-  int64_t cursor = 0;
+  // The output is contiguous: `outer` rows (the dims before `d`), each
+  // holding every input's slab of size(d) x `inner` elements back to back.
+  // A contiguous input holds its slabs back to back too, so it copies as
+  // `outer` memcpys — a single one when every dim before `d` has size 1.
+  int64_t outer = 1, inner = 1;
+  for (int64_t i = 0; i < d; ++i) outer *= out_shape[static_cast<size_t>(i)];
+  for (int64_t i = d + 1; i < static_cast<int64_t>(out_shape.size()); ++i) {
+    inner *= out_shape[static_cast<size_t>(i)];
+  }
+  const int64_t esize = DTypeSize(out.dtype());
+  const int64_t row_bytes = total * inner * esize;
+  int64_t cursor = 0;  // bytes into each output row
   for (const Tensor& t : tensors) {
-    Tensor window = Slice(out, d, cursor, t.size(d));
-    const Tensor tc = t.Detach().Contiguous();
-    internal_ops::OffsetIterator it(window.shape(), {window.strides()});
-    const int64_t n = tc.numel();
-    TDP_DISPATCH_ALL(t.dtype(), {
-      const scalar_t* sp = tc.data<scalar_t>();
-      scalar_t* wp = window.data<scalar_t>();
-      for (int64_t i = 0; i < n; ++i, it.Next()) wp[it.offset(0)] = sp[i];
-    });
-    cursor += t.size(d);
+    const int64_t slab = t.size(d) * inner * esize;
+    // Zero-size copies are skipped: an empty buffer's pointer may be null.
+    if (slab > 0 && outer > 0) {
+      const Tensor src = t.is_contiguous() ? t : t.Detach().Contiguous();
+      const uint8_t* sp = src.impl()->buffer->data() + src.offset() * esize;
+      uint8_t* dp = out.impl()->buffer->data() + cursor;
+      for (int64_t o = 0; o < outer; ++o) {
+        std::memcpy(dp + o * row_bytes, sp + o * slab,
+                    static_cast<size_t>(slab));
+      }
+    }
+    cursor += slab;
   }
   autograd::RecordOp("Cat", tensors, out, [tensors, d](const Tensor& g) {
     std::vector<Tensor> grads;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace tdp {
 namespace baseline {
 namespace {
@@ -37,6 +39,29 @@ TEST(BaselineDbTest, GroupByAggregates) {
   EXPECT_EQ(std::get<std::string>(r->rows[0][0]), "east");
   EXPECT_EQ(std::get<int64_t>(r->rows[0][1]), 2);
   EXPECT_DOUBLE_EQ(std::get<double>(r->rows[0][2]), 40.0);
+}
+
+// Double keys group by exact value under the engine's equality: -0 with
+// +0, every NaN together, and values closer than any fixed number of
+// decimals apart.
+TEST(BaselineDbTest, DoubleKeysGroupByExactValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  BaselineTable t;
+  t.column_names = {"f"};
+  for (double f : {-0.0, 0.0, nan, -nan, 1e-7, 2e-7, 0.1234567, 0.1234568}) {
+    t.rows.push_back({f});
+  }
+  BaselineDb db;
+  ASSERT_TRUE(db.RegisterTable("t", std::move(t)).ok());
+  for (const char* sql : {"SELECT f, COUNT(*) FROM t GROUP BY f",
+                          "SELECT DISTINCT f FROM t"}) {
+    auto r = db.Sql(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), 6u) << sql;
+  }
+  auto distinct = db.Sql("SELECT COUNT(DISTINCT f) FROM t");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(distinct->rows[0][0]), 6);
 }
 
 TEST(BaselineDbTest, GlobalAvg) {

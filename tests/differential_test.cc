@@ -18,6 +18,7 @@
 
 #include "src/baseline/baseline_db.h"
 #include "src/common/rng.h"
+#include "src/exec/run_options.h"
 #include "src/runtime/session.h"
 #include "src/tensor/ops.h"
 #include "tests/vector_test_util.h"
@@ -113,8 +114,9 @@ std::vector<std::string> BaselineRows(const baseline::BaselineTable& table) {
 }
 
 void ExpectAgree(Engines& engines, const std::string& sql,
-                 const QueryOptions& options = {}) {
-  auto tdp_result = engines.tdp.Sql(sql, options);
+                 const QueryOptions& options = {},
+                 const exec::RunOptions& run = {}) {
+  auto tdp_result = engines.tdp.Sql(sql, options, run);
   auto base_result = engines.base.Sql(sql);
   ASSERT_TRUE(tdp_result.ok()) << sql << "\n" << tdp_result.status().ToString();
   ASSERT_TRUE(base_result.ok()) << sql << "\n"
@@ -528,6 +530,214 @@ TEST(DifferentialArithmeticTest, DivisionAndModuloAgree) {
       ExpectSameError(engines, sql, options);
     }
   }
+}
+
+// A constant projected over a relation the filter empties has no rows,
+// as in BaselineDB: on both backends, whether the table is one morsel or
+// several.
+TEST(DifferentialEmptyTest, ConstantProjectionOverNoRowsIsEmpty) {
+  Rng rng(5);
+  Engines engines;
+  MakeRandomTable(engines, rng, 60);
+  for (const Device device : {Device::kCpu, Device::kAccel}) {
+    for (const int64_t morsel : {int64_t{0}, int64_t{7}}) {
+      QueryOptions options;
+      options.device = device;
+      exec::RunOptions run;
+      run.morsel_rows = morsel;
+      SCOPED_TRACE(std::string(device == Device::kCpu ? "cpu" : "accel") +
+                   " morsel=" + std::to_string(morsel));
+      ExpectAgree(engines, "SELECT 1 FROM t WHERE k > 100", options, run);
+      ExpectAgree(engines, "SELECT k, 2 FROM t WHERE k > 100", options, run);
+      // Rows that survive still get the constant.
+      ExpectAgree(engines, "SELECT k, 2 FROM t WHERE k > 6", options, run);
+    }
+  }
+}
+
+// ---- GROUP BY: dense slots and the key table --------------------------------
+//
+// Keys whose codes span no more values than there are rows group by slot;
+// the rest through the key table. These shapes sit on both sides of that
+// line and at its edges. Each must agree with BaselineDB on both backends,
+// at the default morsel size and at one that splits the table.
+
+// Registers `name` in both engines from the columns of `builder` and the
+// same rows in `bt`.
+void RegisterBoth(Engines& engines, const std::string& name,
+                  TableBuilder builder, baseline::BaselineTable bt) {
+  auto table = std::move(builder).Build();
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE(engines.tdp.RegisterTable(name, table.value()).ok());
+  ASSERT_TRUE(engines.base.RegisterTable(name, std::move(bt)).ok());
+}
+
+void ExpectGroupingAgrees(Engines& engines, const std::string& sql) {
+  for (const Device device : {Device::kCpu, Device::kAccel}) {
+    for (const int64_t morsel : {int64_t{0}, int64_t{7}}) {
+      QueryOptions options;
+      options.device = device;
+      exec::RunOptions run;
+      run.morsel_rows = morsel;
+      SCOPED_TRACE(std::string(device == Device::kCpu ? "cpu" : "accel") +
+                   " morsel=" + std::to_string(morsel));
+      ExpectAgree(engines, sql, options, run);
+    }
+  }
+}
+
+TEST(DifferentialGroupingTest, IntKeysWithNegatives) {
+  Rng rng(11);
+  Engines engines;
+  std::vector<int64_t> ks;
+  std::vector<double> vs;
+  for (int64_t i = 0; i < 40; ++i) {
+    ks.push_back(rng.UniformInt(-6, 3));
+    vs.push_back(static_cast<double>(rng.UniformInt(-40, 40)) / 4.0);
+  }
+  RegisterKv(engines, ks, vs);
+  ExpectGroupingAgrees(engines,
+                       "SELECT k, COUNT(*), SUM(v), MIN(v), MAX(v) FROM t "
+                       "GROUP BY k");
+  ExpectGroupingAgrees(engines,
+                       "SELECT k, AVG(v) FROM t WHERE v > 0 GROUP BY k");
+}
+
+TEST(DifferentialGroupingTest, BoolKey) {
+  Rng rng(12);
+  Engines engines;
+  std::vector<bool> flags;
+  std::vector<double> vs;
+  baseline::BaselineTable bt;
+  bt.column_names = {"b", "v"};
+  for (int64_t i = 0; i < 30; ++i) {
+    flags.push_back(rng.UniformInt(0, 1) == 1);
+    vs.push_back(static_cast<double>(rng.UniformInt(-20, 20)));
+    bt.rows.push_back({static_cast<bool>(flags.back()), vs.back()});
+  }
+  RegisterBoth(engines, "bt",
+               TableBuilder("bt").AddBool("b", flags).AddFloat64("v", vs),
+               std::move(bt));
+  ExpectGroupingAgrees(engines,
+                       "SELECT b, COUNT(*), SUM(v), MAX(v) FROM bt GROUP BY b");
+  ExpectGroupingAgrees(engines,
+                       "SELECT b, COUNT(*) FROM bt WHERE v > 0 GROUP BY b");
+}
+
+// The filters leave the dictionary holding values no surviving row has,
+// at its low end, at its high end and in its middle.
+TEST(DifferentialGroupingTest, DictionaryKeyWithAbsentValues) {
+  Rng rng(13);
+  Engines engines;
+  MakeRandomTable(engines, rng, 50);
+  ExpectGroupingAgrees(engines,
+                       "SELECT tag, COUNT(*), SUM(v) FROM t "
+                       "WHERE tag <> 'blue' AND tag <> 'red' GROUP BY tag");
+  ExpectGroupingAgrees(engines,
+                       "SELECT tag, COUNT(*) FROM t WHERE tag = 'gold' OR "
+                       "tag = 'cyan' GROUP BY tag");
+}
+
+// Two keys whose domain product equals the row count take slots; one
+// more than the row count takes the key table.
+TEST(DifferentialGroupingTest, TwoKeysAtTheDomainEdge) {
+  for (const bool one_short : {false, true}) {
+    SCOPED_TRACE(one_short ? "product = rows + 1" : "product = rows");
+    Engines engines;
+    std::vector<int64_t> a, b;
+    std::vector<double> v;
+    baseline::BaselineTable bt;
+    bt.column_names = {"a", "b", "v"};
+    for (int64_t i = 0; i < 3; ++i) {
+      for (int64_t j = -2; j < 2; ++j) {
+        if (one_short && i == 1 && j == 0) continue;  // ranges stay whole
+        a.push_back(i);
+        b.push_back(j);
+        v.push_back(static_cast<double>(i * 10 + j) / 4.0);
+        bt.rows.push_back({a.back(), b.back(), v.back()});
+      }
+    }
+    RegisterBoth(engines, "ab",
+                 TableBuilder("ab")
+                     .AddInt64("a", a)
+                     .AddInt64("b", b)
+                     .AddFloat64("v", v),
+                 std::move(bt));
+    ExpectGroupingAgrees(engines,
+                         "SELECT a, b, COUNT(*), SUM(v) FROM ab GROUP BY a, b");
+    ExpectGroupingAgrees(engines,
+                         "SELECT b, a, MIN(v) FROM ab GROUP BY b, a");
+  }
+}
+
+// INT64_MIN and INT64_MAX in one key column: the code range overflows
+// int64, so the key must go to the key table.
+TEST(DifferentialGroupingTest, KeySpanningAllOfInt64) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Engines engines;
+  RegisterKv(engines, {kMax, 0, kMin, 5, kMin, kMax, 0},
+             {1.5, 2.0, -3.0, 4.0, 0.5, -1.0, 8.0});
+  ExpectGroupingAgrees(engines,
+                       "SELECT k, COUNT(*), SUM(v), MIN(v) FROM t GROUP BY k");
+}
+
+TEST(DifferentialGroupingTest, SingleGroupAndNoRows) {
+  Rng rng(14);
+  Engines engines;
+  MakeRandomTable(engines, rng, 45);
+  ExpectGroupingAgrees(engines,
+                       "SELECT k, COUNT(*), SUM(v), AVG(v) FROM t "
+                       "WHERE k = 4 GROUP BY k");
+  ExpectGroupingAgrees(engines,
+                       "SELECT tag, COUNT(*), SUM(v) FROM t WHERE k > 100 "
+                       "GROUP BY tag");
+  ExpectGroupingAgrees(engines,
+                       "SELECT k, COUNT(DISTINCT tag), COUNT(DISTINCT v) "
+                       "FROM t GROUP BY k");
+}
+
+// Float keys whose rows share one order code but not one bit pattern:
+// -0 and +0, NaNs of either sign, and the smallest denormal beside the
+// zeros. The codes span one or two slots, and each group shows its first
+// row's key, as BaselineDB does.
+TEST(DifferentialGroupingTest, FloatKeysSharingACode) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> key_sets = {
+      {-0.0, 0.0, 0.0, -0.0},
+      {0.0, -0.0, denormal, -0.0, denormal},
+      {nan, -nan, -nan, nan},
+      {-nan, nan}};
+  for (const std::vector<double>& keys : key_sets) {
+    Engines engines;
+    std::vector<double> vs;
+    baseline::BaselineTable bt;
+    bt.column_names = {"f", "v"};
+    for (size_t i = 0; i < keys.size(); ++i) {
+      vs.push_back(static_cast<double>(i) + 0.5);
+      bt.rows.push_back({keys[i], vs.back()});
+    }
+    RegisterBoth(engines, "ft",
+                 TableBuilder("ft").AddFloat64("f", keys).AddFloat64("v", vs),
+                 std::move(bt));
+    ExpectGroupingAgrees(engines,
+                         "SELECT f, COUNT(*), SUM(v) FROM ft GROUP BY f");
+  }
+}
+
+// SUM, AVG, MIN and MAX keep BaselineDB's row-order arithmetic over NaN,
+// signed zeros and infinities.
+TEST(DifferentialGroupingTest, NonFiniteArguments) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Engines engines;
+  RegisterKv(engines, {0, 1, 2, 0, 1, 2, 3, 3, 4, 4, 5, 5, 0},
+             {nan, -0.0, inf, 1.0, 0.0, -inf, -0.0, -0.0, inf, -inf, 2.0,
+              nan, -0.0});
+  ExpectGroupingAgrees(engines,
+                       "SELECT k, SUM(v), AVG(v), MIN(v), MAX(v), COUNT(v) "
+                       "FROM t GROUP BY k");
 }
 
 // A WHEN, ON, WHERE or HAVING predicate that is not boolean is a

@@ -25,6 +25,9 @@
 //     are printed.
 //   - Row-segment broadcasts: broadcast binary ops and Where give the same
 //     bits as on operands materialized to the output shape.
+//   - Cat: memcpy'd slabs give an index-arithmetic reference's bytes along
+//     every dim, over strided, offset and zero-row inputs, and the
+//     gradient still routes each window back to its input.
 //
 // Runs under ASan/UBSan and TSan in CI (see TDP_SANITIZER_TESTS).
 
@@ -510,6 +513,155 @@ TEST(RowSegmentTest, BroadcastsMatchMaterializedOperands) {
       const Tensor cond = Gt(c.a, c.b);
       EXPECT_EQ(FloatBits(Where(cond, c.a, c.b)),
                 FloatBits(Where(cond.Contiguous(), a_full, b_full)));
+    }
+  }
+}
+
+// ---- Cat ------------------------------------------------------------------
+
+// The logical elements of `t` as raw bytes in row-major order, read
+// through `Contiguous`, the strided-copy kernel Cat does not use.
+std::vector<uint8_t> LogicalBytes(const Tensor& t) {
+  const Tensor c = t.Detach().Contiguous();
+  const int64_t esize = DTypeSize(c.dtype());
+  std::vector<uint8_t> bytes(static_cast<size_t>(c.numel() * esize));
+  if (!bytes.empty()) {
+    std::memcpy(bytes.data(), c.impl()->buffer->data() + c.offset() * esize,
+                bytes.size());
+  }
+  return bytes;
+}
+
+// Cat copies each input's contiguous slabs with memcpy. Along the first,
+// a middle and the last dim, over contiguous, transposed, sliced and
+// zero-row inputs, its bytes must equal a reference that places every
+// element by index arithmetic, and each input's gradient must be its
+// window of the output's gradient, at one and four threads.
+TEST(CatTest, MatchesIndexArithmeticReference) {
+  const std::vector<int64_t> base_shape = {3, 4, 5};
+  const DType dtypes[] = {DType::kBool, DType::kInt64, DType::kFloat32,
+                          DType::kFloat64};
+  // A [3, 4, 5]-shaped input, save `len` along `dim`, built four ways.
+  // `salt` makes each input's values distinct.
+  enum class Layout { kContiguous, kTransposed, kSliced, kOffset };
+  const auto make_values = [](std::vector<int64_t> shape, DType dtype,
+                              int64_t salt) {
+    int64_t n = 1;
+    for (int64_t s : shape) n *= s;
+    std::vector<double> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      v[static_cast<size_t>(i)] =
+          dtype == DType::kBool ? static_cast<double>((i * 7 + salt) % 3 == 0)
+                                : static_cast<double>(i * 31 + salt) - 0.5;
+    }
+    return Tensor::FromVector(v, shape).To(dtype);
+  };
+  const auto make_input = [&](Layout layout, std::vector<int64_t> shape,
+                              DType dtype, int64_t salt,
+                              bool requires_grad) -> std::pair<Tensor, Tensor> {
+    Tensor base;
+    Tensor view;
+    switch (layout) {
+      case Layout::kContiguous:
+        base = make_values(shape, dtype, salt);
+        break;
+      case Layout::kTransposed:
+        base = make_values({shape[2], shape[1], shape[0]}, dtype, salt);
+        break;
+      case Layout::kSliced:
+        base = make_values({shape[0], shape[1], shape[2] + 3}, dtype, salt);
+        break;
+      case Layout::kOffset:
+        base = make_values({shape[0] + 2, shape[1], shape[2]}, dtype, salt);
+        break;
+    }
+    if (requires_grad) base.set_requires_grad(true);
+    switch (layout) {
+      case Layout::kContiguous:
+        view = base;
+        break;
+      case Layout::kTransposed:
+        view = Permute(base, {2, 1, 0});
+        break;
+      case Layout::kSliced:
+        view = Slice(base, 2, 2, shape[2]);
+        break;
+      case Layout::kOffset:
+        view = Slice(base, 0, 1, shape[0]);
+        break;
+    }
+    return {base, view};
+  };
+  const Layout layouts[] = {Layout::kContiguous, Layout::kTransposed,
+                            Layout::kSliced, Layout::kOffset};
+  const int64_t lengths[] = {2, 0, 3, 1};  // along the concat dim
+
+  for (int threads : kThreadCounts) {
+    ScopedNumThreads guard(threads);
+    for (DType dtype : dtypes) {
+      const bool floating = dtype == DType::kFloat32 || dtype == DType::kFloat64;
+      for (int64_t dim = 0; dim < 3; ++dim) {
+        SCOPED_TRACE(std::string(DTypeName(dtype)) + " dim=" +
+                     std::to_string(dim) + " threads=" +
+                     std::to_string(threads));
+        std::vector<Tensor> bases, views;
+        for (size_t i = 0; i < std::size(layouts); ++i) {
+          std::vector<int64_t> shape = base_shape;
+          shape[static_cast<size_t>(dim)] = lengths[i];
+          auto [base, view] = make_input(layouts[i], shape, dtype,
+                                         static_cast<int64_t>(i), floating);
+          bases.push_back(base);
+          views.push_back(view);
+        }
+        const Tensor out = Cat(views, dim);
+
+        // Reference: output element (a, b, c) is element (a, b, c) of
+        // the input whose range along `dim` holds its coordinate there,
+        // shifted to that input's start.
+        std::vector<int64_t> out_shape = base_shape;
+        out_shape[static_cast<size_t>(dim)] = 0;
+        for (int64_t len : lengths) out_shape[static_cast<size_t>(dim)] += len;
+        ASSERT_EQ(out.shape(), out_shape);
+        const int64_t esize = DTypeSize(dtype);
+        std::vector<std::vector<uint8_t>> in_bytes;
+        for (const Tensor& v : views) in_bytes.push_back(LogicalBytes(v));
+        std::vector<uint8_t> expected;
+        for (int64_t a = 0; a < out_shape[0]; ++a) {
+          for (int64_t b = 0; b < out_shape[1]; ++b) {
+            for (int64_t c = 0; c < out_shape[2]; ++c) {
+              int64_t idx[3] = {a, b, c};
+              size_t input = 0;
+              while (idx[dim] >= lengths[input]) idx[dim] -= lengths[input++];
+              const std::vector<int64_t>& s = views[input].shape();
+              const int64_t flat = (idx[0] * s[1] + idx[1]) * s[2] + idx[2];
+              const uint8_t* e = in_bytes[input].data() + flat * esize;
+              expected.insert(expected.end(), e, e + esize);
+            }
+          }
+        }
+        EXPECT_EQ(LogicalBytes(out), expected);
+        EXPECT_TRUE(out.is_contiguous());
+
+        if (!floating) continue;
+        // Each input's gradient is its window of the output's gradient:
+        // the same as back-propagating each window's own product.
+        const Tensor weights =
+            make_values(out_shape, dtype, 11).Detach();
+        Sum(Mul(out, weights)).Backward();
+        int64_t start = 0;
+        for (size_t i = 0; i < views.size(); ++i) {
+          auto [base, view] = make_input(layouts[i], views[i].shape(), dtype,
+                                         static_cast<int64_t>(i), true);
+          const Tensor window =
+              Slice(weights, dim, start, lengths[i]).Contiguous();
+          Sum(Mul(view, window)).Backward();
+          start += lengths[i];
+          ASSERT_EQ(bases[i].grad().defined(), base.grad().defined());
+          if (!base.grad().defined()) continue;  // a zero-size input
+          EXPECT_EQ(LogicalBytes(bases[i].grad()), LogicalBytes(base.grad()))
+              << "input " << i;
+        }
+      }
     }
   }
 }

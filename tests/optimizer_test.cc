@@ -99,6 +99,36 @@ TEST_F(OptimizerTest, LiteralOnlyProjectionKeepsOneNarrowColumn) {
   EXPECT_EQ((*filtered)->num_rows(), 2);
 }
 
+TEST_F(OptimizerTest, ScanUnderFilteredAggregateKeepsReferencedColumns) {
+  // The group key and the argument are `k` and `v`; the filter reads `v`
+  // too. The image column is never read, so the scan drops it.
+  const std::string plan =
+      Plan("SELECT k, SUM(v) FROM t WHERE v > 1 GROUP BY k");
+  EXPECT_NE(plan.find("cols=2"), std::string::npos) << plan;
+  // Only the key is referenced: one column survives.
+  const std::string key_only =
+      Plan("SELECT k, COUNT(*) FROM t WHERE k > 1 GROUP BY k");
+  EXPECT_NE(key_only.find("cols=1"), std::string::npos) << key_only;
+
+  auto r = session_.Sql("SELECT k, SUM(v) FROM t WHERE v > 1 GROUP BY k");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ((*r)->num_rows(), 2);
+  EXPECT_EQ((*r)->column(0).data().At({0}), 2.0);
+  EXPECT_EQ((*r)->column(1).data().At({1}), 3.0);
+}
+
+TEST_F(OptimizerTest, CountStarKeepsOneNarrowColumn) {
+  // COUNT(*) references no column, yet the scan must still carry the row
+  // count: the cheapest-column rule keeps the narrowest non-tensor one.
+  const std::string plan = Plan("SELECT COUNT(*) FROM t");
+  EXPECT_NE(plan.find("cols=1"), std::string::npos) << plan;
+
+  auto r = session_.Sql("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ((*r)->num_rows(), 1);
+  EXPECT_EQ((*r)->column(0).data().At({0}), 3.0);
+}
+
 TEST_F(OptimizerTest, LimitOffsetAboveHiddenSortCleanupProject) {
   // ORDER BY key not in the select list -> hidden sort column + cleanup
   // Project between the Limit and the Sort. The fused top-k must keep

@@ -282,6 +282,95 @@ TEST_P(SpillDifferentialTest, MultiBlockAggregationIsByteIdentical) {
   EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before);
 }
 
+// ---- Dense grouping across the budget sweep -----------------------------------
+//
+// Keys whose codes span no more values than there are rows group by slot
+// in memory, while the paged kernel always groups through its key table:
+// the two must agree byte for byte. The table spans 18 blocks and is big
+// enough that four threads split the in-memory kernel's passes in two.
+//   * `lo` (ints -3 .. 3) and (`tag`, `lo`): few groups, so the kernels
+//     fold per-block partials;
+//   * `hi` (ints 0 .. 65999, not all present): more groups than the fold
+//     allows, so each group accumulates its rows in row order;
+//   * (`flag`, `hi`): a domain larger than the filtered row count, which
+//     falls back to the key table in memory too;
+//   * `zero` (-0 and +0, one order code): a single slot, whose key shows
+//     its first row's sign.
+
+constexpr int64_t kDenseRows = (int64_t{1} << 16) + 4096 + 17;
+
+void RegisterDenseTable(Session& session, uint64_t seed) {
+  Rng rng(seed * 104729 + 3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::string> tags = {"ash", "birch", "cedar", "elm",
+                                         "oak"};
+  std::vector<int64_t> lo(kDenseRows), hi(kDenseRows);
+  std::vector<double> x(kDenseRows), zero(kDenseRows);
+  std::vector<float> y(kDenseRows);
+  std::vector<bool> flag(kDenseRows);
+  std::vector<std::string> tag(kDenseRows);
+  for (int64_t i = 0; i < kDenseRows; ++i) {
+    lo[i] = rng.UniformInt(-3, 3);
+    hi[i] = rng.UniformInt(0, 65999);
+    const int64_t shape = rng.UniformInt(0, 19);
+    x[i] = shape == 0 ? nan : shape == 1 ? -0.0 : rng.Uniform(-1e3, 1e3);
+    y[i] = shape == 2 ? -0.0f : static_cast<float>(rng.Uniform(-10, 10));
+    flag[i] = rng.Bernoulli(0.5);
+    tag[i] = tags[static_cast<size_t>(rng.UniformInt(0, 4))];
+    zero[i] = rng.Bernoulli(0.5) ? -0.0 : 0.0;
+  }
+  auto dense = TableBuilder("dense")
+                   .AddInt64("lo", lo)
+                   .AddInt64("hi", hi)
+                   .AddFloat64("x", x)
+                   .AddFloat32("y", y)
+                   .AddBool("flag", flag)
+                   .AddStrings("tag", tag)
+                   .AddFloat64("zero", zero)
+                   .Build();
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  ASSERT_TRUE(session.RegisterTable("dense", dense.value()).ok());
+}
+
+TEST_P(SpillDifferentialTest, DenseGroupingIsByteIdentical) {
+  Session session;
+  RegisterDenseTable(session, GetParam());
+  const int64_t live_before = QueryMemory::LiveSpillFiles();
+
+  const std::vector<std::string> queries = {
+      "SELECT lo, COUNT(*) AS n, SUM(x) AS sx, MIN(x) AS mn, MAX(x) AS mx, "
+      "AVG(y) AS ay FROM dense GROUP BY lo",
+      "SELECT tag, lo, COUNT(*) AS n, SUM(y) AS sy FROM dense "
+      "WHERE flag GROUP BY tag, lo",
+      "SELECT hi, COUNT(*) AS n, SUM(x) AS sx, MIN(y) AS my, MAX(x) AS mx, "
+      "COUNT(DISTINCT lo) AS dl FROM dense GROUP BY hi",
+      "SELECT flag, hi, SUM(x) AS sx FROM dense WHERE lo > 0 "
+      "GROUP BY flag, hi",
+      "SELECT zero, COUNT(*) AS n, SUM(y) AS sy FROM dense GROUP BY zero",
+      "SELECT zero, COUNT(*) AS n FROM dense WHERE zero > 0 OR lo = 2 "
+      "GROUP BY zero",
+  };
+  for (const std::string& sql : queries) {
+    auto reference = session.Sql(sql);
+    ASSERT_TRUE(reference.ok()) << sql << "\n"
+                                << reference.status().ToString();
+    for (int64_t morsel : kMorselSizes) {
+      for (int64_t budget : kBudgets) {
+        RunOptions run;
+        run.morsel_rows = morsel;
+        run.memory_budget_bytes = budget;
+        const std::string what = sql + " [morsel=" + std::to_string(morsel) +
+                                 " budget=" + std::to_string(budget) + "]";
+        auto result = session.Sql(sql, {}, run);
+        ASSERT_TRUE(result.ok()) << what << "\n"
+                                 << result.status().ToString();
+        ExpectTablesByteIdentical(*reference.value(), *result.value(), what);
+      }
+    }
+  }
+  EXPECT_EQ(QueryMemory::LiveSpillFiles(), live_before);
+}
+
 TEST_P(SpillDifferentialTest, PathologicalBudgetOnPathologicalShapes) {
   Session session;
   RegisterTables(session, GetParam());

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -235,13 +236,14 @@ class StreamingParityTest : public ::testing::Test {
   /// materializing Run() and a drained ResultCursor — for every (morsel
   /// size, thread count) combination, asserting bit identity.
   void ExpectParity(const std::string& sql,
-                    const std::vector<exec::ScalarValue>& params = {}) {
+                    const std::vector<exec::ScalarValue>& params = {},
+                    std::span<const int64_t> morsel_sizes = kMorselSizes) {
     SCOPED_TRACE(sql);
     auto reference = RunWith(sql, kWholeRelation, params);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (int threads : kThreadCounts) {
       ScopedNumThreads guard(threads);
-      for (int64_t morsel : kMorselSizes) {
+      for (int64_t morsel : morsel_sizes) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
                      " morsel=" + std::to_string(morsel));
         auto streamed = RunWith(sql, morsel, params);
@@ -277,6 +279,44 @@ TEST_F(StreamingParityTest, GroupBy) {
   ExpectParity(
       "SELECT tag, COUNT(*) FROM big WHERE k BETWEEN 8 AND 40 GROUP BY tag "
       "HAVING COUNT(*) > 10 ORDER BY tag");
+}
+
+// Dense grouping over a table big enough that four threads split the
+// in-memory aggregate's passes (min/max, ranks, row buckets) into
+// shards, with groups on both sides of the aggregate's block fold: `lo`
+// and (`tag`, `lo`) have few groups, so blocks fold; `hi` has tens of
+// thousands, so each group accumulates its rows in row order.
+TEST_F(StreamingParityTest, DenseGroupingAcrossBlocks) {
+  Rng rng(77);
+  const int64_t rows = 3 * (int64_t{1} << 15) + 17;
+  const std::vector<std::string> tags = {"ash", "birch", "cedar", "elm"};
+  std::vector<int64_t> lo, hi;
+  std::vector<double> v;
+  std::vector<std::string> tag;
+  for (int64_t i = 0; i < rows; ++i) {
+    lo.push_back(rng.UniformInt(-3, 3));
+    hi.push_back(rng.UniformInt(0, 69999));
+    v.push_back(rng.Uniform(-100, 100));
+    tag.push_back(tags[static_cast<size_t>(rng.UniformInt(0, 3))]);
+  }
+  Register("dense", TableBuilder("dense")
+                        .AddInt64("lo", lo)
+                        .AddInt64("hi", hi)
+                        .AddFloat64("v", v)
+                        .AddStrings("tag", tag));
+  // Single-row morsels are left out: at this size they only add time.
+  const int64_t morsels[] = {7, 4096, kWholeRelation};
+  ExpectParity(
+      "SELECT lo, COUNT(*), SUM(v), MIN(v), MAX(v) FROM dense GROUP BY lo",
+      {}, morsels);
+  ExpectParity(
+      "SELECT tag, lo, COUNT(*), SUM(v) FROM dense WHERE v > 0 "
+      "GROUP BY tag, lo",
+      {}, morsels);
+  ExpectParity("SELECT hi, COUNT(*), SUM(v), AVG(v) FROM dense GROUP BY hi",
+               {}, morsels);
+  ExpectParity("SELECT hi, COUNT(DISTINCT tag) FROM dense GROUP BY hi", {},
+               morsels);
 }
 
 TEST_F(StreamingParityTest, Joins) {
