@@ -4,28 +4,36 @@
 //
 //   ./filtered_topk --benchmark_counters_tabular=true
 //
-// The table holds 4096 accel-resident rows (d=128) with a dictionary TEXT
-// column `tag` of cardinality C; `WHERE tag = 'g1'` keeps ~1/C of the
-// rows, and the optimizer's dictionary-aware estimate sees exactly that,
-// so the benchmark arg IS the cost-rule input:
-//   C=100 -> selectivity 0.01, ~41 survivors < 2k  -> strategy=brute
-//   C=10  -> selectivity 0.1                       -> strategy=pre_filter
-//   C=2   -> selectivity 0.5                       -> strategy=post_filter
+// The small table holds 4096 accel-resident rows (d=128, 16 cells) with a
+// dictionary TEXT column `tag` of cardinality C; `WHERE tag = 'g1'` keeps
+// ~1/C of the rows, and the optimizer's dictionary-aware estimate sees
+// exactly that, so the benchmark arg IS the cost-rule input (k=50):
+//   C=100 -> selectivity 0.01 -> strategy=pre_filter; its ~41 survivors
+//            are no more than k, so they are ranked without a probe
+//   C=10  -> selectivity 0.1  -> strategy=pre_filter, one probe over the
+//            ~410 survivors
+//   C=2   -> selectivity 0.5  -> strategy=post_filter
 //
-// Indexed runs probe 4 of 16 cells — the recall/latency dial this index
-// exists for; the probe budget is a floor, so the result still never
-// shrinks below min(k, survivors) (exactness itself is pinned by the
-// differential suite at full budgets). The headline: at selectivity ~0.1
-// the pre-filter path scores only the handful of surviving candidates in
-// the probed cells instead of every survivor, and must hold a clear win
-// over the brute plan; at 0.01 the cost rule itself picks brute, so the
-// indexed session's number converges to the brute plan's rather than
-// losing to it.
+// Indexed runs probe 4 cells — the recall/latency dial this index exists
+// for; the probe budget is a floor, so the result still never shrinks
+// below min(k, survivors) (exactness itself is pinned by the differential
+// suite at full budgets). At selectivity ~0.1 the pre-filter path scores
+// only the surviving candidates in the probed cells instead of every
+// survivor, and must hold a clear win over the exact plan
+// (BM_FilteredTopKBrute); at 0.01 the indexed run does the exact plan's
+// work and must not lose to it.
+//
+// BM_FilteredTopKLarge is the other side of the cost rule: `tag <> 'g1'`
+// (C=10, selectivity 0.9, k=10) over a larger table — 2^16 rows and 128
+// cells, 2^18 rows and 512 cells with TDP_BENCH_SCALE=full, d=32 — plans
+// post_filter, which filters only the rows of the probed cells where
+// pre_filter would evaluate the predicate over every row first.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -40,34 +48,46 @@ namespace {
 
 using exec::ScalarValue;
 
-constexpr int64_t kRows = 4096;
-constexpr int64_t kDim = 128;
-constexpr int64_t kTopK = 50;
-constexpr int64_t kNumLists = 16;
 constexpr int64_t kProbes = 4;
 
-std::string Sql() {
-  return "SELECT id, dot(emb, ?) AS sim FROM vecs WHERE tag = 'g1' "
-         "ORDER BY sim DESC LIMIT " + std::to_string(kTopK);
+// A table shape and the query the arm runs over it.
+struct Shape {
+  int64_t rows;
+  int64_t dim;
+  int64_t num_lists;
+  int64_t k;
+  const char* where;
+};
+
+const Shape kSmall{4096, 128, 16, 50, "tag = 'g1'"};
+
+Shape Large() {
+  return {bench::Scaled(int64_t{1} << 16, int64_t{1} << 18), 32,
+          bench::Scaled(128, 512), 10, "tag <> 'g1'"};
 }
 
-// One session per (cardinality, indexed) point, built once and shared
-// across benchmark repetitions: setup (k-means build, table ingest) must
-// not pollute the timed region. The table lives on the accel device —
-// serving against device-resident data is the configuration the paper's
-// serving path assumes.
-Session& GetSession(int64_t cardinality, bool indexed) {
+std::string Sql(const Shape& shape) {
+  return std::string("SELECT id, dot(emb, ?) AS sim FROM vecs WHERE ") +
+         shape.where + " ORDER BY sim DESC LIMIT " + std::to_string(shape.k);
+}
+
+// One session per (rows, cardinality, indexed) point, built once and
+// shared across benchmark repetitions: setup (k-means build, table
+// ingest) must not pollute the timed region. The table lives on the accel
+// device — serving against device-resident data is the configuration the
+// paper's serving path assumes.
+Session& GetSession(const Shape& shape, int64_t cardinality, bool indexed) {
+  using Key = std::tuple<int64_t, int64_t, bool>;
   static std::vector<std::unique_ptr<Session>> sessions;
-  static std::vector<std::pair<int64_t, bool>> keys;
+  static std::vector<Key> keys;
+  const Key key{shape.rows, cardinality, indexed};
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i] == std::make_pair(cardinality, indexed)) {
-      return *sessions[i];
-    }
+    if (keys[i] == key) return *sessions[i];
   }
   Rng rng(17);
-  std::vector<int64_t> ids(static_cast<size_t>(kRows));
-  std::vector<std::string> tags(static_cast<size_t>(kRows));
-  for (int64_t i = 0; i < kRows; ++i) {
+  std::vector<int64_t> ids(static_cast<size_t>(shape.rows));
+  std::vector<std::string> tags(static_cast<size_t>(shape.rows));
+  for (int64_t i = 0; i < shape.rows; ++i) {
     ids[static_cast<size_t>(i)] = i;
     tags[static_cast<size_t>(i)] = "g" + std::to_string(i % cardinality);
   }
@@ -75,7 +95,8 @@ Session& GetSession(int64_t cardinality, bool indexed) {
                    .AddInt64("id", ids)
                    .AddStrings("tag", tags)
                    .AddTensor("emb", testutil::MakeClusteredUnitVectors(
-                                         kRows, kDim, kNumLists, rng))
+                                         shape.rows, shape.dim,
+                                         shape.num_lists, rng))
                    .Build();
   TDP_CHECK(table.ok()) << table.status().ToString();
   auto session = std::make_unique<Session>();
@@ -83,18 +104,19 @@ Session& GetSession(int64_t cardinality, bool indexed) {
       session->RegisterTable("vecs", table.value(), Device::kAccel).ok());
   if (indexed) {
     index::IvfIndex::Options options;
-    options.num_lists = kNumLists;
+    options.num_lists = shape.num_lists;
     TDP_CHECK(session->CreateVectorIndex("vecs", "emb", options).ok());
   }
-  keys.emplace_back(cardinality, indexed);
+  keys.push_back(key);
   sessions.push_back(std::move(session));
   return *sessions.back();
 }
 
-void RunFilteredTopK(benchmark::State& state, bool indexed) {
-  const int64_t cardinality = state.range(0);
-  Session& session = GetSession(cardinality, indexed);
-  auto prepared = session.Prepare(Sql());
+void RunFilteredTopK(benchmark::State& state, const Shape& shape,
+                     int64_t cardinality, bool indexed) {
+  Session& session = GetSession(shape, cardinality, indexed);
+  const std::string sql = Sql(shape);
+  auto prepared = session.Prepare(sql);
   TDP_CHECK(prepared.ok()) << prepared.status().ToString();
 
   // A few query vectors round-robined so the index probe order varies.
@@ -102,7 +124,7 @@ void RunFilteredTopK(benchmark::State& state, bool indexed) {
   std::vector<ScalarValue> queries;
   for (int i = 0; i < 8; ++i) {
     queries.push_back(
-        ScalarValue::FromTensor(testutil::MakeUnitQuery(kDim, rng)));
+        ScalarValue::FromTensor(testutil::MakeUnitQuery(shape.dim, rng)));
   }
 
   size_t at = 0;
@@ -115,10 +137,9 @@ void RunFilteredTopK(benchmark::State& state, bool indexed) {
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["selectivity"] = 1.0 / static_cast<double>(cardinality);
   if (indexed) {
     // Surface the cost rule's choice in the report.
-    auto plan = session.Explain(Sql());
+    auto plan = session.Explain(sql);
     TDP_CHECK(plan.ok());
     const size_t pos = plan->find("strategy=");
     state.SetLabel(pos == std::string::npos
@@ -128,15 +149,23 @@ void RunFilteredTopK(benchmark::State& state, bool indexed) {
 }
 
 void BM_FilteredTopKBrute(benchmark::State& state) {
-  RunFilteredTopK(state, /*indexed=*/false);
+  RunFilteredTopK(state, kSmall, state.range(0), /*indexed=*/false);
+  state.counters["selectivity"] = 1.0 / static_cast<double>(state.range(0));
 }
 
 void BM_FilteredTopKIndexed(benchmark::State& state) {
-  RunFilteredTopK(state, /*indexed=*/true);
+  RunFilteredTopK(state, kSmall, state.range(0), /*indexed=*/true);
+  state.counters["selectivity"] = 1.0 / static_cast<double>(state.range(0));
+}
+
+void BM_FilteredTopKLarge(benchmark::State& state) {
+  RunFilteredTopK(state, Large(), /*cardinality=*/10, /*indexed=*/true);
+  state.counters["selectivity"] = 0.9;
 }
 
 BENCHMARK(BM_FilteredTopKBrute)->Arg(100)->Arg(10)->Arg(2);
 BENCHMARK(BM_FilteredTopKIndexed)->Arg(100)->Arg(10)->Arg(2);
+BENCHMARK(BM_FilteredTopKLarge);
 
 }  // namespace
 }  // namespace tdp

@@ -159,12 +159,6 @@ static Status ValidateRunOptions(const RunOptions& options) {
         "RunOptions::vector_search.num_probes must be non-negative, got " +
         std::to_string(options.vector_search.num_probes));
   }
-  if (options.vector_search.max_widening_rounds < 0) {
-    return Status::InvalidArgument(
-        "RunOptions::vector_search.max_widening_rounds must be "
-        "non-negative, got " +
-        std::to_string(options.vector_search.max_widening_rounds));
-  }
   if (options.morsel_rows < 0) {
     return Status::InvalidArgument(
         "RunOptions::morsel_rows must be non-negative (0 = default), got " +

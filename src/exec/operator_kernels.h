@@ -115,7 +115,9 @@ StatusOr<AggInputs> EvaluateAggInputs(const plan::AggregateNode& node,
                                       const ExecContext& ctx);
 
 /// Concatenates per-morsel parts in morsel order (the deterministic merge
-/// at the breaker).
+/// at the breaker). A column that is, in every part, the same as an
+/// earlier key or argument (`MIN(x), MAX(x)`) is concatenated once and
+/// shared.
 AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts);
 
 /// Checks the aggregate arguments, then groups, accumulates (fixed
@@ -152,13 +154,15 @@ StatusOr<Chunk> ExecuteLimit(const plan::LimitNode& node, const Chunk& input);
 /// the columns' order-preserving codes), in input order.
 StatusOr<Chunk> ExecuteDistinct(const Chunk& input);
 
-/// Index-accelerated top-k similarity (see `plan::IndexTopKNode`): probes
-/// the run snapshot's vector index for candidate rows
-/// (`ExecContext::vector_search` cells; 0 = all), re-ranks them exactly
-/// with the plan's own sort keys (`SortRows`, the comparator of ORDER BY,
-/// so full-probe results are bit-identical to the Sort+Limit plan the
-/// node replaced), and projects the winners. Falls back to that exact
-/// computation when the snapshot no longer holds a valid index.
+/// Index-accelerated top-k similarity (see `plan::IndexTopKNode`): takes
+/// the rows that pass the predicate as candidates, narrowed by one probe
+/// of the run snapshot's vector index at a partial budget
+/// (`ExecContext::vector_search` cells) — or, for a post-filter plan,
+/// probes first and filters the probed rows — then projects the
+/// candidates and keeps the first k under the plan's own sort keys
+/// (`SortRows`, the comparator of ORDER BY, so full-budget results are
+/// bit-identical to the Sort+Limit plan the node replaced). Without a
+/// valid index in the snapshot it ranks every surviving row.
 StatusOr<Chunk> ExecuteIndexTopK(const plan::IndexTopKNode& node,
                                  const Chunk& input, const ExecContext& ctx);
 

@@ -250,32 +250,54 @@ StatusOr<AggInputs> EvaluateAggInputs(const AggregateNode& node,
   return out;
 }
 
+namespace {
+
+// Whether `a` and `b` are one column: the same tensor handle under the
+// same encoding metadata.
+bool SameColumn(const Column& a, const Column& b) {
+  return a.data().impl() == b.data().impl() && a.encoding() == b.encoding() &&
+         &a.dictionary() == &b.dictionary() && &a.domain() == &b.domain();
+}
+
+}  // namespace
+
 AggInputs MergeAggInputs(const std::vector<const AggInputs*>& parts) {
   TDP_CHECK(!parts.empty());
   if (parts.size() == 1) return *parts[0];
-  AggInputs out;
-  std::vector<Column> column_parts(parts.size());
+  // Column i of part p: the keys, then the arguments.
   const size_t num_keys = parts[0]->key_columns.size();
-  out.key_columns.reserve(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) {
-    for (size_t p = 0; p < parts.size(); ++p) {
-      column_parts[p] = parts[p]->key_columns[k];
-    }
-    out.key_columns.push_back(Column::Concat(column_parts));
-  }
-  const size_t num_args = parts[0]->arg_columns.size();
-  out.arg_columns.reserve(num_args);
-  for (size_t a = 0; a < num_args; ++a) {
-    if (!parts[0]->arg_columns[a].defined()) {
-      out.arg_columns.emplace_back();
+  const size_t num_columns = num_keys + parts[0]->arg_columns.size();
+  const auto column = [&](size_t p, size_t i) -> const Column& {
+    return i < num_keys ? parts[p]->key_columns[i]
+                        : parts[p]->arg_columns[i - num_keys];
+  };
+  // A column-reference key or argument evaluates to the morsel's own
+  // column handle, so `MIN(x), MAX(x)` hands each part the same column
+  // twice. A column that is, in every part, an earlier one shares that
+  // one's merge instead of being concatenated again.
+  std::vector<Column> merged(num_columns);
+  std::vector<Column> column_parts(parts.size());
+  for (size_t i = 0; i < num_columns; ++i) {
+    if (!column(0, i).defined()) continue;  // COUNT(*): no argument
+    const auto same_in_every_part = [&](size_t j) {
+      for (size_t p = 0; p < parts.size(); ++p) {
+        if (!SameColumn(column(p, i), column(p, j))) return false;
+      }
+      return true;
+    };
+    size_t j = 0;
+    while (j < i && !same_in_every_part(j)) ++j;
+    if (j < i) {
+      merged[i] = merged[j];
       continue;
     }
-    for (size_t p = 0; p < parts.size(); ++p) {
-      column_parts[p] = parts[p]->arg_columns[a];
-    }
-    out.arg_columns.push_back(Column::Concat(column_parts));
+    for (size_t p = 0; p < parts.size(); ++p) column_parts[p] = column(p, i);
+    merged[i] = Column::Concat(column_parts);
   }
+  AggInputs out;
   for (const AggInputs* p : parts) out.rows += p->rows;
+  out.key_columns.assign(merged.begin(), merged.begin() + num_keys);
+  out.arg_columns.assign(merged.begin() + num_keys, merged.end());
   return out;
 }
 
@@ -1192,12 +1214,11 @@ StatusOr<Chunk> ExecuteDistinct(const Chunk& input) {
 
 namespace {
 
-// Evaluates the node's absorbed projection over `rows` (already reduced to
-// the winning top-k rows) into the output chunk. Every expression here is
-// row-local (the rewrite rejects UDF-bearing projections), so evaluating
-// over the k winners yields the same bytes as evaluating over the full
-// relation and then selecting — the property the exactness guarantee
-// rests on.
+// Evaluates the node's absorbed projection over the candidate `rows`.
+// Every expression here is row-local (the rewrite rejects UDF-bearing
+// projections), so evaluating over a candidate subset yields the same
+// bytes as evaluating over the full relation and then selecting — the
+// property the exactness guarantee rests on.
 StatusOr<Chunk> ProjectIndexTopK(const plan::IndexTopKNode& node,
                                  const Chunk& rows, const ExecContext& ctx) {
   Chunk out;
@@ -1211,14 +1232,13 @@ StatusOr<Chunk> ProjectIndexTopK(const plan::IndexTopKNode& node,
   return out;
 }
 
-// The first `node.k` of `n` rows ranked by the node's sort keys — the
-// similarity DESC first, then the absorbed `extra_keys` tie-breaks —
+// The first `node.k` rows of `projected` ranked by the node's sort keys —
+// the similarity DESC first, then the absorbed `extra_keys` tie-breaks —
 // through `SortRows`, the comparator ExecuteSort uses, so ranking a
 // candidate subset reproduces the exact plan's order (ties included) bit
-// for bit. `key_column(ordinal)` yields `exprs[ordinal]` over those rows.
-StatusOr<std::vector<int64_t>> TopKRows(
-    const plan::IndexTopKNode& node, int64_t n,
-    const std::function<StatusOr<Column>(int64_t)>& key_column) {
+// for bit.
+StatusOr<std::vector<int64_t>> TopKRows(const plan::IndexTopKNode& node,
+                                        const Chunk& projected) {
   std::vector<std::pair<int64_t, bool>> items;  // (ordinal, descending)
   items.emplace_back(node.sim_ordinal, true);
   for (const auto& extra : node.extra_keys) {
@@ -1226,51 +1246,25 @@ StatusOr<std::vector<int64_t>> TopKRows(
   }
   SortKeys keys;
   for (const auto& [ordinal, descending] : items) {
-    TDP_ASSIGN_OR_RETURN(Column column, key_column(ordinal));
-    TDP_ASSIGN_OR_RETURN(SortKey key, MakeSortKey(column, descending));
+    TDP_ASSIGN_OR_RETURN(
+        SortKey key,
+        MakeSortKey(projected.columns[static_cast<size_t>(ordinal)],
+                    descending));
     keys.push_back(std::move(key));
   }
-  return SortRows(keys, n, node.k);
+  return SortRows(keys, projected.num_rows(), node.k);
 }
 
-// The k = 0 / zero-survivor result: the projection evaluated over the
-// UNfiltered input, then a zero-row Select — projecting first keeps
-// mixed literal/column chunks consistent where per-subset projection of
-// constants over an empty chunk would diverge.
-StatusOr<Chunk> EmptyIndexTopK(const plan::IndexTopKNode& node,
-                               const Chunk& input, const ExecContext& ctx) {
-  TDP_ASSIGN_OR_RETURN(Chunk projected, ProjectIndexTopK(node, input, ctx));
-  return projected.Select(Tensor::Empty({0}, DType::kInt64, ctx.device));
-}
-
-// The exact plan shape IndexTopK replaced — Filter (when a predicate was
-// absorbed), Project, stable multi-key top-k sort — used for the brute
-// strategy and whenever the index cannot serve this run (re-registered
-// table, row-count drift, or a degenerate zero-row candidate set).
-StatusOr<Chunk> IndexTopKExact(const plan::IndexTopKNode& node,
-                               const Chunk& input, const ExecContext& ctx) {
-  const Chunk* base = &input;
-  Chunk filtered;
-  if (node.predicate != nullptr) {
-    TDP_ASSIGN_OR_RETURN(
-        Tensor mask,
-        EvaluatePredicate(*node.predicate, input, EvalOpts(ctx)));
-    if (mask.numel() != input.num_rows()) {
-      return Status::ExecutionError("predicate mask length mismatch");
-    }
-    const Tensor survivors = NonZero(mask);
-    if (survivors.numel() == 0) return EmptyIndexTopK(node, input, ctx);
-    filtered = input.Select(survivors);
-    base = &filtered;
+// The rows of `rows` that pass `predicate`, ascending.
+StatusOr<std::vector<int64_t>> PassingRows(const BoundExpr& predicate,
+                                           const Chunk& rows,
+                                           const ExecContext& ctx) {
+  TDP_ASSIGN_OR_RETURN(Tensor mask,
+                       EvaluatePredicate(predicate, rows, EvalOpts(ctx)));
+  if (mask.numel() != rows.num_rows()) {
+    return Status::ExecutionError("predicate mask length mismatch");
   }
-  TDP_ASSIGN_OR_RETURN(Chunk projected, ProjectIndexTopK(node, *base, ctx));
-  TDP_ASSIGN_OR_RETURN(
-      std::vector<int64_t> top,
-      TopKRows(node, projected.num_rows(),
-               [&projected](int64_t ordinal) -> StatusOr<Column> {
-                 return projected.columns[static_cast<size_t>(ordinal)];
-               }));
-  return projected.Select(Tensor::FromVector(top, {}, ctx.device));
+  return NonZero(mask).ToVector<int64_t>();
 }
 
 }  // namespace
@@ -1279,199 +1273,132 @@ StatusOr<Chunk> ExecuteIndexTopK(const plan::IndexTopKNode& node,
                                  const Chunk& input, const ExecContext& ctx) {
   // Re-resolve the index from THIS run's catalog snapshot: plans are
   // immutable and shared, so index validity — like table resolution — is
-  // per-run state. A vanished/stale index (the table was re-registered
-  // after compilation) degrades to the exact Sort+Limit computation
-  // rather than failing; the next compile drops the IndexTopK node
-  // entirely (the catalog version moved).
-  // LIMIT 0 emits nothing: take the exact path straight away (its
-  // zero-row Select keeps mixed literal/column chunks consistent) rather
-  // than probing an index whose candidates would be discarded.
-  if (node.k <= 0) return IndexTopKExact(node, input, ctx);
-
-  // The index covers the table's PHYSICAL rows (deleted rows included);
-  // its validity conditions are (a) identity — FindVectorIndex already
-  // checked the entry tags the registration this snapshot serves — and
-  // (b) coverage: one index id per physical row, and the scanned input is
-  // the table's full live view (row i of `input` is live position i).
+  // per-run state. The index covers the table's PHYSICAL rows (deleted
+  // rows included); it serves this run when (a) FindVectorIndex finds an
+  // entry tagged with the registration this snapshot serves, and (b) the
+  // entry holds one id per physical row of that table, whose live view is
+  // `input` (row i of `input` is live position i). Without such an index
+  // (the table was re-registered after compilation) the run ranks every
+  // surviving row, which is the exact Sort+Limit result; the next compile
+  // drops the IndexTopK node entirely (the catalog version moved).
   const std::shared_ptr<const VectorIndexEntry> entry =
       ctx.catalog->FindVectorIndex(node.table_name, node.column_name);
-  if (entry == nullptr ||
-      entry->index->num_rows() != entry->table->num_physical_rows() ||
-      entry->table->num_rows() != input.num_rows()) {
-    return IndexTopKExact(node, input, ctx);
-  }
-  const Table& table = *entry->table;
+  const bool index_valid =
+      entry != nullptr &&
+      entry->index->num_rows() == entry->table->num_physical_rows() &&
+      entry->table->num_rows() == input.num_rows();
 
-  // Filtered-search strategy: the per-run override beats the compiled
-  // cost-rule choice; for an unfiltered node only a forced kBrute changes
-  // anything (pre- and post-filter coincide with the plain probe when
-  // there is no predicate). Brute bypasses the index entirely.
-  const VectorSearchStrategy strategy =
-      ctx.vector_search.strategy != VectorSearchStrategy::kAuto
-          ? ctx.vector_search.strategy
-          : (node.predicate != nullptr ? node.strategy
-                                       : VectorSearchStrategy::kPostFilter);
-  if (strategy == VectorSearchStrategy::kBrute) {
-    return IndexTopKExact(node, input, ctx);
-  }
-
+  // The index may narrow the candidates only at a partial probe budget
+  // and only when there is a row to keep. Negative budgets were rejected
+  // at run entry (ValidateRunOptions); 0 means "probe every cell". Cosine
+  // ranking only trusts the dot-ordered cell probe on unit-norm rows (see
+  // IvfIndex::rows_unit_norm); otherwise every cell counts as probed, so
+  // partial-probe recall can never silently collapse — results stay
+  // exact, only the scan saving is lost.
   const auto& sim = static_cast<const exec::BoundVectorSim&>(
       *node.exprs[static_cast<size_t>(node.sim_ordinal)]);
-  TDP_ASSIGN_OR_RETURN(EvalResult query,
-                       EvaluateExpr(*sim.query, input, EvalOpts(ctx)));
-  if (!query.is_scalar || !query.scalar.is_tensor()) {
-    return Status::TypeError(
-        "IndexTopK query must be a constant tensor (bind the vector with "
-        "ScalarValue::FromTensor)");
-  }
-
-  // Negative budgets were rejected at run entry (ValidateRunOptions);
-  // here 0 means "probe every cell".
-  const int64_t num_lists = entry->index->num_lists();
-  // Cosine ranking only trusts the dot-ordered cell probe on unit-norm
-  // rows (see IvfIndex::rows_unit_norm); otherwise probe every cell so
-  // partial-probe recall can never silently collapse — results stay
-  // exact, only the scan-fraction saving is lost.
+  const int64_t num_lists = index_valid ? entry->index->num_lists() : 0;
   const bool trust_partial_probe =
       sim.sim_kind == exec::BoundVectorSim::SimKind::kDot ||
-      entry->index->rows_unit_norm();
-  const int64_t probes =
-      (ctx.vector_search.num_probes == 0 || !trust_partial_probe)
-          ? num_lists
-          : std::min(ctx.vector_search.num_probes, num_lists);
+      (index_valid && entry->index->rows_unit_norm());
+  const int64_t probes = std::min(ctx.vector_search.num_probes, num_lists);
+  const bool narrow = index_valid && node.k > 0 && trust_partial_probe &&
+                      probes > 0 && probes < num_lists;
 
-  // Candidate generation, by strategy. Candidates are LIVE row ids in
-  // ascending order; for a filtered node every candidate already
-  // satisfies the predicate by the time ranking starts.
-  std::vector<int64_t> candidates;
-  if (node.predicate == nullptr) {
-    // The probe budget is a floor: cells are probed past it until k
-    // candidate rows exist, so a LIMIT k never shrinks below min(k, n)
-    // just because the best cell is small — recall absorbs the
-    // approximation, row count never does. Probed ids are PHYSICAL; the
-    // deleted ones are dropped and the survivors mapped to live positions
-    // (MapPhysicalToLive preserves ascending order). A delete-heavy cell
-    // can leave fewer than k live candidates even though the probe floor
-    // was met, so the budget doubles until k live rows exist or every
-    // cell was visited — deletes, like small cells, cost scan fraction,
-    // never result rows.
-    for (int64_t budget = probes;;) {
-      TDP_ASSIGN_OR_RETURN(
-          std::vector<int64_t> physical,
-          entry->index->ProbeCandidates(query.scalar.tensor_value(), budget,
-                                        /*min_candidates=*/node.k));
-      candidates = table.MapPhysicalToLive(physical);
-      if (static_cast<int64_t>(candidates.size()) >= node.k ||
-          budget >= num_lists) {
-        break;
-      }
-      budget = std::min(budget * 2, num_lists);
-    }
-    if (candidates.empty()) {
-      return IndexTopKExact(node, input, ctx);
-    }
-  } else if (strategy == VectorSearchStrategy::kPreFilter) {
-    // Pre-filter: evaluate the predicate over the live view once, push
-    // the surviving rows into the probe as a physical-id selection
-    // bitmap. Only selected rows are collected (so every candidate is a
-    // survivor — no re-check, no widening loop), fully-pruned cells
-    // don't consume probe budget, and the min_candidates floor counts
-    // SURVIVORS — the filtered row-count guarantee in one pass. Deleted
-    // rows are never selected (the live mask can't reach them), keeping
-    // the bitmap consistent with the physical-id index.
-    TDP_ASSIGN_OR_RETURN(
-        Tensor mask,
-        EvaluatePredicate(*node.predicate, input, EvalOpts(ctx)));
-    if (mask.numel() != input.num_rows()) {
-      return Status::ExecutionError("predicate mask length mismatch");
-    }
-    const std::vector<int64_t> live_survivors =
-        NonZero(mask).ToVector<int64_t>();
-    if (live_survivors.empty()) return EmptyIndexTopK(node, input, ctx);
-    const std::vector<int64_t> physical_survivors =
-        table.MapLiveToPhysical(live_survivors);
-    std::vector<uint8_t> selection(
-        static_cast<size_t>(table.num_physical_rows()), 0);
-    for (int64_t p : physical_survivors) {
-      selection[static_cast<size_t>(p)] = 1;
+  // One probe at `budget` cells over the rows `selection` marks (null:
+  // every physical row), as ascending LIVE row ids. Probed ids are
+  // physical; the deleted ones are dropped and the rest mapped to live
+  // positions (MapPhysicalToLive preserves ascending order).
+  const auto probe = [&](int64_t budget, const std::vector<uint8_t>* selection)
+      -> StatusOr<std::vector<int64_t>> {
+    TDP_ASSIGN_OR_RETURN(EvalResult query,
+                         EvaluateExpr(*sim.query, input, EvalOpts(ctx)));
+    if (!query.is_scalar || !query.scalar.is_tensor()) {
+      return Status::TypeError(
+          "IndexTopK query must be a constant tensor (bind the vector with "
+          "ScalarValue::FromTensor)");
     }
     TDP_ASSIGN_OR_RETURN(
         std::vector<int64_t> physical,
-        entry->index->ProbeCandidates(query.scalar.tensor_value(), probes,
-                                      /*min_candidates=*/node.k,
-                                      &selection));
-    candidates = table.MapPhysicalToLive(physical);
-  } else {
-    // Post-filter: probe first, apply the predicate to the candidates,
-    // and widen the budget while fewer than k rows survive — doubling
-    // up to `max_widening_rounds` times, then jumping straight to a full
-    // probe. The last round always probes every cell, so the result can
-    // never hold fewer than min(k, true survivors) rows no matter how
-    // adversarially the survivors cluster — the widening pace bounds
-    // wasted re-probing, not the row-count guarantee.
-    int64_t rounds = 0;
-    for (int64_t budget = probes;;) {
-      TDP_ASSIGN_OR_RETURN(
-          std::vector<int64_t> physical,
-          entry->index->ProbeCandidates(query.scalar.tensor_value(), budget,
-                                        /*min_candidates=*/node.k));
-      const std::vector<int64_t> live = table.MapPhysicalToLive(physical);
-      std::vector<int64_t> survivors;
-      if (!live.empty()) {
-        const bool probe_all_rows =
-            static_cast<int64_t>(live.size()) == input.num_rows();
-        const Tensor live_ids = Tensor::FromVector(live, {}, ctx.device);
-        const Chunk probe_rows =
-            probe_all_rows ? input : input.Select(live_ids);
-        TDP_ASSIGN_OR_RETURN(
-            Tensor mask,
-            EvaluatePredicate(*node.predicate, probe_rows, EvalOpts(ctx)));
-        if (mask.numel() != probe_rows.num_rows()) {
-          return Status::ExecutionError("predicate mask length mismatch");
-        }
-        for (int64_t i : NonZero(mask).ToVector<int64_t>()) {
-          survivors.push_back(live[static_cast<size_t>(i)]);
-        }
-      }
-      if (static_cast<int64_t>(survivors.size()) >= node.k ||
+        entry->index->ProbeCandidates(query.scalar.tensor_value(), budget,
+                                      /*min_candidates=*/node.k, selection));
+    return entry->table->MapPhysicalToLive(physical);
+  };
+
+  // Candidates: LIVE row ids in ascending order, each passing the
+  // predicate; `all_rows` means every row of `input` is one, unlisted.
+  std::vector<int64_t> candidates;
+  bool all_rows = false;
+  if (narrow && node.predicate != nullptr && node.post_filter) {
+    // Post-filter: probe first, apply the predicate to the probed rows,
+    // and double the budget until k of them pass or every cell was
+    // probed — so the result never holds fewer than min(k, survivors)
+    // rows however the survivors cluster.
+    for (int64_t budget = probes;; budget = std::min(budget * 2, num_lists)) {
+      TDP_ASSIGN_OR_RETURN(std::vector<int64_t> live, probe(budget, nullptr));
+      const Chunk probed =
+          input.Select(Tensor::FromVector(live, {}, ctx.device));
+      TDP_ASSIGN_OR_RETURN(std::vector<int64_t> passing,
+                           PassingRows(*node.predicate, probed, ctx));
+      for (int64_t& row : passing) row = live[static_cast<size_t>(row)];
+      if (static_cast<int64_t>(passing.size()) >= node.k ||
           budget >= num_lists) {
-        candidates = std::move(survivors);
+        candidates = std::move(passing);
         break;
       }
-      ++rounds;
-      budget = rounds > ctx.vector_search.max_widening_rounds
-                   ? num_lists
-                   : std::min(budget * 2, num_lists);
     }
-    if (candidates.empty()) return EmptyIndexTopK(node, input, ctx);
+  } else {
+    // Survivors: the live rows that pass the predicate (every live row
+    // when there is none). When more than k survive, one probe narrows
+    // them, taking the survivors as its selection: pruned rows are never
+    // collected, cells without a survivor cost no budget, and the probe's
+    // k-row floor counts survivors — so the floor holds in live rows,
+    // deletes included. With k or fewer survivors a probe would return
+    // them all, so none is made.
+    all_rows = node.predicate == nullptr;
+    if (!all_rows) {
+      TDP_ASSIGN_OR_RETURN(candidates,
+                           PassingRows(*node.predicate, input, ctx));
+      all_rows = static_cast<int64_t>(candidates.size()) == input.num_rows();
+    }
+    const int64_t survivors =
+        all_rows ? input.num_rows() : static_cast<int64_t>(candidates.size());
+    if (narrow && survivors > node.k) {
+      const Table& table = *entry->table;
+      std::vector<uint8_t> selection;
+      if (!all_rows || table.has_deletes()) {
+        selection.assign(static_cast<size_t>(table.num_physical_rows()), 0);
+        if (all_rows) {
+          for (int64_t p = 0; p < table.num_physical_rows(); ++p) {
+            selection[static_cast<size_t>(p)] = !table.IsDeleted(p);
+          }
+        } else {
+          for (int64_t p : table.MapLiveToPhysical(candidates)) {
+            selection[static_cast<size_t>(p)] = 1;
+          }
+        }
+      }
+      TDP_ASSIGN_OR_RETURN(
+          candidates, probe(probes, selection.empty() ? nullptr : &selection));
+      all_rows = false;
+    }
   }
 
-  // Candidates arrive in ascending row order; ranking them with the
+  // Projecting the ascending candidates and ranking the projection by the
   // plan's own sort keys (sim DESC, then tie-breaks, then row order)
   // reproduces the exact plan's ranking over the candidate subset — with
-  // full probes the subset IS the (surviving) relation, making the result
-  // bit-identical to the exact plan, tie-breaks included. In the all-rows
-  // case the gather is skipped (candidate ids are exactly [0, n)
-  // ascending, so `input` IS the candidate chunk): the default probe
-  // budget must not pay a full-table copy the brute plan never pays. Key
-  // expressions are row-local, so skipping the identity gather cannot
+  // full probes the subset IS the surviving relation, making the result
+  // bit-identical to the exact plan, tie-breaks included. When every row
+  // is a candidate the gather is skipped (`input` IS the candidate chunk):
+  // the expressions are row-local, so skipping the identity gather cannot
   // change a byte.
-  const bool all_rows =
-      static_cast<int64_t>(candidates.size()) == input.num_rows();
   const Chunk cand_rows =
       all_rows ? input
                : input.Select(Tensor::FromVector(candidates, {}, ctx.device));
-  TDP_ASSIGN_OR_RETURN(
-      std::vector<int64_t> top,
-      TopKRows(node, cand_rows.num_rows(),
-               [&](int64_t ordinal) -> StatusOr<Column> {
-                 return EvaluateExprToColumn(
-                     *node.exprs[static_cast<size_t>(ordinal)], cand_rows,
-                     EvalOpts(ctx));
-               }));
-  for (int64_t& row : top) row = candidates[static_cast<size_t>(row)];
-  return ProjectIndexTopK(
-      node, input.Select(Tensor::FromVector(top, {}, ctx.device)), ctx);
+  TDP_ASSIGN_OR_RETURN(Chunk projected,
+                       ProjectIndexTopK(node, cand_rows, ctx));
+  TDP_ASSIGN_OR_RETURN(std::vector<int64_t> top, TopKRows(node, projected));
+  return projected.Select(Tensor::FromVector(top, {}, ctx.device));
 }
 
 // ---- DDL / DML kernels ------------------------------------------------------

@@ -56,8 +56,8 @@ struct ExecContext {
   /// resolves to `DefaultMorselRows()`. Ignored by soft runs.
   int64_t morsel_rows = 0;
   /// Vector-search knobs for IndexTopK / FilteredIndexTopK operators
-  /// (`RunOptions::vector_search`): probe budget (0 probes every cell —
-  /// exact), strategy override, post-filter widening pace.
+  /// (`RunOptions::vector_search`): the probe budget (0 probes every
+  /// cell — exact).
   VectorSearchOptions vector_search;
   /// Cooperative cancellation: when set, workers poll it at pipeline and
   /// morsel boundaries and abandon the run with `kCancelled`. Null when

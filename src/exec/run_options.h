@@ -10,7 +10,6 @@
 
 #include "src/common/status.h"
 #include "src/exec/value.h"
-#include "src/exec/vector_search.h"
 
 namespace tdp {
 namespace exec {
@@ -44,6 +43,25 @@ class CancellationToken {
   std::shared_ptr<const CancellationToken> parent_;
 };
 
+/// Per-run knobs for IndexTopK / FilteredIndexTopK operators
+/// (`RunOptions::vector_search`). Like the morsel-size knob this is
+/// per-run state, NOT part of the plan-cache key: clients sweeping probe
+/// counts share one cached plan.
+struct VectorSearchOptions {
+  /// Probe budget: how many IVF cells an index probe visits. 0 (the
+  /// default) probes every cell — the operator then ranks every row that
+  /// passes the predicate, and results are bit-identical to the exact
+  /// plan; smaller values trade recall for a proportionally smaller scan.
+  /// Values above the index's list count clamp; negative values fail the
+  /// run with InvalidArgument. The budget is a FLOOR: cells are probed
+  /// past it until k candidate rows (k PREDICATE SURVIVORS for a filtered
+  /// search) exist, so a low budget degrades recall but never the
+  /// result's row count. `cosine_sim` honors a partial budget only when
+  /// the indexed rows are L2-normalized; otherwise every cell is probed —
+  /// exact results, no scan saving.
+  int64_t num_probes = 0;
+};
+
 /// Everything that may vary between two runs of one (immutable, shared)
 /// `CompiledQuery`, gathered into a single value object passed to
 /// `Run`/`RunChunk`/`Open`. Plans carry no per-run state, so a cached
@@ -72,10 +90,9 @@ struct RunOptions {
 
   /// Vector-search knobs for IndexTopK / FilteredIndexTopK
   /// (index-accelerated `ORDER BY similarity LIMIT k`, optionally under a
-  /// WHERE predicate) operators in this run: the probe budget, a strategy
-  /// override for filtered searches, and the post-filter widening pace.
-  /// See `VectorSearchOptions` for per-field semantics (the probe/recall
-  /// ablation is `bench/ablation_topk_index`; the strategy sweep is
+  /// WHERE predicate) operators in this run: the probe budget. See
+  /// `VectorSearchOptions` (the probe/recall ablation is
+  /// `bench/ablation_topk_index`; the selectivity sweep is
   /// `bench/filtered_topk`).
   using VectorSearch = VectorSearchOptions;
   VectorSearch vector_search;

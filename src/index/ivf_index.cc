@@ -1,9 +1,7 @@
 #include "src/index/ivf_index.h"
 
 #include <algorithm>
-#include <numeric>
 
-#include "src/common/logging.h"
 #include "src/tensor/ops.h"
 
 namespace tdp {
@@ -24,40 +22,40 @@ StatusOr<IvfIndex> IvfIndex::Build(const Tensor& embeddings,
   }
 
   IvfIndex index;
-  index.data_ =
-      embeddings.Detach().Contiguous().To(DType::kFloat32);
+  index.num_rows_ = n;
+  const Tensor data = embeddings.Detach().Contiguous().To(DType::kFloat32);
 
   // Record whether rows are unit-norm (see rows_unit_norm()): cosine
   // queries may only probe a SUBSET of cells when they are.
-  const Tensor norms = Sqrt(
-      Sum(Mul(index.data_, index.data_), /*dim=*/1, /*keepdim=*/false));
-  const Tensor ones = Tensor::Full({1}, 1.0f, DType::kFloat32,
-                                   index.data_.device());
+  const Tensor norms =
+      Sqrt(Sum(Mul(data, data), /*dim=*/1, /*keepdim=*/false));
+  const Tensor ones =
+      Tensor::Full({1}, 1.0f, DType::kFloat32, data.device());
   index.rows_unit_norm_ =
       MaxAll(Abs(Sub(norms, ones))).item<float>() < 1e-3f;
 
   // k-means++ -lite init: random distinct rows as seed centroids.
   const std::vector<int64_t> perm = rng.Permutation(n);
   std::vector<int64_t> seeds(perm.begin(), perm.begin() + lists);
-  Tensor centroids = IndexSelect(
-      index.data_, 0, Tensor::FromVector(seeds, {}, index.data_.device()));
+  Tensor centroids =
+      IndexSelect(data, 0, Tensor::FromVector(seeds, {}, data.device()));
 
   std::vector<int64_t> assignment(static_cast<size_t>(n), 0);
   for (int64_t iter = 0; iter < options.kmeans_iterations; ++iter) {
     // Assign: nearest centroid by inner product (normalized rows).
     const Tensor scores =
-        MatMul(index.data_, Transpose(centroids, 0, 1));  // [n, lists]
+        MatMul(data, Transpose(centroids, 0, 1));  // [n, lists]
     const Tensor best = ArgMax(scores, 1, false);
     const std::vector<int64_t> new_assignment = best.ToVector<int64_t>();
     if (new_assignment == assignment && iter > 0) break;
     assignment = new_assignment;
 
     // Update: mean of members (empty cells keep their centroid).
-    const Device device = index.data_.device();
-    Tensor sums = Tensor::Zeros({lists, index.data_.size(1)},
-                                DType::kFloat32, device);
+    const Device device = data.device();
+    Tensor sums =
+        Tensor::Zeros({lists, data.size(1)}, DType::kFloat32, device);
     Tensor counts = Tensor::Zeros({lists, 1}, DType::kFloat32, device);
-    sums = ScatterAddRows(sums, best.To(device), index.data_);
+    sums = ScatterAddRows(sums, best.To(device), data);
     float* cp = counts.data<float>();
     for (int64_t i = 0; i < n; ++i) {
       cp[assignment[static_cast<size_t>(i)]] += 1.0f;
@@ -81,10 +79,10 @@ StatusOr<IvfIndex> IvfIndex::Build(const Tensor& embeddings,
 }
 
 StatusOr<IvfIndex> IvfIndex::WithAppended(const Tensor& new_rows) const {
-  if (!new_rows.defined() || new_rows.dim() != 2 ||
-      new_rows.size(1) != data_.size(1)) {
-    return Status::InvalidArgument(
-        "appended rows must be [m, " + std::to_string(data_.size(1)) + "]");
+  const int64_t dim = centroids_.size(1);
+  if (!new_rows.defined() || new_rows.dim() != 2 || new_rows.size(1) != dim) {
+    return Status::InvalidArgument("appended rows must be [m, " +
+                                   std::to_string(dim) + "]");
   }
   if (!IsFloatingPoint(new_rows.dtype())) {
     return Status::TypeError("IVF index needs float embeddings");
@@ -92,12 +90,12 @@ StatusOr<IvfIndex> IvfIndex::WithAppended(const Tensor& new_rows) const {
   const Tensor rows = new_rows.Detach()
                           .Contiguous()
                           .To(DType::kFloat32)
-                          .To(data_.device());
+                          .To(centroids_.device());
   const int64_t m = rows.size(0);
   if (m == 0) return Status::InvalidArgument("no rows to append");
 
   IvfIndex index;
-  index.data_ = Cat({data_, rows}, 0);
+  index.num_rows_ = num_rows_ + m;
   index.centroids_ = centroids_;
   index.lists_ = lists_;
 
@@ -121,20 +119,30 @@ StatusOr<IvfIndex> IvfIndex::WithAppended(const Tensor& new_rows) const {
   return index;
 }
 
-StatusOr<Tensor> IvfIndex::PrepareQuery(const Tensor& query) const {
-  if (!query.defined() || query.numel() != data_.size(1)) {
-    return Status::InvalidArgument(
-        "query dimension mismatch: index has d=" +
-        std::to_string(data_.size(1)) + ", query has " +
-        std::to_string(query.defined() ? query.numel() : 0) + " element(s)");
-  }
-  return Reshape(query.Detach().To(DType::kFloat32).To(data_.device()),
-                 {data_.size(1), 1});
-}
-
-std::vector<int64_t> IvfIndex::ProbePrepared(
-    const Tensor& q, int64_t num_probes, int64_t min_candidates,
+StatusOr<std::vector<int64_t>> IvfIndex::ProbeCandidates(
+    const Tensor& query, int64_t num_probes, int64_t min_candidates,
     const std::vector<uint8_t>* selection) const {
+  if (num_probes <= 0) {
+    return Status::InvalidArgument("num_probes must be positive, got " +
+                                   std::to_string(num_probes));
+  }
+  if (selection != nullptr &&
+      static_cast<int64_t>(selection->size()) != num_rows()) {
+    return Status::InvalidArgument(
+        "selection bitmap has " + std::to_string(selection->size()) +
+        " entries, index has " + std::to_string(num_rows()) + " rows");
+  }
+  const int64_t dim = centroids_.size(1);
+  if (!query.defined() || query.numel() != dim) {
+    return Status::InvalidArgument(
+        "query dimension mismatch: index has d=" + std::to_string(dim) +
+        ", query has " +
+        std::to_string(query.defined() ? query.numel() : 0) +
+        " element(s)");
+  }
+  const Tensor q = Reshape(
+      query.Detach().To(DType::kFloat32).To(centroids_.device()), {dim, 1});
+
   // Rank cells by centroid score; visit the top `num_probes` non-empty
   // ones (empty cells left over from k-means are skipped, never counted
   // against the probe budget), then keep probing — best cell first —
@@ -166,77 +174,6 @@ std::vector<int64_t> IvfIndex::ProbePrepared(
   }
   std::sort(candidates.begin(), candidates.end());
   return candidates;
-}
-
-StatusOr<std::vector<int64_t>> IvfIndex::ProbeCandidates(
-    const Tensor& query, int64_t num_probes, int64_t min_candidates,
-    const std::vector<uint8_t>* selection) const {
-  if (num_probes <= 0) {
-    return Status::InvalidArgument("num_probes must be positive, got " +
-                                   std::to_string(num_probes));
-  }
-  if (selection != nullptr &&
-      static_cast<int64_t>(selection->size()) != num_rows()) {
-    return Status::InvalidArgument(
-        "selection bitmap has " + std::to_string(selection->size()) +
-        " entries, index has " + std::to_string(num_rows()) + " rows");
-  }
-  TDP_ASSIGN_OR_RETURN(Tensor q, PrepareQuery(query));
-  return ProbePrepared(q, std::min(num_probes, num_lists()), min_candidates,
-                       selection);
-}
-
-StatusOr<IvfIndex::SearchResult> IvfIndex::Search(const Tensor& query,
-                                                  int64_t k,
-                                                  int64_t num_probes) const {
-  if (k < 0) {
-    return Status::InvalidArgument("k must be non-negative, got " +
-                                   std::to_string(k));
-  }
-  if (num_probes <= 0) {
-    return Status::InvalidArgument("num_probes must be positive, got " +
-                                   std::to_string(num_probes));
-  }
-  TDP_ASSIGN_OR_RETURN(Tensor q, PrepareQuery(query));
-  const std::vector<int64_t> candidates =
-      ProbePrepared(q, std::min(num_probes, num_lists()),
-                    /*min_candidates=*/k);
-  if (k == 0 || candidates.empty()) {
-    return SearchResult{Tensor::Empty({0}, DType::kInt64),
-                        Tensor::Empty({0}, DType::kFloat32)};
-  }
-
-  // Exact scoring of the candidate set; candidates are in ascending row
-  // order, so the stable descending sort breaks ties toward lower row ids
-  // — the same tie order a stable ORDER BY over the full relation yields.
-  const Tensor cand_ids =
-      Tensor::FromVector(candidates, {}, data_.device());
-  const Tensor cand_rows = IndexSelect(data_, 0, cand_ids);
-  const Tensor scores = Squeeze(MatMul(cand_rows, q), 1);
-  const Tensor order = ArgSort(scores, /*descending=*/true);
-  const int64_t out_k = std::min<int64_t>(k, scores.numel());
-  const Tensor top = Slice(order, 0, 0, out_k).Contiguous();
-
-  SearchResult result;
-  result.indices = IndexSelect(cand_ids, 0, top);
-  result.scores = IndexSelect(scores, 0, top).To(DType::kFloat32);
-  return result;
-}
-
-double IvfIndex::ScanFraction(int64_t num_probes) const {
-  num_probes = std::clamp<int64_t>(num_probes, 1, num_lists());
-  // Average over cells visited assuming uniform query distribution: use
-  // actual list sizes of the largest `num_probes` cells as a bound.
-  std::vector<size_t> sizes;
-  sizes.reserve(lists_.size());
-  for (const auto& list : lists_) sizes.push_back(list.size());
-  std::sort(sizes.rbegin(), sizes.rend());
-  size_t scanned = 0;
-  for (int64_t p = 0; p < num_probes; ++p) {
-    scanned += sizes[static_cast<size_t>(p)];
-  }
-  return static_cast<double>(scanned) /
-         static_cast<double>(std::max<int64_t>(num_rows(), 1));
 }
 
 }  // namespace index

@@ -17,11 +17,12 @@ namespace index {
 /// top-k queries", §5.1).
 ///
 /// Build: k-means over the [n, d] embedding rows partitions them into
-/// `num_lists` cells. Search: score the query against the centroids,
-/// visit only the `num_probes` closest cells, and rank their members
-/// exactly. With num_probes == num_lists the search is exact; fewer
-/// probes trade recall for time (the ablation_topk_index bench sweeps
-/// this).
+/// `num_lists` cells. The index keeps only the centroids and each cell's
+/// row ids, never the embeddings: the SQL `IndexTopK` operator asks it
+/// which rows to rank (`ProbeCandidates`) and scores those rows itself,
+/// from the table. Probing every cell yields every row, so the ranking is
+/// exact; fewer probes trade recall for time (the ablation_topk_index
+/// bench sweeps this).
 class IvfIndex {
  public:
   struct Options {
@@ -30,23 +31,9 @@ class IvfIndex {
   };
 
   /// Builds over `embeddings` [n, d] (rows should be L2-normalized for
-  /// inner-product search). The index snapshots the data.
+  /// inner-product search). The index keeps no copy of the rows.
   static StatusOr<IvfIndex> Build(const Tensor& embeddings,
                                   const Options& options, Rng& rng);
-
-  struct SearchResult {
-    Tensor indices;  // [k] kInt64 row ids, best first
-    Tensor scores;   // [k] float32 inner products
-  };
-
-  /// Approximate top-k by inner product with `query` (any shape with
-  /// exactly d elements). `k == 0` yields an empty result; `k < 0` and
-  /// `num_probes <= 0` are InvalidArgument; `k > num_rows()` and
-  /// `num_probes > num_lists()` clamp. Ties break toward lower row ids
-  /// (candidates are scored in ascending row order under a stable sort),
-  /// matching the engine's stable ORDER BY.
-  StatusOr<SearchResult> Search(const Tensor& query, int64_t k,
-                                int64_t num_probes) const;
 
   /// Derives a new index over this index's rows plus `new_rows` ([m, d]):
   /// each appended row joins the cell of its nearest existing centroid —
@@ -77,13 +64,13 @@ class IvfIndex {
   /// floor counts selected rows only — so a filtered top-k keeps its
   /// survivor floor no matter how the survivors cluster. With full probes
   /// the result is exactly the ascending selected row ids. This is the
-  /// pre-filter strategy's probe (see exec::VectorSearchStrategy).
+  /// probe the IndexTopK operator makes over its predicate's survivors.
   StatusOr<std::vector<int64_t>> ProbeCandidates(
       const Tensor& query, int64_t num_probes, int64_t min_candidates = 0,
       const std::vector<uint8_t>* selection = nullptr) const;
 
   int64_t num_lists() const { return centroids_.size(0); }
-  int64_t num_rows() const { return data_.size(0); }
+  int64_t num_rows() const { return num_rows_; }
 
   /// True when every indexed row is (approximately) L2-normalized.
   /// Probing ranks cells by raw inner product against the centroids; for
@@ -93,26 +80,12 @@ class IvfIndex {
   /// probes every cell — exact results — when this is false.
   bool rows_unit_norm() const { return rows_unit_norm_; }
 
-  /// Fraction of rows scanned for a given probe count (cost model).
-  double ScanFraction(int64_t num_probes) const;
-
  private:
   IvfIndex() = default;
 
-  /// Validates the query's element count and converts it once to the
-  /// [d, 1] float32 column matrix both probing and scoring multiply by.
-  StatusOr<Tensor> PrepareQuery(const Tensor& query) const;
-
-  /// ProbeCandidates over an already-prepared query (no re-validation or
-  /// re-conversion; `num_probes` must be in [1, num_lists]; `selection`
-  /// null or sized num_rows()).
-  std::vector<int64_t> ProbePrepared(
-      const Tensor& q, int64_t num_probes, int64_t min_candidates,
-      const std::vector<uint8_t>* selection = nullptr) const;
-
-  Tensor data_;       // [n, d] snapshot
   Tensor centroids_;  // [lists, d]
   std::vector<std::vector<int64_t>> lists_;  // row ids per cell
+  int64_t num_rows_ = 0;
   bool rows_unit_norm_ = false;
 };
 

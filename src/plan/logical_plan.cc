@@ -132,12 +132,10 @@ std::string DistinctNode::Describe() const { return "Distinct"; }
 
 std::string IndexTopKNode::Describe() const {
   // Filtered searches render their cost-rule strategy (and predicate) so
-  // EXPLAIN shows which of pre_filter/post_filter/brute the plan chose;
-  // the unfiltered rendering is unchanged from PR 5.
+  // EXPLAIN shows whether the plan filters or probes first.
   std::string out =
-      predicate ? "FilteredIndexTopK(strategy=" +
-                      std::string(exec::VectorSearchStrategyName(strategy)) +
-                      ", "
+      predicate ? std::string("FilteredIndexTopK(strategy=") +
+                      (post_filter ? "post_filter" : "pre_filter") + ", "
                 : "IndexTopK(";
   out += table_name + "." + column_name + ", k=" + std::to_string(k) +
          ", sim=" + exprs[static_cast<size_t>(sim_ordinal)]->display_name;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/exec/bound_expr.h"
-#include "src/exec/vector_search.h"
 #include "src/storage/table.h"
 #include "src/udf/registry.h"
 
@@ -167,16 +166,18 @@ struct DistinctNode : LogicalNode {
 /// lives in `exprs`; `exprs[sim_ordinal]` is the similarity expression the
 /// Sort keyed on; absorbed WHERE conjuncts (bound against the scan frame,
 /// like `exprs`) live in `predicate` (null when unfiltered). Execution
-/// probes the index for candidate rows — under the compile-chosen (or
-/// per-run forced) `strategy` when a predicate is present — re-ranks them
-/// EXACTLY with `exprs[sim_ordinal]` plus any `extra_keys` (row-local, so
-/// candidate-subset scores match full-relation scores bit for bit), and
-/// projects the winners. At full probe count the candidate set is every
-/// (surviving) row and the result is bit-identical to the exact
-/// Filter+Sort+Limit plan it replaced. When the run's catalog snapshot no
-/// longer holds a valid index (the table was re-registered after
-/// compilation), the operator falls back to that exact plan shape instead
-/// of failing.
+/// gathers candidate rows in one of two ways: by default the rows that
+/// pass the predicate, narrowed by one index probe when the budget is
+/// partial and more than k rows pass; or, for a `post_filter` plan at a
+/// partial budget, by probing first and filtering the probed rows. It
+/// projects the candidates and ranks them EXACTLY by `exprs[sim_ordinal]`
+/// plus any `extra_keys` (row-local, so candidate-subset scores match
+/// full-relation scores bit for bit), keeping the first k. At full
+/// probe count the candidates are every surviving row and the result is
+/// bit-identical to the exact Filter+Sort+Limit plan it replaced. When
+/// the run's catalog snapshot no longer holds a valid index (the table was
+/// re-registered after compilation), the operator ranks every surviving
+/// row — that exact plan's result — instead of failing.
 struct IndexTopKNode : LogicalNode {
   IndexTopKNode() : LogicalNode(NodeKind::kIndexTopK) {}
   std::string table_name;          // scanned table (index lookup key)
@@ -186,11 +187,10 @@ struct IndexTopKNode : LogicalNode {
   std::vector<exec::BoundExprPtr> exprs;  // absorbed projection
   /// Absorbed WHERE predicate over the scan frame; null = unfiltered.
   exec::BoundExprPtr predicate;
-  /// Cost-rule strategy choice for a filtered search (never kAuto on a
-  /// compiled plan; meaningless when `predicate` is null). A run may
-  /// override it via `RunOptions::vector_search.strategy`.
-  exec::VectorSearchStrategy strategy =
-      exec::VectorSearchStrategy::kPostFilter;
+  /// The cost rule's choice for a filtered search: probe first and filter
+  /// the probed rows (true), or filter first (false). Meaningless when
+  /// `predicate` is null.
+  bool post_filter = false;
   /// Secondary sort keys after the similarity (a multi-key
   /// `ORDER BY sim DESC, tiebreak, ...`): ordinal into `exprs` plus
   /// direction. The sim expression stays the primary key.

@@ -474,12 +474,12 @@ void ChooseJoinBuildSides(LogicalNode& node, const Catalog& catalog) {
 //     bodies are whole-batch programs, and IndexTopK evaluates
 //     expressions over candidate subsets only. The predicates are
 //     absorbed into the node (ANDed; all are bound against the scan
-//     frame) and a cost rule picks the filtered-search strategy from
-//     selectivity estimates:
-//       expected survivors < 2k      -> brute (index can't win),
-//       selectivity < 1/2            -> pre_filter (prune before probing),
-//       otherwise                    -> post_filter (probe, then filter,
-//                                       widening to a survivor floor).
+//     frame) and a cost rule picks the filtered-search strategy from the
+//     predicate's estimated selectivity:
+//       selectivity < 1/2 -> pre_filter (filter first; probe only when
+//                            more than k rows survive),
+//       otherwise         -> post_filter (probe, then filter, widening
+//                            to a survivor floor).
 // Anything above the Sort (OFFSET Limit, hidden-sort-column cleanup
 // Project) is untouched: IndexTopK emits exactly the rows the fused Sort
 // would have (an OFFSET arrives here pre-fused as k = offset + limit).
@@ -567,24 +567,15 @@ LogicalNodePtr RewriteIndexTopK(LogicalNodePtr node, const Catalog& catalog) {
       SplitConjuncts(std::move(filter->predicate), conjuncts);
     }
     topk->predicate = CombineConjuncts(std::move(conjuncts));
-    // Cost rule: pick the strategy from the estimated survivor count.
-    // The choice is compile-time state (EXPLAIN renders it; plans are
-    // immutable) — a run can override it via RunOptions::vector_search.
+    // Cost rule: probe first when the predicate is estimated to keep at
+    // least half the rows. The choice is compile-time state (EXPLAIN
+    // renders it; plans are immutable).
     std::shared_ptr<Table> table;
     auto resolved = catalog.GetTable(scan.table_name);
     if (resolved.ok()) table = *resolved;
-    const double selectivity =
-        EstimateSelectivity(*topk->predicate, &scan.schema, table.get());
-    const double rows =
-        table != nullptr ? static_cast<double>(table->num_rows()) : 0.0;
-    const double survivors = selectivity * rows;
-    if (survivors < 2.0 * static_cast<double>(topk->k)) {
-      topk->strategy = exec::VectorSearchStrategy::kBrute;
-    } else if (selectivity < 0.5) {
-      topk->strategy = exec::VectorSearchStrategy::kPreFilter;
-    } else {
-      topk->strategy = exec::VectorSearchStrategy::kPostFilter;
-    }
+    topk->post_filter =
+        EstimateSelectivity(*topk->predicate, &scan.schema, table.get()) >=
+        0.5;
   }
   // The Scan child: the innermost filter's child when filters were
   // absorbed, the project's child otherwise.

@@ -32,9 +32,8 @@ namespace plan {
 ///      scan, optionally under WHERE filters) becomes an `IndexTopKNode`
 ///      when the catalog holds a valid vector index on `col`. Filtered
 ///      searches absorb the predicate and carry a cost-rule strategy
-///      (pre_filter / post_filter / brute, chosen from selectivity
-///      estimates; `exec::RunOptions::vector_search.strategy` overrides
-///      per run). Preconditions and exactness guarantees are documented
+///      (pre_filter below an estimated selectivity of 1/2, post_filter
+///      from there). Preconditions and exactness guarantees are documented
 ///      at the rule; with no usable index (or after the table is
 ///      re-registered, which invalidates it) the plan keeps the exact
 ///      Sort+Limit shape.

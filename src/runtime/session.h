@@ -98,9 +98,8 @@ class Session {
   /// queries). Once installed, `ORDER BY dot(column, ?) DESC LIMIT k` (and
   /// `cosine_sim`) — optionally under a WHERE predicate — compiles to the
   /// IndexTopK/FilteredIndexTopK operator instead of a full Sort;
-  /// `exec::RunOptions::vector_search` trades recall for speed and forces
-  /// filtered-search strategies per run (the default probes every cell —
-  /// exact results). Re-registering the
+  /// `exec::RunOptions::vector_search` trades recall for speed per run
+  /// (the default probes every cell — exact results). Re-registering the
   /// table invalidates the index: affected queries fall back to the exact
   /// Sort+Limit plan until the index is rebuilt. Fails with ExecutionError
   /// if a re-registration races the build (retry over the new data).

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/exec/operator_kernels.h"
 #include "src/exec/run_options.h"
 #include "src/runtime/session.h"
 #include "src/tensor/ops.h"
@@ -303,6 +304,53 @@ TEST_F(ExecEdgeTest, StringColumnUsedAsNumberIsATypeError) {
   auto by_string = (*query)->Run({exec::ScalarValue::String("a")});
   ASSERT_TRUE(by_string.ok()) << by_string.status().ToString();
   EXPECT_EQ((*by_string)->num_rows(), 2);
+}
+
+// MergeAggInputs concatenates a column that several aggregates (or a key
+// and an aggregate) read once, and hands every reader the same buffer; a
+// column shared in only some parts is merged per reader.
+TEST(MergeAggInputsTest, SharedColumnsAreMergedOnce) {
+  const auto part = [](std::vector<int64_t> keys, std::vector<float> x,
+                       std::vector<float> y) {
+    exec::AggInputs in;
+    in.rows = static_cast<int64_t>(keys.size());
+    const Column key = Column::Plain(Tensor::FromVector(keys));
+    const Column xs = Column::Plain(Tensor::FromVector(x));
+    // MIN(x), MAX(x), MIN(k), SUM(y), COUNT(*)
+    in.key_columns = {key};
+    in.arg_columns = {xs, xs, key, Column::Plain(Tensor::FromVector(y)),
+                      Column()};
+    return in;
+  };
+  const exec::AggInputs a = part({1, 2}, {0.5f, 1.5f}, {1, 2});
+  const exec::AggInputs b = part({3, 4, 5}, {2.5f, 3.5f, 4.5f}, {3, 4, 5});
+  const exec::AggInputs merged = exec::MergeAggInputs({&a, &b});
+
+  EXPECT_EQ(merged.rows, 5);
+  ASSERT_EQ(merged.arg_columns.size(), 5u);
+  const auto buffer = [](const Column& c) {
+    return c.data().data<float>();
+  };
+  EXPECT_EQ(buffer(merged.arg_columns[0]), buffer(merged.arg_columns[1]));
+  EXPECT_EQ(merged.arg_columns[2].data().impl(),
+            merged.key_columns[0].data().impl());
+  EXPECT_NE(buffer(merged.arg_columns[3]), buffer(merged.arg_columns[0]));
+  EXPECT_FALSE(merged.arg_columns[4].defined());
+  EXPECT_EQ(merged.arg_columns[0].data().ToVector<float>(),
+            (std::vector<float>{0.5f, 1.5f, 2.5f, 3.5f, 4.5f}));
+  EXPECT_EQ(merged.key_columns[0].data().ToVector<int64_t>(),
+            (std::vector<int64_t>{1, 2, 3, 4, 5}));
+
+  // Shared in the first part only: each argument gets its own merge.
+  exec::AggInputs c = b;
+  c.arg_columns[1] = Column::Plain(Tensor::FromVector(
+      std::vector<float>{7.5f, 8.5f, 9.5f}));
+  const exec::AggInputs apart = exec::MergeAggInputs({&a, &c});
+  EXPECT_NE(buffer(apart.arg_columns[0]), buffer(apart.arg_columns[1]));
+  EXPECT_EQ(apart.arg_columns[0].data().ToVector<float>(),
+            (std::vector<float>{0.5f, 1.5f, 2.5f, 3.5f, 4.5f}));
+  EXPECT_EQ(apart.arg_columns[1].data().ToVector<float>(),
+            (std::vector<float>{0.5f, 1.5f, 7.5f, 8.5f, 9.5f}));
 }
 
 }  // namespace

@@ -9,13 +9,16 @@
 //
 // The contract under test, per predicate x k:
 //   - FULL probe budgets (default 0 and an over-clamped 1000): the indexed
-//     plan is bit-identical to the exact plan — under every forced
-//     strategy (pre_filter / post_filter / brute) and the plan's own
-//     cost-rule choice, across morsel sizes {1, 7, 4096, whole-input}.
-//   - PARTIAL budgets (num_probes=1, max_widening_rounds in {0, 8}): the
-//     row count never drops below min(k, survivors) — the widening loop
-//     tops the candidate pool up — every returned row satisfies the
-//     predicate, and the sim column is non-increasing.
+//     plan is bit-identical to the exact plan across morsel sizes
+//     {1, 7, 4096, whole-input}.
+//   - a PARTIAL budget (num_probes=1): the row count never drops below
+//     min(k, survivors), every returned row satisfies the predicate, and
+//     the sim column is non-increasing.
+// The predicates reach both strategies the cost rule picks (pre_filter
+// and post_filter, checked through EXPLAIN), each with survivor counts on
+// both sides of k — so the pre-filter run both narrows its survivors
+// with a probe and ranks them without one, and the post-filter run both
+// stops early and widens to every cell.
 //
 // Like dml_differential, the suite registers twice: TDP_NUM_THREADS=1 and
 // a _mt variant at 4 kernel threads (see CMakeLists), and rides in the
@@ -25,13 +28,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/exec/run_options.h"
-#include "src/exec/vector_search.h"
 #include "src/index/ivf_index.h"
 #include "src/runtime/session.h"
 #include "src/storage/table.h"
@@ -43,7 +47,6 @@ namespace {
 
 using exec::RunOptions;
 using exec::ScalarValue;
-using exec::VectorSearchStrategy;
 
 // A SQL predicate over the `id` column paired with its oracle.
 struct Predicate {
@@ -53,7 +56,8 @@ struct Predicate {
 
 // Random predicates across the selectivity spectrum: modular equality
 // (~1/m), range (< / >=), conjunction (AND), disjunction (OR), inequality
-// (~0.9), and a never-true range for the zero-survivor edge.
+// (~0.9), a never-true range for the zero-survivor edge, and a negated
+// range the cost rule estimates at 0.7 although at most 16 rows pass.
 std::vector<Predicate> MakePredicates(Rng& rng, int64_t n) {
   std::vector<Predicate> preds;
   {
@@ -87,6 +91,11 @@ std::vector<Predicate> MakePredicates(Rng& rng, int64_t n) {
                      [x](int64_t id) { return id != x; }});
   }
   preds.push_back({"id < 0", [](int64_t) { return false; }});
+  {
+    const int64_t cut = rng.UniformInt(0, 16);
+    preds.push_back({"NOT (id >= " + std::to_string(cut) + ")",
+                     [cut](int64_t id) { return id < cut; }});
+  }
   return preds;
 }
 
@@ -128,6 +137,9 @@ TEST_P(FilteredTopKDifferentialTest, FilteredSearchAgreesWithExactPlan) {
   ASSERT_TRUE(reference.RegisterTable("vecs", data).ok());
 
   const std::vector<Predicate> preds = MakePredicates(rng, n);
+  // Per planned strategy: whether some case had more than k survivors,
+  // and whether some had k or fewer.
+  std::map<std::string, std::pair<bool, bool>> sides_of_k;
 
   for (const Predicate& pred : preds) {
     int64_t survivors = 0;
@@ -148,16 +160,19 @@ TEST_P(FilteredTopKDifferentialTest, FilteredSearchAgreesWithExactPlan) {
                                  << expected.status().ToString();
       ASSERT_EQ((*expected)->num_rows(), std::min(k, survivors)) << what;
 
-      // The indexed plan really is the filtered-index shape (except the
-      // never-true predicate is still rewritten — brute or not — so no
-      // sub-case escapes the operator under test).
+      // The indexed plan really is the filtered-index shape, and names
+      // the strategy the cost rule chose.
       auto plan = indexed.Explain(sql);
       ASSERT_TRUE(plan.ok()) << what;
-      ASSERT_NE(plan->find("FilteredIndexTopK"), std::string::npos)
-          << what << "\n" << *plan;
+      const size_t at = plan->find("FilteredIndexTopK(strategy=");
+      ASSERT_NE(at, std::string::npos) << what << "\n" << *plan;
+      const size_t from = plan->find('=', at) + 1;
+      const std::string strategy =
+          plan->substr(from, plan->find(',', from) - from);
+      auto& [above_k, within_k] = sides_of_k[strategy];
+      (survivors > k ? above_k : within_k) = true;
 
-      // Full budgets: bit-identity across morsel sizes (cost-rule
-      // strategy) and across every forced strategy (whole-input morsels).
+      // Full budgets: bit-identity across morsel sizes.
       for (const int64_t morsel : kMorselSizes) {
         for (const int64_t probes : {int64_t{0}, int64_t{1000}}) {
           RunOptions run = testutil::WithParams(params);
@@ -171,49 +186,37 @@ TEST_P(FilteredTopKDifferentialTest, FilteredSearchAgreesWithExactPlan) {
           testutil::ExpectTablesBitIdentical(**expected, **got, config);
         }
       }
-      for (const auto strategy :
-           {VectorSearchStrategy::kPreFilter, VectorSearchStrategy::kPostFilter,
-            VectorSearchStrategy::kBrute}) {
-        RunOptions run = testutil::WithParams(params);
-        run.vector_search.strategy = strategy;
-        auto got = indexed.Sql(sql, {}, run);
-        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-        testutil::ExpectTablesBitIdentical(
-            **expected, **got,
-            what + " strategy=" +
-                std::string(exec::VectorSearchStrategyName(strategy)));
-      }
 
-      // Partial budgets: the survivor floor holds, rows satisfy the
+      // A partial budget: the survivor floor holds, rows satisfy the
       // predicate, and scores are non-increasing. (Recall may differ from
       // exact — row MEMBERSHIP is not pinned, only the contract.)
-      for (const auto strategy : {VectorSearchStrategy::kPreFilter,
-                                  VectorSearchStrategy::kPostFilter}) {
-        for (const int64_t rounds : {int64_t{0}, int64_t{8}}) {
-          RunOptions run = testutil::WithParams(params);
-          run.vector_search.num_probes = 1;
-          run.vector_search.strategy = strategy;
-          run.vector_search.max_widening_rounds = rounds;
-          auto got = indexed.Sql(sql, {}, run);
-          ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-          const std::string sub =
-              what + " partial strategy=" +
-              std::string(exec::VectorSearchStrategyName(strategy)) +
-              " rounds=" + std::to_string(rounds);
-          ASSERT_EQ((*got)->num_rows(), std::min(k, survivors)) << sub;
-          const Tensor ids = (*got)->column(0).data().Contiguous();
-          const Tensor sims = (*got)->column(1).data().Contiguous();
-          for (int64_t i = 0; i < (*got)->num_rows(); ++i) {
-            EXPECT_TRUE(pred.fn(static_cast<int64_t>(ids.At({i}))))
-                << sub << " row " << i;
-            if (i > 0) {
-              EXPECT_GE(sims.At({i - 1}), sims.At({i})) << sub << " row "
-                                                        << i;
-            }
-          }
+      RunOptions run = testutil::WithParams(params);
+      run.vector_search.num_probes = 1;
+      auto got = indexed.Sql(sql, {}, run);
+      ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+      const std::string sub = what + " partial strategy=" + strategy;
+      ASSERT_EQ((*got)->num_rows(), std::min(k, survivors)) << sub;
+      const Tensor ids = (*got)->column(0).data().Contiguous();
+      const Tensor sims = (*got)->column(1).data().Contiguous();
+      for (int64_t i = 0; i < (*got)->num_rows(); ++i) {
+        EXPECT_TRUE(pred.fn(static_cast<int64_t>(ids.At({i}))))
+            << sub << " row " << i;
+        if (i > 0) {
+          EXPECT_GE(sims.At({i - 1}), sims.At({i})) << sub << " row " << i;
         }
       }
     }
+  }
+
+  for (const char* strategy : {"pre_filter", "post_filter"}) {
+    ASSERT_TRUE(sides_of_k.contains(strategy))
+        << "seed " << seed << " never planned " << strategy;
+    EXPECT_TRUE(sides_of_k[strategy].first)
+        << "seed " << seed << ": no " << strategy
+        << " case with more than k survivors";
+    EXPECT_TRUE(sides_of_k[strategy].second)
+        << "seed " << seed << ": no " << strategy
+        << " case with k or fewer survivors";
   }
 }
 

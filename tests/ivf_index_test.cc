@@ -41,44 +41,26 @@ TEST(IvfIndexTest, BuildValidatesInput) {
           .ok());
 }
 
-TEST(IvfIndexTest, FullProbeSearchIsExact) {
+TEST(IvfIndexTest, FullBudgetProbesEveryRowAscending) {
   Rng rng(2);
   Tensor data = MakeClusteredData(200, 16, 8, rng);
   IvfIndex::Options options;
   options.num_lists = 8;
   auto built = IvfIndex::Build(data, options, rng);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(built->num_rows(), 200);
 
   Tensor query = L2Normalize(RandNormal({1, 16}, 0, 1, rng), 1).Squeeze(0);
-  auto result = built->Search(query, 10, /*num_probes=*/8);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->indices.numel(), 10);
-
-  const std::set<int64_t> exact = BruteForceTopK(data, query, 10);
-  int hits = 0;
-  for (int64_t i = 0; i < 10; ++i) {
-    if (exact.contains(static_cast<int64_t>(result->indices.At({i})))) {
-      ++hits;
-    }
-  }
-  EXPECT_EQ(hits, 10) << "probing every cell must recover the exact top-k";
-}
-
-TEST(IvfIndexTest, ScoresAreSortedDescending) {
-  Rng rng(3);
-  Tensor data = MakeClusteredData(150, 8, 6, rng);
-  IvfIndex::Options options;
-  options.num_lists = 6;
-  auto built = IvfIndex::Build(data, options, rng);
-  ASSERT_TRUE(built.ok());
-  Tensor query = L2Normalize(RandNormal({1, 8}, 0, 1, rng), 1).Squeeze(0);
-  auto result = built->Search(query, 20, 3);
-  ASSERT_TRUE(result.ok());
-  for (int64_t i = 1; i < result->scores.numel(); ++i) {
-    EXPECT_GE(result->scores.At({i - 1}), result->scores.At({i}));
+  auto candidates = built->ProbeCandidates(query, /*num_probes=*/8);
+  ASSERT_TRUE(candidates.ok());
+  ASSERT_EQ(candidates->size(), 200u);
+  for (int64_t i = 0; i < 200; ++i) {
+    EXPECT_EQ((*candidates)[static_cast<size_t>(i)], i);
   }
 }
 
+// The candidates of a partial probe hold most of the exact top-k; since
+// the IndexTopK operator ranks candidates exactly, this is its recall.
 TEST(IvfIndexTest, PartialProbesHaveHighRecallOnClusteredData) {
   Rng rng(4);
   Tensor data = MakeClusteredData(600, 16, 12, rng);
@@ -99,31 +81,34 @@ TEST(IvfIndexTest, PartialProbesHaveHighRecallOnClusteredData) {
                     1)
             .Squeeze(0)
             .Contiguous();
-    auto result = built->Search(query, 10, /*num_probes=*/3);
-    ASSERT_TRUE(result.ok());
-    const std::set<int64_t> exact = BruteForceTopK(data, query, 10);
-    for (int64_t i = 0; i < result->indices.numel(); ++i) {
-      if (exact.contains(static_cast<int64_t>(result->indices.At({i})))) {
-        recall += 1;
-      }
+    auto candidates = built->ProbeCandidates(query, /*num_probes=*/3, 10);
+    ASSERT_TRUE(candidates.ok());
+    EXPECT_LT(candidates->size(), 600u);
+    const std::set<int64_t> probed(candidates->begin(), candidates->end());
+    for (int64_t id : BruteForceTopK(data, query, 10)) {
+      if (probed.contains(id)) recall += 1;
     }
   }
   recall /= kQueries * 10;
   EXPECT_GT(recall, 0.8) << "IVF recall@10 with 3/12 probes";
 }
 
-TEST(IvfIndexTest, ScanFractionShrinksWithFewerProbes) {
+TEST(IvfIndexTest, FewerProbesCollectFewerRows) {
   Rng rng(5);
   Tensor data = MakeClusteredData(400, 8, 10, rng);
   IvfIndex::Options options;
   options.num_lists = 10;
   auto built = IvfIndex::Build(data, options, rng);
   ASSERT_TRUE(built.ok());
-  EXPECT_LT(built->ScanFraction(2), built->ScanFraction(10));
-  EXPECT_DOUBLE_EQ(built->ScanFraction(10), 1.0);
+  Tensor query = L2Normalize(RandNormal({1, 8}, 0, 1, rng), 1).Squeeze(0);
+  auto two = built->ProbeCandidates(query, 2);
+  auto all = built->ProbeCandidates(query, 10);
+  ASSERT_TRUE(two.ok() && all.ok());
+  EXPECT_LT(two->size(), all->size());
+  EXPECT_EQ(all->size(), 400u);
 }
 
-TEST(IvfIndexTest, KLargerThanCandidatesIsClamped) {
+TEST(IvfIndexTest, FloorAboveRowCountReturnsEveryRow) {
   Rng rng(6);
   Tensor data = MakeClusteredData(20, 4, 4, rng);
   IvfIndex::Options options;
@@ -131,10 +116,31 @@ TEST(IvfIndexTest, KLargerThanCandidatesIsClamped) {
   auto built = IvfIndex::Build(data, options, rng);
   ASSERT_TRUE(built.ok());
   Tensor query = L2Normalize(RandNormal({1, 4}, 0, 1, rng), 1).Squeeze(0);
-  auto result = built->Search(query, 100, 1);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result->indices.numel(), 20);
-  EXPECT_GT(result->indices.numel(), 0);
+  auto candidates = built->ProbeCandidates(query, 1, /*min_candidates=*/100);
+  ASSERT_TRUE(candidates.ok());
+  ASSERT_EQ(candidates->size(), 20u);
+  for (int64_t i = 0; i < 20; ++i) {
+    EXPECT_EQ((*candidates)[static_cast<size_t>(i)], i);
+  }
+}
+
+TEST(IvfIndexTest, AppendedRowsJoinTheProbe) {
+  Rng rng(7);
+  Tensor data = MakeClusteredData(50, 4, 4, rng);
+  IvfIndex::Options options;
+  options.num_lists = 4;
+  auto built = IvfIndex::Build(data, options, rng);
+  ASSERT_TRUE(built.ok());
+  auto grown = built->WithAppended(MakeClusteredData(5, 4, 2, rng));
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_EQ(built->num_rows(), 50);
+  EXPECT_EQ(grown->num_rows(), 55);
+  Tensor query = L2Normalize(RandNormal({1, 4}, 0, 1, rng), 1).Squeeze(0);
+  auto candidates = grown->ProbeCandidates(query, 4);
+  ASSERT_TRUE(candidates.ok());
+  ASSERT_EQ(candidates->size(), 55u);
+  EXPECT_EQ(candidates->back(), 54);
+  EXPECT_FALSE(built->WithAppended(Tensor::Ones({2, 3})).ok());
 }
 
 }  // namespace

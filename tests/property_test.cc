@@ -4,11 +4,13 @@
 //  - gradients of Sum through any op composition match finite differences
 //  - encode/decode round trips (dictionary, PE)
 //  - sort/unique algebraic invariants
-//  - IVF full-probe search == brute-force stable ranking (any n, d, k)
+//  - a full-budget IVF probe collects every selected row, ascending
+//    (any n, d, lists, selection)
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/exec/soft_ops.h"
@@ -187,18 +189,21 @@ TEST_P(PropertyTest, BroadcastAddCommutesAndMatchesManual) {
   }
 }
 
-// Full-probe IVF search must equal the brute-force stable descending
-// ranking — indices AND order — for arbitrary (n, d, k, lists) shapes,
-// including duplicate rows (ties resolve toward lower row ids under both).
-TEST_P(PropertyTest, IvfFullProbeEqualsBruteForceRanking) {
+// A full-budget IVF probe must collect exactly the selected rows in
+// ascending order — every row without a selection — for arbitrary
+// (n, d, lists) shapes, including duplicate rows. The IndexTopK
+// operator's exactness rests on this: it ranks ascending candidates with
+// the ORDER BY comparator, so candidates equal to the surviving rows make
+// its result the exact plan's.
+TEST_P(PropertyTest, IvfFullBudgetCandidatesAreEverySelectedRow) {
   Rng rng = MakeRng();
   const int64_t n = rng.UniformInt(5, 150);
   const int64_t dim = rng.UniformInt(2, 12);
   const int64_t lists = rng.UniformInt(1, 12);
-  const int64_t k = rng.UniformInt(1, n + 3);
+  const int64_t floor = rng.UniformInt(0, n + 3);
   Tensor data = L2Normalize(RandNormal({n, dim}, 0, 1, rng), 1);
   if (rng.Bernoulli(0.5) && n >= 4) {
-    // Inject duplicate rows: ties must break identically on both sides.
+    // Inject duplicate rows: they share a cell and must both come back.
     for (int64_t d = 0; d < dim; ++d) {
       data.SetAt({1, d}, data.At({0, d}));
       data.SetAt({3, d}, data.At({2, d}));
@@ -211,17 +216,22 @@ TEST_P(PropertyTest, IvfFullProbeEqualsBruteForceRanking) {
 
   const Tensor query =
       L2Normalize(RandNormal({1, dim}, 0, 1, rng), 1).Squeeze(0).Contiguous();
-  auto result = built->Search(query, k, built->num_lists());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  const Tensor scores =
-      Squeeze(MatMul(data, Reshape(query, {dim, 1})), 1);
-  const Tensor order = ArgSort(scores, /*descending=*/true);  // stable
-  const int64_t expect_k = std::min(k, n);
-  ASSERT_EQ(result->indices.numel(), expect_k);
-  for (int64_t i = 0; i < expect_k; ++i) {
-    EXPECT_EQ(result->indices.At({i}), order.At({i})) << "rank " << i;
+  std::vector<uint8_t> selection(static_cast<size_t>(n));
+  std::vector<int64_t> selected;
+  for (int64_t i = 0; i < n; ++i) {
+    selection[static_cast<size_t>(i)] = rng.Bernoulli(0.4) ? 1 : 0;
+    if (selection[static_cast<size_t>(i)]) selected.push_back(i);
   }
+  std::vector<int64_t> every_row(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) every_row[static_cast<size_t>(i)] = i;
+
+  auto all = built->ProbeCandidates(query, built->num_lists(), floor);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(*all, every_row);
+  auto chosen =
+      built->ProbeCandidates(query, built->num_lists(), floor, &selection);
+  ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
+  EXPECT_EQ(*chosen, selected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest,
