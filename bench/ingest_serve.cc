@@ -10,6 +10,10 @@
 //     sealed segments (rows_per_second across batch sizes).
 //   - BM_UpdatePoint / BM_DeleteInsertChurn: in-place rewrite and
 //     bitmap-delete cost on a serving-sized table.
+//   - BM_ReadAfterDelete: the first point read of each version a DELETE
+//     installs, on a CPU table under an accel plan, timed alone. It stays
+//     a point read's cost because the DELETE builds the live view and the
+//     scan retags columns instead of copying them.
 //   - BM_IngestWhileServing at ->Threads(4/8): thread 0 ingests, the rest
 //     serve cached point aggregates; reader throughput under write churn
 //     vs. BM_ReadOnlyBaseline at the same thread count is the headline
@@ -118,6 +122,33 @@ void BM_DeleteInsertChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_DeleteInsertChurn)->UseRealTime();
+
+/// Each iteration runs an INSERT and a DELETE untimed, then times one
+/// point read of the version they installed. The session's tables sit on
+/// the CPU and its plans compile for accel, so the read's scan crosses
+/// devices.
+void BM_ReadAfterDelete(benchmark::State& state) {
+  auto session = MakeIngestSession();
+  auto ins = session->Prepare("INSERT INTO base VALUES (?, 1, 'churn')");
+  auto del = session->Prepare("DELETE FROM base WHERE id = ?");
+  auto read = session->Prepare("SELECT val FROM base WHERE id = ?");
+  TDP_CHECK(ins.ok() && del.ok() && read.ok());
+  int64_t id = BaseRows();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto r1 = (*ins)->Run({ScalarValue::Int(id)});
+    TDP_CHECK(r1.ok()) << r1.status().ToString();
+    auto r2 = (*del)->Run({ScalarValue::Int(id - BaseRows())});
+    TDP_CHECK(r2.ok()) << r2.status().ToString();
+    state.ResumeTiming();
+    auto r = (*read)->Run({ScalarValue::Int(id)});
+    TDP_CHECK(r.ok()) << r.status().ToString();
+    benchmark::DoNotOptimize(r);
+    ++id;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReadAfterDelete)->UseRealTime();
 
 // ---- Ingest-while-serving ---------------------------------------------------
 

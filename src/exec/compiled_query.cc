@@ -192,9 +192,9 @@ ExecContext CompiledQuery::MakeContext(const RunOptions& options,
   ctx.cancel = cancel;
   ctx.morsel_fault =
       options.inject_morsel_fault ? &options.inject_morsel_fault : nullptr;
-  // The plan-lifetime primitive cache (reusable join build sides, scan
-  // device transfers). Internally synchronized, so concurrent runs of one
-  // shared CompiledQuery stay safe.
+  // The plan-lifetime cache of reusable join build sides. Internally
+  // synchronized, so concurrent runs of one shared CompiledQuery stay
+  // safe.
   ctx.primitive_cache = primitive_cache_.get();
   return ctx;
 }

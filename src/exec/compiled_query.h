@@ -91,9 +91,8 @@ class CompiledQuery : public std::enable_shared_from_this<CompiledQuery> {
 
   Device device() const { return device_; }
 
-  /// The plan-lifetime cache of execution primitives (reusable join build
-  /// sides, scan device transfers). Exposed for tests asserting hit/miss
-  /// and invalidation behaviour.
+  /// The plan-lifetime cache of reusable join build sides. Exposed for
+  /// tests asserting hit/miss and invalidation behaviour.
   PrimitiveCache& primitive_cache() const { return *primitive_cache_; }
 
   /// EXPLAIN-style plan rendering.

@@ -104,45 +104,15 @@ StatusOr<Chunk> ExecuteScan(const ScanNode& node, const ExecContext& ctx) {
       chunk.columns.push_back(table->column(i));
     }
   }
-  // Move data to the execution device if the table lives elsewhere. The
-  // transfer copies every column, so repeated prepared-statement runs keep
-  // the moved columns in the per-plan cache, keyed by table identity —
-  // DML installs a fresh Table object, which misses and re-transfers.
-  // Sharing the cached copy across runs aliases no more than the
-  // same-device path below, which hands out the table's own columns.
-  bool needs_move = false;
-  for (const Column& c : chunk.columns) {
-    if (c.data().device() != ctx.device) {
-      needs_move = true;
-      break;
-    }
-  }
-  if (!needs_move) return chunk;
-  if (ctx.primitive_cache != nullptr) {
-    std::shared_ptr<const Table> key = table;
-    if (auto cached = ctx.primitive_cache->LookupScan(&node, key, ctx.device)) {
-      chunk.columns = *cached;
-      return chunk;
-    }
-    for (Column& c : chunk.columns) {
-      if (c.data().device() != ctx.device) c = c.To(ctx.device);
-    }
-    ctx.primitive_cache->StoreScan(
-        &node, std::move(key), ctx.device,
-        std::make_shared<const std::vector<Column>>(chunk.columns));
-    return chunk;
-  }
-  for (Column& c : chunk.columns) {
-    if (c.data().device() != ctx.device) c = c.To(ctx.device);
-  }
+  // A table registered on the other device serves its columns retagged
+  // for this run's kernels: the same buffers, no copy.
+  for (Column& c : chunk.columns) c = c.To(ctx.device);
   return chunk;
 }
 
 StatusOr<Chunk> ExecuteTvfScan(const TvfScanNode& node, Chunk input,
                                const ExecContext& ctx) {
-  for (Column& c : input.columns) {
-    if (c.data().device() != ctx.device) c = c.To(ctx.device);
-  }
+  for (Column& c : input.columns) c = c.To(ctx.device);
   TDP_ASSIGN_OR_RETURN(Chunk out, node.fn->fn(input, node.args, ctx.device));
   if (out.names.size() != node.fn->output_schema.size()) {
     return Status::ExecutionError(
@@ -1753,26 +1723,38 @@ StatusOr<Chunk> ExecuteUpdate(const plan::UpdateNode& node,
   TDP_ASSIGN_OR_RETURN(std::shared_ptr<Table> written,
                        target->WithUpdated(sel.positions, updates));
 
-  // WithUpdated compacts to a single physical==live segment. An index
-  // entry survives (re-tagged, storage shared) only when that compaction
-  // provably preserved physical ids — no deletes in the base — and the
-  // indexed column was not assigned; otherwise it is dropped and queries
-  // take the exact fallback until the index is rebuilt.
-  std::vector<std::shared_ptr<const VectorIndexEntry>> entries;
-  if (!target->has_deletes()) {
-    for (const auto& entry :
-         ctx.catalog->TableVectorIndexes(node.table_name)) {
-      if (entry->index->num_rows() != target->num_physical_rows()) continue;
-      const auto col = target->ColumnIndex(entry->column_name);
-      if (!col.ok()) continue;
-      const bool assigned =
-          std::any_of(node.assignments.begin(), node.assignments.end(),
-                      [&col](const auto& a) {
-                        return a.first == col.value();
-                      });
-      if (assigned) continue;
-      entries.push_back(RetagIndexEntry(*entry, written));
+  // WithUpdated compacts to a single physical==live segment: a live row's
+  // physical id becomes its live position and deleted ids vanish. An
+  // index entry follows that renumbering (its storage is shared when the
+  // base had no deletes, so nothing moved); an entry whose column was
+  // assigned is dropped, and queries take the exact fallback until the
+  // index is rebuilt.
+  std::vector<int64_t> new_ids;  // physical id -> live position, or -1
+  if (target->has_deletes()) {
+    new_ids.reserve(static_cast<size_t>(target->num_physical_rows()));
+    int64_t live = 0;
+    for (int64_t p = 0; p < target->num_physical_rows(); ++p) {
+      new_ids.push_back(target->IsDeleted(p) ? -1 : live++);
     }
+  }
+  std::vector<std::shared_ptr<const VectorIndexEntry>> entries;
+  for (const auto& entry :
+       ctx.catalog->TableVectorIndexes(node.table_name)) {
+    if (entry->index->num_rows() != target->num_physical_rows()) continue;
+    const auto col = target->ColumnIndex(entry->column_name);
+    if (!col.ok()) continue;
+    const bool assigned =
+        std::any_of(node.assignments.begin(), node.assignments.end(),
+                    [&col](const auto& a) { return a.first == col.value(); });
+    if (assigned) continue;
+    std::shared_ptr<const index::IvfIndex> renumbered = entry->index;
+    if (!new_ids.empty()) {
+      renumbered = std::make_shared<const index::IvfIndex>(
+          entry->index->WithRenumbered(new_ids));
+    }
+    entries.push_back(std::shared_ptr<const VectorIndexEntry>(
+        new VectorIndexEntry{entry->table_name, entry->column_name,
+                             std::move(renumbered), written}));
   }
 
   TDP_RETURN_NOT_OK(ctx.writer->ApplyDmlWrite(

@@ -78,12 +78,12 @@ struct ExecContext {
   /// the join build spills its payload — bit-identical results either
   /// way.
   QueryMemory* memory = nullptr;
-  /// Per-plan scratch/primitive cache owned by the CompiledQuery (null for
-  /// bare kernel callers): reusable join build sides and scan device
-  /// transfers live here, so repeated prepared-statement runs stop
-  /// re-deriving per-run state that only depends on the plan and the
-  /// (immutable) input tables. Internally synchronized; entries are keyed
-  /// so every run — any device, params, or data version — stays correct.
+  /// Per-plan primitive cache owned by the CompiledQuery (null for bare
+  /// kernel callers): reusable join build sides live here, so repeated
+  /// prepared-statement runs stop rebuilding hash tables that only depend
+  /// on the plan and the (immutable) input tables. Internally
+  /// synchronized; entries are keyed so every run — any device, params,
+  /// or data version — stays correct.
   PrimitiveCache* primitive_cache = nullptr;
 };
 

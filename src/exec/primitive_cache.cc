@@ -27,27 +27,6 @@ void PrimitiveCache::StoreJoin(const void* node,
   joins_[node] = JoinSlot{std::move(table), device, std::move(ht)};
 }
 
-std::shared_ptr<const std::vector<Column>> PrimitiveCache::LookupScan(
-    const void* node, const std::shared_ptr<const Table>& table,
-    Device device) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = scans_.find(node);
-  if (it != scans_.end() && it->second.table == table &&
-      it->second.device == device) {
-    ++scan_hits_;
-    return it->second.columns;
-  }
-  ++scan_misses_;
-  return nullptr;
-}
-
-void PrimitiveCache::StoreScan(
-    const void* node, std::shared_ptr<const Table> table, Device device,
-    std::shared_ptr<const std::vector<Column>> columns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  scans_[node] = ScanSlot{std::move(table), device, std::move(columns)};
-}
-
 int64_t PrimitiveCache::join_hits() const {
   std::lock_guard<std::mutex> lock(mu_);
   return join_hits_;
@@ -56,16 +35,6 @@ int64_t PrimitiveCache::join_hits() const {
 int64_t PrimitiveCache::join_misses() const {
   std::lock_guard<std::mutex> lock(mu_);
   return join_misses_;
-}
-
-int64_t PrimitiveCache::scan_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return scan_hits_;
-}
-
-int64_t PrimitiveCache::scan_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return scan_misses_;
 }
 
 bool CacheableExpr(const BoundExpr& expr) {

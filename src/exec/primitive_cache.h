@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "src/exec/operator_kernels.h"
 #include "src/storage/table.h"
@@ -14,28 +13,17 @@
 namespace tdp {
 namespace exec {
 
-/// Per-plan cache of reusable execution primitives, owned by the
-/// CompiledQuery and shared by all of its runs. Two kinds of entries:
-///
-///   - Join build sides: the hash table over a deterministic build pipeline
-///     (a Filter/Project chain over one table scan, free of parameters and
-///     UDFs; see `CacheableJoinBuildPipeline` in streaming.cc). Keyed by
-///     the plan node plus the *identity* of the scanned Table object and
-///     the run device. Tables are immutable and DML installs a fresh Table
-///     into the catalog, so pointer identity is exactly data identity: a
-///     repeated prepared-statement run over unchanged data reuses the hash
-///     table, and any write to the table invalidates the entry on the next
-///     run (the stored shared_ptr keeps the old table alive, so a recycled
-///     allocation can never alias a new table into a stale hit).
-///
-///   - Scan device transfers: the columns of a scanned table already moved
-///     to the run device. Same keying discipline as the join slots (scan
-///     node + Table identity + device). Same-device scans share column
-///     handles with the table directly and never touch this cache; a
-///     cross-device scan re-copied every column on every run before, which
-///     dominated repeated prepared-statement runs. Sharing the cached copy
-///     is exactly as safe as the same-device sharing path: columns are
-///     immutable, and DML installs a fresh Table whose new identity misses.
+/// Per-plan cache of reusable join build sides, owned by the CompiledQuery
+/// and shared by all of its runs: the hash table over a deterministic
+/// build pipeline (a Filter/Project chain over one table scan, free of
+/// parameters and UDFs; see `CacheableJoinBuildPipeline` in streaming.cc).
+/// Keyed by the plan node plus the *identity* of the scanned Table object
+/// and the run device. Tables are immutable and DML installs a fresh Table
+/// into the catalog, so pointer identity is exactly data identity: a
+/// repeated prepared-statement run over unchanged data reuses the hash
+/// table, and any write to the table invalidates the entry on the next run
+/// (the stored shared_ptr keeps the old table alive, so a recycled
+/// allocation can never alias a new table into a stale hit).
 ///
 /// All methods are internally synchronized: a CompiledQuery may be run by
 /// many threads concurrently (the cache is the only mutable state hanging
@@ -56,25 +44,17 @@ class PrimitiveCache {
   void StoreJoin(const void* node, std::shared_ptr<const Table> table,
                  Device device, std::shared_ptr<const JoinHashTable> ht);
 
-  /// Cached device transfer for scan `node` if it was taken from exactly
-  /// `table` onto `device`; null (and a recorded miss) otherwise.
-  std::shared_ptr<const std::vector<Column>> LookupScan(
-      const void* node, const std::shared_ptr<const Table>& table,
-      Device device);
-
-  /// Installs the transferred scan columns (replacing any stale entry).
-  void StoreScan(const void* node, std::shared_ptr<const Table> table,
-                 Device device,
-                 std::shared_ptr<const std::vector<Column>> columns);
-
   // Statistics (tests assert hit/miss behaviour and DML invalidation).
   int64_t join_hits() const;
   int64_t join_misses() const;
-  int64_t scan_hits() const;
-  int64_t scan_misses() const;
-  /// Always 0: the cache holds no compiled programs. Kept only because the
-  /// repository benchmark still reports it (`exec.fused_compiles` in
-  /// `perfbench/workloads/olap_large.cc`); drop it with that metric.
+  /// Always 0: the cache holds no scan columns (a cross-device scan
+  /// retags the table's columns) and no compiled programs. Kept only
+  /// because the repository benchmark still reports them
+  /// (`exec.scan_cache_hit_rate` in `perfbench/workloads/serve_rw.cc`,
+  /// `exec.fused_compiles` in `olap_large.cc`); drop them with those
+  /// metrics.
+  int64_t scan_hits() const { return 0; }
+  int64_t scan_misses() const { return 0; }
   int64_t fused_compiles() const { return 0; }
 
  private:
@@ -84,19 +64,10 @@ class PrimitiveCache {
     std::shared_ptr<const JoinHashTable> ht;
   };
 
-  struct ScanSlot {
-    std::shared_ptr<const Table> table;
-    Device device = Device::kCpu;
-    std::shared_ptr<const std::vector<Column>> columns;
-  };
-
   mutable std::mutex mu_;
   std::unordered_map<const void*, JoinSlot> joins_;
-  std::unordered_map<const void*, ScanSlot> scans_;
   int64_t join_hits_ = 0;
   int64_t join_misses_ = 0;
-  int64_t scan_hits_ = 0;
-  int64_t scan_misses_ = 0;
 };
 
 /// True when `expr` evaluates to the same result on every run over the

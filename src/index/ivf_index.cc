@@ -119,6 +119,22 @@ StatusOr<IvfIndex> IvfIndex::WithAppended(const Tensor& new_rows) const {
   return index;
 }
 
+IvfIndex IvfIndex::WithRenumbered(const std::vector<int64_t>& new_ids) const {
+  TDP_CHECK_EQ(static_cast<int64_t>(new_ids.size()), num_rows_);
+  IvfIndex index;
+  index.centroids_ = centroids_;
+  index.rows_unit_norm_ = rows_unit_norm_;
+  index.lists_.resize(lists_.size());
+  for (size_t c = 0; c < lists_.size(); ++c) {
+    for (int64_t id : lists_[c]) {
+      const int64_t renumbered = new_ids[static_cast<size_t>(id)];
+      if (renumbered >= 0) index.lists_[c].push_back(renumbered);
+    }
+    index.num_rows_ += static_cast<int64_t>(index.lists_[c].size());
+  }
+  return index;
+}
+
 StatusOr<std::vector<int64_t>> IvfIndex::ProbeCandidates(
     const Tensor& query, int64_t num_probes, int64_t min_candidates,
     const std::vector<uint8_t>* selection) const {

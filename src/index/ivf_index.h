@@ -44,6 +44,12 @@ class IvfIndex {
   /// rebuilding re-clusters.
   StatusOr<IvfIndex> WithAppended(const Tensor& new_rows) const;
 
+  /// Derives the index over a compacted copy of its rows: `new_ids[id]`
+  /// is row `id`'s id after compaction, or -1 when the row is gone, and
+  /// must keep surviving rows in their order. Each cell keeps its centroid
+  /// and its surviving members, renumbered; gone rows leave their cells.
+  IvfIndex WithRenumbered(const std::vector<int64_t>& new_ids) const;
+
   /// Candidate generation for the SQL `IndexTopK` operator: the member
   /// rows of the `num_probes` highest-scoring NON-EMPTY cells (k-means can
   /// leave cells empty; probing those would waste the probe budget and, at

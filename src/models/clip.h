@@ -50,8 +50,9 @@ class SimClip {
   std::vector<std::string> Vocabulary() const;
 
  private:
-  /// The model's fixed parameters on one device. Both devices' copies are
-  /// built at construction, so a forward on either device copies none.
+  /// The model's fixed parameters tagged for one device. The accel set
+  /// aliases the CPU set's buffers (`Tensor::To(Device)` only retags), so
+  /// a forward on either device neither copies nor retags a parameter.
   struct DeviceParams {
     Tensor w1, b1, w2;     // fixed random projection (not trainable)
     Tensor feature_mean;   // centering statistics (prevents cone collapse)

@@ -21,8 +21,8 @@ namespace plan {
 ///      cross-side conjuncts stay as the join's residual predicate.
 ///   3. **Scan projection pruning** — scans read only the columns the rest
 ///      of the plan references. This matters most when unreferenced
-///      columns are image tensors: pruning them skips whole tensor
-///      transfers to the execution device.
+///      columns are image tensors: pruning them keeps them out of every
+///      gather, concatenation and spill downstream of the scan.
 ///   4. **Join build-side choice** (needs `catalog`) — hash joins build
 ///      over the side with the smaller cardinality estimate (base-table
 ///      rows discounted by per-predicate selectivity heuristics,

@@ -158,16 +158,72 @@ Column Column::Concat(const std::vector<Column>& parts) {
   if (parts.size() == 1) return parts[0];
   std::vector<Tensor> tensors;
   tensors.reserve(parts.size());
+  bool shared_dictionary = true;
   for (const Column& p : parts) {
     TDP_CHECK(p.encoding_ == parts[0].encoding_)
         << "cannot concatenate columns of different encodings";
-    TDP_DCHECK(p.dictionary().size() == parts[0].dictionary().size());
     TDP_DCHECK(p.domain().size() == parts[0].domain().size());
+    shared_dictionary =
+        shared_dictionary && p.dictionary_ == parts[0].dictionary_;
     tensors.push_back(p.data_);
   }
+  if (!shared_dictionary) return ConcatDictionaries(parts);
   Column c = parts[0];
   c.data_ = Cat(tensors, 0);
   return c;
+}
+
+Column Column::ConcatDictionaries(const std::vector<Column>& parts) {
+  // remap[i][code] is part i's code in the merged dictionary, -1 while no
+  // row of part i uses it.
+  std::vector<Tensor> codes;
+  std::vector<std::vector<int64_t>> remap(parts.size());
+  int64_t total = 0;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    codes.push_back(parts[i].data_.RowMajor());
+    remap[i].assign(parts[i].dictionary().size(), -1);
+    const int64_t* cp = codes[i].data<int64_t>();
+    const int64_t n = codes[i].numel();
+    for (int64_t r = 0; r < n; ++r) {
+      TDP_CHECK(cp[r] >= 0 && cp[r] < static_cast<int64_t>(remap[i].size()));
+      remap[i][static_cast<size_t>(cp[r])] = 0;
+    }
+    total += n;
+  }
+  // The merged dictionary is the sorted union of the strings the rows use,
+  // so it and the codes equal `FromStrings` over the decoded rows.
+  struct Entry {
+    const std::string* value;
+    size_t part;
+    size_t code;
+  };
+  std::vector<Entry> entries;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    for (size_t k = 0; k < remap[i].size(); ++k) {
+      if (remap[i][k] == 0) {
+        entries.push_back({&parts[i].dictionary()[k], i, k});
+      }
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return *a.value < *b.value; });
+  std::vector<std::string> dictionary;
+  for (const Entry& e : entries) {
+    if (dictionary.empty() || dictionary.back() != *e.value) {
+      dictionary.push_back(*e.value);
+    }
+    remap[e.part][e.code] = static_cast<int64_t>(dictionary.size()) - 1;
+  }
+  Tensor out = Tensor::Empty({total}, DType::kInt64, parts[0].data_.device());
+  int64_t* op = out.data<int64_t>();
+  for (size_t i = 0; i < parts.size(); ++i) {
+    const int64_t* cp = codes[i].data<int64_t>();
+    const int64_t n = codes[i].numel();
+    for (int64_t r = 0; r < n; ++r) {
+      *op++ = remap[i][static_cast<size_t>(cp[r])];
+    }
+  }
+  return Dictionary(std::move(out), std::move(dictionary));
 }
 
 const std::vector<std::string>& Column::EmptyDictionary() {

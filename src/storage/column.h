@@ -97,13 +97,19 @@ class Column {
   Column SliceRows(int64_t start, int64_t count) const;
 
   /// Row-wise concatenation. All parts must share encoding, dtype, and
-  /// (for dictionary/PE columns) the same dictionary/domain — true by
-  /// construction when the parts are morsel outputs of one evaluation.
+  /// (for PE columns) the same domain. Dictionary parts that share one
+  /// dictionary object — morsel outputs of one evaluation — concatenate
+  /// their codes; parts with different dictionaries (segments appended by
+  /// DML each encode against their own) get the sorted union of the
+  /// strings their rows use, each part's codes remapped through a
+  /// per-part table: one integer lookup per row, no string work per row.
   static Column Concat(const std::vector<Column>& parts);
 
   std::string ToString() const;
 
  private:
+  /// Concat's path for dictionary parts that do not share a dictionary.
+  static Column ConcatDictionaries(const std::vector<Column>& parts);
   static const std::vector<std::string>& EmptyDictionary();
   static const std::vector<double>& EmptyDomain();
 

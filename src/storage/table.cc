@@ -11,37 +11,6 @@
 namespace tdp {
 namespace {
 
-/// Row-wise concatenation that tolerates dictionary parts with DIFFERENT
-/// dictionaries: appended segments encode their strings against their own
-/// dictionary (extending the shared one would re-code every older row), so
-/// flattening decodes and re-encodes into one order-preserving dictionary.
-/// Parts sharing a single dictionary object — the common case — concat
-/// their codes zero-decode.
-Column ConcatColumnParts(const std::vector<Column>& parts) {
-  TDP_CHECK(!parts.empty());
-  if (parts.size() == 1) return parts[0];
-  if (parts[0].encoding() == Encoding::kDictionary) {
-    bool shared_dict = true;
-    for (const Column& p : parts) {
-      if (&p.dictionary() != &parts[0].dictionary()) {
-        shared_dict = false;
-        break;
-      }
-    }
-    if (!shared_dict) {
-      std::vector<std::string> values;
-      for (const Column& p : parts) {
-        std::vector<std::string> decoded = p.DecodeStrings();
-        values.insert(values.end(),
-                      std::make_move_iterator(decoded.begin()),
-                      std::make_move_iterator(decoded.end()));
-      }
-      return Column::FromStrings(values);
-    }
-  }
-  return Column::Concat(parts);
-}
-
 Tensor IndexTensor(const std::vector<int64_t>& indices) {
   Tensor t = Tensor::Empty({static_cast<int64_t>(indices.size())},
                            DType::kInt64);
@@ -136,7 +105,7 @@ void Table::BuildLiveView() const {
   for (size_t c = 0; c < column_names_.size(); ++c) {
     parts.clear();
     for (const auto& seg : segments_) parts.push_back(seg->columns[c]);
-    Column physical = ConcatColumnParts(parts);
+    Column physical = Column::Concat(parts);
     live_columns_.push_back(gather.defined() ? physical.Select(gather)
                                              : std::move(physical));
   }
@@ -163,7 +132,7 @@ Column Table::PhysicalColumn(int64_t i) const {
   for (const auto& seg : segments_) {
     parts.push_back(seg->columns[static_cast<size_t>(i)]);
   }
-  return ConcatColumnParts(parts);
+  return Column::Concat(parts);
 }
 
 std::vector<int64_t> Table::MapPhysicalToLive(
@@ -247,7 +216,7 @@ StatusOr<std::shared_ptr<Table>> Table::WithAppended(
     segment->columns.reserve(rows.size());
     for (size_t c = 0; c < rows.size(); ++c) {
       segment->columns.push_back(
-          ConcatColumnParts({tail.columns[c], std::move(rows[c])}));
+          Column::Concat({tail.columns[c], std::move(rows[c])}));
     }
     segments.back() = std::move(segment);
   } else {
@@ -278,8 +247,12 @@ StatusOr<std::shared_ptr<Table>> Table::WithDeleted(
             : live_to_physical_[static_cast<size_t>(pos)];
     (*bitmap)[static_cast<size_t>(physical)] = true;
   }
-  return std::shared_ptr<Table>(
+  // The writer builds the live view its readers need, so the first reader
+  // of this version does not flatten it while holding `live_mu_`.
+  auto result = std::shared_ptr<Table>(
       new Table(name_, column_names_, segments_, std::move(bitmap)));
+  result->EnsureLiveView();
+  return result;
 }
 
 StatusOr<std::shared_ptr<Table>> Table::WithUpdated(

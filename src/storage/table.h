@@ -37,9 +37,11 @@ inline constexpr int64_t kSegmentTargetRows = 4096;
 /// a single-segment table, and the `With*` helpers derive new tables that
 /// share unchanged segments. Readers are oblivious: `column(i)` /
 /// `num_rows()` serve the LIVE view — non-deleted rows in physical order —
-/// flattened lazily (and cached) the first time a reader asks. A
-/// single-segment table with no deletes serves its segment columns
-/// zero-copy.
+/// flattened once and cached. `WithDeleted` builds it before returning
+/// (the DELETE already touched every live row); other multi-segment
+/// tables flatten lazily, the first time a reader asks, so INSERT stays
+/// O(tail). A single-segment table with no deletes serves its segment
+/// columns zero-copy.
 ///
 /// Row-id vocabulary: a PHYSICAL row id indexes the concatenation of all
 /// segments (stable across `WithAppended` / `WithDeleted`, which is what
@@ -76,7 +78,8 @@ class Table {
       std::vector<Column> rows) const;
 
   /// Marks the given LIVE positions deleted. Shares every segment; only
-  /// the bitmap is copied (no compaction — physical ids stay stable).
+  /// the bitmap is copied (no compaction — physical ids stay stable). The
+  /// result's live view is built before it is returned.
   StatusOr<std::shared_ptr<Table>> WithDeleted(
       const std::vector<int64_t>& live_positions) const;
 
@@ -130,8 +133,10 @@ class Table {
   std::vector<int64_t> MapLiveToPhysical(
       const std::vector<int64_t>& live) const;
 
-  /// Copies all columns to `device` (the paper's `register_df(...,
-  /// device=...)`). Flattens: the result is a single-segment table.
+  /// The live view's columns retagged for `device` (the paper's
+  /// `register_df(..., device=...)`): they share this table's buffers,
+  /// so no row is copied once the view is built. The result is a
+  /// single-segment table.
   std::shared_ptr<Table> To(Device device) const;
 
   /// Renders up to `max_rows` rows as an aligned text table (result

@@ -16,6 +16,11 @@ namespace tdp {
 ///                type-erased inner dispatch (an un-accelerated engine).
 ///   - `kAccel` — accelerated backend: contiguous tight loops, blocked
 ///                matmul, im2col convolution, fused similarity kernels.
+///
+/// Both backends read and write one host memory. The device tag picks
+/// kernels, not storage: moving a tensor to the other device
+/// (`Tensor::To(Device)`) retags a view of the same buffer, copying
+/// nothing.
 enum class Device : uint8_t {
   kCpu = 0,
   kAccel,

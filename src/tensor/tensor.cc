@@ -227,7 +227,7 @@ Tensor Tensor::Clone() const {
 
 Tensor Tensor::To(Device device) const {
   if (device == impl_->device) return *this;
-  Tensor out = Clone();
+  Tensor out = Detach();
   out.impl()->device = device;
   return out;
 }

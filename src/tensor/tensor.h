@@ -187,7 +187,10 @@ class Tensor {
   Tensor RowMajor() const;
   /// Deep copy, contiguous; drops autograd history.
   Tensor Clone() const;
-  /// Copies to `device` (same data, different kernel backend).
+  /// The same view (buffer, strides, offset) tagged for `device`, so ops
+  /// on it run `device`'s kernels; no bytes are copied, since both
+  /// backends read host memory. Like `Detach()`, the result has no
+  /// autograd history. `*this` when already on `device`.
   Tensor To(Device device) const;
   /// Casts to `dtype` (copy). Not differentiable.
   Tensor To(DType dtype) const;

@@ -639,6 +639,65 @@ TEST(IvfIndexDeleteTest, UnfilteredPartialProbeSkipsDeletedRows) {
   }
 }
 
+TEST_F(IvfIndexSqlTest, UpdateAfterDeleteKeepsTheIndex) {
+  // UPDATE compacts the table, so every physical id after a deleted row
+  // moves down. The index follows the renumbering instead of being
+  // dropped, as long as the indexed column is not assigned.
+  ASSERT_TRUE(CreateIndex().ok());
+  Session reference;  // same rows and writes, no index
+  ASSERT_TRUE(
+      reference.RegisterTable("vecs", MakeVecTable(240, 8, 6, 11)).ok());
+  for (const char* dml :
+       {"INSERT INTO vecs SELECT id + 1000, emb FROM vecs WHERE id < 30",
+        "DELETE FROM vecs WHERE id % 5 = 0",
+        "UPDATE vecs SET id = id + 10000 WHERE id % 7 = 0"}) {
+    SCOPED_TRACE(dml);
+    ASSERT_TRUE(session_.Sql(dml).ok());
+    ASSERT_TRUE(reference.Sql(dml).ok());
+  }
+  const auto entry = session_.catalog().FindVectorIndex("vecs", "emb");
+  ASSERT_NE(entry, nullptr) << "UPDATE of a non-indexed column keeps it";
+  auto table = session_.catalog().GetTable("vecs");
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(entry->table, *table);
+  const int64_t live = (*table)->num_rows();
+  EXPECT_EQ(entry->index->num_rows(), live);
+
+  const std::string sql =
+      "SELECT id, dot(emb, ?) AS sim FROM vecs WHERE id > 10 "
+      "ORDER BY sim DESC LIMIT 5";
+  ExpectStrategy(session_, sql, "pre_filter");
+  const std::vector<ScalarValue> params = {
+      ScalarValue::FromTensor(MakeQuery(8, 61))};
+  auto expected = reference.Sql(sql, {}, WithParams(params));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (const int64_t probes : {int64_t{0}, int64_t{1000}}) {
+    exec::RunOptions run = WithParams(params);
+    run.vector_search.num_probes = probes;
+    auto got = session_.Sql(sql, {}, run);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    testutil::ExpectTablesBitIdentical(**expected, **got,
+                                       "probes=" + std::to_string(probes));
+  }
+
+  // One probe: still min(k, live) live rows, scores non-increasing.
+  for (const int64_t k : {int64_t{5}, live + 10}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    exec::RunOptions run = WithParams(params);
+    run.vector_search.num_probes = 1;
+    auto got = session_.Sql(
+        "SELECT id, dot(emb, ?) AS sim FROM vecs ORDER BY sim DESC LIMIT " +
+            std::to_string(k),
+        {}, run);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ((*got)->num_rows(), std::min(k, live));
+    const Tensor sims = (*got)->column(1).data().Contiguous();
+    for (int64_t i = 1; i < (*got)->num_rows(); ++i) {
+      EXPECT_GE(sims.At({i - 1}), sims.At({i})) << "rank " << i;
+    }
+  }
+}
+
 TEST_F(IvfIndexSqlTest, SecondarySortKeysRideTheIndexAsTiebreaks) {
   ASSERT_TRUE(CreateIndex().ok());
   const char* sql =
@@ -789,6 +848,43 @@ TEST(IvfIndexEdgeTest, FullProbeCandidatesAreEveryRowAscending) {
   ASSERT_EQ(candidates->size(), 57u);
   for (int64_t i = 0; i < 57; ++i) {
     EXPECT_EQ((*candidates)[static_cast<size_t>(i)], i);
+  }
+}
+
+TEST(IvfIndexEdgeTest, RenumberedIndexProbesTheSameRows) {
+  // Drop every third row and close the gaps: each probe of the renumbered
+  // index yields exactly the surviving rows of the original's probe, under
+  // their new ids.
+  Rng rng(12);
+  Tensor data = MakeClusteredUnitVectors(90, 8, 6, rng);
+  index::IvfIndex::Options options;
+  options.num_lists = 6;
+  auto built = index::IvfIndex::Build(data, options, rng);
+  ASSERT_TRUE(built.ok());
+  std::vector<int64_t> new_ids;
+  int64_t next = 0;
+  for (int64_t i = 0; i < 90; ++i) {
+    new_ids.push_back(i % 3 == 0 ? -1 : next++);
+  }
+  const index::IvfIndex renumbered = built->WithRenumbered(new_ids);
+  EXPECT_EQ(renumbered.num_rows(), 60);
+  EXPECT_EQ(renumbered.num_lists(), 6);
+  for (int64_t probes = 1; probes <= 6; ++probes) {
+    SCOPED_TRACE("probes=" + std::to_string(probes));
+    const Tensor query = MakeQuery(8, 70 + static_cast<uint64_t>(probes));
+    // No cell loses every member here, so both indexes visit the same
+    // cells in the same order.
+    auto before = built->ProbeCandidates(query, probes);
+    ASSERT_TRUE(before.ok());
+    std::vector<int64_t> expected;
+    for (int64_t id : *before) {
+      if (new_ids[static_cast<size_t>(id)] >= 0) {
+        expected.push_back(new_ids[static_cast<size_t>(id)]);
+      }
+    }
+    auto after = renumbered.ProbeCandidates(query, probes);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, expected);
   }
 }
 

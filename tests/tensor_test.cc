@@ -121,5 +121,29 @@ TEST(TensorTest, DevicesCarryThroughOps) {
   EXPECT_EQ(b.device(), Device::kAccel);
 }
 
+TEST(TensorTest, ToDeviceRetagsTheSameView) {
+  Tensor base =
+      Tensor::FromVector(std::vector<float>{1, 2, 3, 4, 5, 6}, {2, 3});
+  base.set_requires_grad(true);
+  // A strided view at a nonzero offset, with autograd history.
+  const Tensor view = base.Transpose(0, 1).Slice(0, 1, 2);
+  ASSERT_FALSE(view.is_contiguous());
+  ASSERT_NE(view.offset(), 0);
+  ASSERT_NE(view.grad_fn(), nullptr);
+
+  const Tensor moved = view.To(Device::kAccel);
+  EXPECT_EQ(moved.device(), Device::kAccel);
+  EXPECT_EQ(view.device(), Device::kCpu);
+  EXPECT_EQ(moved.impl()->buffer, base.impl()->buffer);
+  EXPECT_EQ(moved.shape(), view.shape());
+  EXPECT_EQ(moved.strides(), view.strides());
+  EXPECT_EQ(moved.offset(), view.offset());
+  EXPECT_EQ(moved.grad_fn(), nullptr);
+  EXPECT_FALSE(moved.requires_grad());
+  EXPECT_EQ(moved.ToVector<float>(), view.ToVector<float>());
+  // Already on the device: the handle itself.
+  EXPECT_EQ(moved.To(Device::kAccel).impl(), moved.impl());
+}
+
 }  // namespace
 }  // namespace tdp
